@@ -46,12 +46,11 @@ BgpSystem::BgpSystem(sim::Simulator& simulator, net::Network& network,
       config_(config) {
   const auto& topo = network_.topology();
   // Every border router is a speaker.
+  speakers_.resize(topo.router_count());
+  speakers_of_.resize(topo.domain_count());
   for (const auto& router : topo.routers()) {
-    if (router.border) {
-      SpeakerState st;
-      st.domain = router.domain;
-      speakers_.emplace(router.id.value(), std::move(st));
-    }
+    speakers_[router.id.value()].domain = router.domain;
+    if (router.border) speakers_of_[router.domain.value()].push_back(router.id);
   }
   // eBGP sessions over inter-domain links.
   for (const auto& link : topo.links()) {
@@ -59,29 +58,27 @@ BgpSystem::BgpSystem(sim::Simulator& simulator, net::Network& network,
     const auto rel_of_b = topo.relationship(topo.router(link.a).domain,
                                             topo.router(link.b).domain);
     assert(rel_of_b.has_value());
-    const std::size_t ab = sessions_.size();
-    sessions_.push_back(Session{link.a, link.b, link.id, *rel_of_b, false});
-    speaker(link.a).sessions.push_back(ab);
-    const std::size_t ba = sessions_.size();
-    sessions_.push_back(Session{link.b, link.a, link.id, reverse(*rel_of_b), false});
-    speaker(link.b).sessions.push_back(ba);
+    add_session_pair(link.a, link.b, link.id, *rel_of_b, /*ibgp=*/false);
   }
-  // iBGP full mesh among each domain's border routers.
-  for (const auto& domain : topo.domains()) {
-    std::vector<NodeId> borders;
-    for (const NodeId r : domain.routers) {
-      if (topo.router(r).border) borders.push_back(r);
-    }
+  // iBGP full mesh among each domain's border routers. Pairing i < j keeps
+  // every speaker's sessions in ascending remote order.
+  for (const auto& borders : speakers_of_) {
     for (std::size_t i = 0; i < borders.size(); ++i) {
-      for (std::size_t j = 0; j < borders.size(); ++j) {
-        if (i == j) continue;
-        const std::size_t s = sessions_.size();
-        sessions_.push_back(Session{borders[i], borders[j], LinkId::invalid(),
-                                    Relationship::kPeer, /*ibgp=*/true});
-        speaker(borders[i]).sessions.push_back(s);
+      for (std::size_t j = i + 1; j < borders.size(); ++j) {
+        add_session_pair(borders[i], borders[j], LinkId::invalid(),
+                         Relationship::kPeer, /*ibgp=*/true);
       }
     }
   }
+}
+
+void BgpSystem::add_session_pair(NodeId a, NodeId b, LinkId link,
+                                 Relationship relationship, bool ibgp) {
+  const std::size_t ab = sessions_.size();
+  sessions_.push_back(Session{a, b, link, relationship, ibgp, ab + 1});
+  sessions_.push_back(Session{b, a, link, reverse(relationship), ibgp, ab});
+  speaker(a).sessions.push_back(ab);
+  speaker(b).sessions.push_back(ab + 1);
 }
 
 void BgpSystem::start() {
@@ -90,11 +87,8 @@ void BgpSystem::start() {
   for (const auto& domain : network_.topology().domains()) {
     originate(domain.id, domain.prefix);
   }
-  // Flush anything originated before start() (its decide() could not
-  // schedule a send yet).
-  for (auto& [node, st] : speakers_) {
-    if (!st.dirty.empty()) schedule_send(NodeId{node});
-  }
+  // Every speaker belongs to a domain, so the loop above scheduled a flush
+  // at each one; it also carries anything originated before start().
 }
 
 void BgpSystem::originate(DomainId domain, Prefix prefix, OriginationPolicy policy) {
@@ -103,24 +97,29 @@ void BgpSystem::originate(DomainId domain, Prefix prefix, OriginationPolicy poli
                        (std::uint64_t{prefix.address().bits()} << 8) | prefix.length());
   }
   for (const NodeId node : speakers_of(domain)) {
-    auto& st = speaker(node);
-    st.originated[prefix] = policy;
-    Route route;
-    route.prefix = prefix;
-    route.as_path = {domain};
-    route.egress_router = node;
-    route.local_pref = local_pref_for(LearnedFrom::kSelf);
-    route.learned = LearnedFrom::kSelf;
-    route.no_export = policy.no_export;
-    route.propagation_ttl = policy.propagation_ttl;
-    route.anycast = policy.anycast;
-    st.adj_rib_in[{prefix, kSelfSession}] = route;
-    decide(node, prefix);
-    // A re-origination may change only export policy; the decision process
-    // cannot see that, so always force a (re-)advertisement pass.
-    st.dirty.insert(prefix);
-    schedule_send(node);
+    speaker(node).originated[prefix] = policy;
+    seed_self_route(node, prefix, policy);
   }
+}
+
+void BgpSystem::seed_self_route(NodeId node, Prefix prefix,
+                                const OriginationPolicy& policy) {
+  auto& st = speaker(node);
+  Route route;
+  route.prefix = prefix;
+  route.as_path = {st.domain};
+  route.egress_router = node;
+  route.local_pref = local_pref_for(LearnedFrom::kSelf);
+  route.learned = LearnedFrom::kSelf;
+  route.no_export = policy.no_export;
+  route.propagation_ttl = policy.propagation_ttl;
+  route.anycast = policy.anycast;
+  st.adj_rib_in[{prefix, kSelfSession}] = std::move(route);
+  decide(node, prefix);
+  // A re-origination may change only export policy; the decision process
+  // cannot see that, so always force a (re-)advertisement pass.
+  st.dirty.insert(prefix);
+  schedule_send(node);
 }
 
 void BgpSystem::withdraw(DomainId domain, Prefix prefix) {
@@ -134,14 +133,6 @@ void BgpSystem::withdraw(DomainId domain, Prefix prefix) {
     st.adj_rib_in.erase({prefix, kSelfSession});
     decide(node, prefix);
   }
-}
-
-std::vector<NodeId> BgpSystem::speakers_of(DomainId domain) const {
-  std::vector<NodeId> out;
-  for (const NodeId r : network_.topology().domain(domain).routers) {
-    if (network_.topology().router(r).border) out.push_back(r);
-  }
-  return out;  // domain.routers is in creation order == sorted
 }
 
 bool BgpSystem::preferred(const Route& a, const Route& b) {
@@ -174,12 +165,7 @@ void BgpSystem::decide(NodeId node, Prefix prefix) {
     if (!had) return;
     st.loc_rib.erase(current);
   } else {
-    if (had && current->second.describe() == best->describe() &&
-        current->second.egress_router == best->egress_router &&
-        current->second.ebgp_next_hop == best->ebgp_next_hop &&
-        current->second.via_link == best->via_link) {
-      return;  // no effective change
-    }
+    if (had && current->second == *best) return;  // no effective change
     st.loc_rib[prefix] = *best;
   }
   st.dirty.insert(prefix);
@@ -235,14 +221,6 @@ bool BgpSystem::session_usable(const Session& session) const {
   return !session.link.valid() || topo.link_usable(session.link);
 }
 
-std::vector<NodeId> BgpSystem::sorted_speakers() const {
-  std::vector<NodeId> out;
-  out.reserve(speakers_.size());
-  for (const auto& [value, st] : speakers_) out.push_back(NodeId{value});
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 void BgpSystem::flush_updates(NodeId node) {
   if (!network_.topology().router(node).up) return;  // crashed: sends nothing
   auto& st = speaker(node);
@@ -278,58 +256,39 @@ void BgpSystem::flush_updates(NodeId node) {
         update.propagation_ttl = best->second.propagation_ttl;
         update.anycast = best->second.anycast;
       }
-      send(node, session.remote, si, std::move(update));
+      send(si, std::move(update));
     }
   }
 }
 
-void BgpSystem::send(NodeId from, NodeId to, std::size_t session_index,
-                     Update update) {
+void BgpSystem::send(std::size_t session_index, Update update) {
   const Session& session = sessions_[session_index];
   const sim::Duration latency = session.ibgp
                                     ? config_.ibgp_latency
                                     : network_.topology().link(session.link).latency;
   ++messages_sent_;
-  simulator_.schedule_after(latency, [this, from, to, session_index,
+  simulator_.schedule_after(latency, [this, in = session.reverse,
                                       update = std::move(update)] {
     // Re-check at delivery: the session may have died in flight.
-    if (!session_usable(sessions_[session_index])) return;
-    receive(to, from, session_index, update);
+    if (!session_usable(sessions_[in])) return;
+    receive(in, update);
   });
 }
 
-void BgpSystem::receive(NodeId local, NodeId from, std::size_t session_index,
-                        Update update) {
-  auto& st = speaker(local);
-  // Find the reverse session to learn the relationship (sessions are
-  // created in pairs; the incoming view is the remote's perspective).
-  const Session& incoming = sessions_[session_index];
-  const bool ibgp = incoming.ibgp;
-
-  // The incoming session as seen from `local`: the reverse twin of
-  // `session_index` (sessions are created in adjacent pairs for eBGP; for
-  // iBGP, the peer's mirrored session). Identify it by scanning local's
-  // sessions for the matching remote + link.
-  const std::size_t in_session = [&]() -> std::size_t {
-    for (const std::size_t si : st.sessions) {
-      const Session& s = sessions_[si];
-      if (s.remote == from && s.ibgp == incoming.ibgp && s.link == incoming.link) {
-        return si;
-      }
-    }
-    return kSelfSession;  // unreachable in a consistent session graph
-  }();
+void BgpSystem::receive(std::size_t session_index, const Update& update) {
+  const Session& in = sessions_[session_index];
+  auto& st = speaker(in.local);
 
   if (update.withdraw) {
-    if (st.adj_rib_in.erase({update.prefix, in_session}) > 0) {
-      decide(local, update.prefix);
+    if (st.adj_rib_in.erase({update.prefix, session_index}) > 0) {
+      decide(in.local, update.prefix);
     }
     return;
   }
 
   // Loop prevention (eBGP): reject paths containing our own domain.
-  if (!ibgp && std::find(update.as_path.begin(), update.as_path.end(), st.domain) !=
-                   update.as_path.end()) {
+  if (!in.ibgp && std::find(update.as_path.begin(), update.as_path.end(),
+                            st.domain) != update.as_path.end()) {
     return;
   }
 
@@ -339,34 +298,25 @@ void BgpSystem::receive(NodeId local, NodeId from, std::size_t session_index,
   route.no_export = update.no_export;
   route.propagation_ttl = update.propagation_ttl;
   route.anycast = update.anycast;
-  if (ibgp) {
+  if (in.ibgp) {
     // The sending border router remains the egress; the route keeps the
     // Gao-Rexford class it had where it entered the domain, recomputed
     // from the domain's relationship with the path's first AS hop.
     route.via_ibgp = true;
-    route.egress_router = from;
+    route.egress_router = in.remote;
     const auto rel = network_.topology().relationship(
         st.domain, route.as_path.empty() ? DomainId::invalid() : route.as_path.front());
-    route.learned = !rel                              ? LearnedFrom::kPeer
-                    : *rel == Relationship::kCustomer ? LearnedFrom::kCustomer
-                    : *rel == Relationship::kPeer     ? LearnedFrom::kPeer
-                                                      : LearnedFrom::kProvider;
-    route.local_pref = local_pref_for(route.learned);
+    route.learned = rel ? learned_from(*rel) : LearnedFrom::kPeer;
   } else {
-    const Relationship rel = in_session == kSelfSession
-                                 ? Relationship::kPeer
-                                 : sessions_[in_session].relationship;
-    route.learned = rel == Relationship::kCustomer  ? LearnedFrom::kCustomer
-                    : rel == Relationship::kPeer    ? LearnedFrom::kPeer
-                                                    : LearnedFrom::kProvider;
-    route.local_pref = local_pref_for(route.learned);
-    route.egress_router = local;
-    route.ebgp_next_hop = from;
-    route.via_link = incoming.link;
+    route.learned = learned_from(in.relationship);
+    route.egress_router = in.local;
+    route.ebgp_next_hop = in.remote;
+    route.via_link = in.link;
   }
+  route.local_pref = local_pref_for(route.learned);
 
-  st.adj_rib_in[{update.prefix, in_session}] = std::move(route);
-  decide(local, update.prefix);
+  st.adj_rib_in[{update.prefix, session_index}] = std::move(route);
+  decide(in.local, update.prefix);
 }
 
 void BgpSystem::on_link_change(LinkId link_id) {
@@ -387,33 +337,30 @@ void BgpSystem::on_link_change(LinkId link_id) {
       schedule_send(end);
     }
   } else {
-    // Session down: drop routes learned over this link's sessions at both
-    // ends, and forget what was advertised over them.
+    // Session down at both ends.
     for (const NodeId end : {link.a, link.b}) {
-      auto& st = speaker(end);
-      std::set<std::size_t> dead_sessions;
-      for (const std::size_t si : st.sessions) {
-        if (sessions_[si].link == link_id) dead_sessions.insert(si);
-      }
-      std::vector<Prefix> affected;
-      for (auto it = st.adj_rib_in.begin(); it != st.adj_rib_in.end();) {
-        if (dead_sessions.contains(it->first.second)) {
-          affected.push_back(it->first.first);
-          it = st.adj_rib_in.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      for (auto it = st.adj_rib_out.begin(); it != st.adj_rib_out.end();) {
-        if (dead_sessions.contains(it->second)) {
-          it = st.adj_rib_out.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      for (const Prefix prefix : affected) decide(end, prefix);
+      drop_sessions(end, [&](const Session& s) { return s.link == link_id; });
     }
   }
+}
+
+void BgpSystem::drop_sessions(NodeId node,
+                              const std::function<bool(const Session&)>& dead) {
+  auto& st = speaker(node);
+  std::set<std::size_t> dead_sessions;
+  for (const std::size_t si : st.sessions) {
+    if (dead(sessions_[si])) dead_sessions.insert(si);
+  }
+  if (dead_sessions.empty()) return;
+  std::vector<Prefix> affected;
+  std::erase_if(st.adj_rib_in, [&](const auto& entry) {
+    if (!dead_sessions.contains(entry.first.second)) return false;
+    affected.push_back(entry.first.first);
+    return true;
+  });
+  std::erase_if(st.adj_rib_out,
+                [&](const auto& key) { return dead_sessions.contains(key.second); });
+  for (const Prefix prefix : affected) decide(node, prefix);
 }
 
 void BgpSystem::on_node_change(NodeId node, bool up) {
@@ -434,56 +381,23 @@ void BgpSystem::on_node_change(NodeId node, bool up) {
     }
     // Peers hold down every session to the dead node and withdraw what
     // they learned over those sessions.
-    for (const NodeId peer : sorted_speakers()) {
-      if (peer == node) continue;
-      auto& st = speaker(peer);
-      std::set<std::size_t> dead_sessions;
-      for (const std::size_t si : st.sessions) {
-        if (sessions_[si].remote == node) dead_sessions.insert(si);
-      }
-      if (dead_sessions.empty()) continue;
-      std::vector<Prefix> affected;
-      for (auto it = st.adj_rib_in.begin(); it != st.adj_rib_in.end();) {
-        if (dead_sessions.contains(it->first.second)) {
-          affected.push_back(it->first.first);
-          it = st.adj_rib_in.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      for (auto it = st.adj_rib_out.begin(); it != st.adj_rib_out.end();) {
-        if (dead_sessions.contains(it->second)) {
-          it = st.adj_rib_out.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      for (const Prefix prefix : affected) decide(peer, prefix);
+    for (std::uint32_t v = 0; v < speakers_.size(); ++v) {
+      const NodeId peer{v};
+      if (peer == node || !is_speaker(peer)) continue;
+      drop_sessions(peer, [&](const Session& s) { return s.remote == node; });
     }
   } else {
     // Recovery: re-seed self-originated routes from configuration...
     if (is_speaker(node)) {
-      auto& st = speaker(node);
-      for (const auto& [prefix, policy] : st.originated) {
-        Route route;
-        route.prefix = prefix;
-        route.as_path = {st.domain};
-        route.egress_router = node;
-        route.local_pref = local_pref_for(LearnedFrom::kSelf);
-        route.learned = LearnedFrom::kSelf;
-        route.no_export = policy.no_export;
-        route.propagation_ttl = policy.propagation_ttl;
-        route.anycast = policy.anycast;
-        st.adj_rib_in[{prefix, kSelfSession}] = route;
-        decide(node, prefix);
-        st.dirty.insert(prefix);
+      for (const auto& [prefix, policy] : speaker(node).originated) {
+        seed_self_route(node, prefix, policy);
       }
-      if (!st.dirty.empty()) schedule_send(node);
     }
     // ...and peers with a session to the restored speaker re-advertise
     // their full Loc-RIBs toward it (session re-establishment).
-    for (const NodeId peer : sorted_speakers()) {
-      if (peer == node) continue;
+    for (std::uint32_t v = 0; v < speakers_.size(); ++v) {
+      const NodeId peer{v};
+      if (peer == node || !is_speaker(peer)) continue;
       auto& st = speaker(peer);
       const bool has_session =
           std::any_of(st.sessions.begin(), st.sessions.end(),
@@ -506,13 +420,6 @@ void BgpSystem::for_each_best_route(
     NodeId node, const std::function<void(const Route&)>& fn) const {
   if (!is_speaker(node)) return;
   for (const auto& [prefix, route] : speaker(node).loc_rib) fn(route);
-}
-
-std::vector<Prefix> BgpSystem::loc_rib_prefixes(NodeId node) const {
-  std::vector<Prefix> out;
-  if (!is_speaker(node)) return out;
-  for (const auto& [prefix, route] : speaker(node).loc_rib) out.push_back(prefix);
-  return out;
 }
 
 std::size_t BgpSystem::loc_rib_size(NodeId node, bool anycast_only) const {
@@ -544,7 +451,7 @@ net::LinkId BgpSystem::connecting_link(NodeId a, NodeId b) const {
 void BgpSystem::install_routes() {
   const auto& topo = network_.topology();
   for (const auto& domain : topo.domains()) {
-    const auto borders = speakers_of(domain.id);
+    const auto& borders = speakers_of(domain.id);
     if (borders.empty()) continue;
     const igp::Igp* igp = igp_of_(domain.id);
 

@@ -9,12 +9,12 @@
 // toward the IGP-closest border router holding a best route (hot potato).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "bgp/route.h"
@@ -65,9 +65,6 @@ class BgpSystem {
   void for_each_best_route(net::NodeId speaker,
                            const std::function<void(const Route&)>& fn) const;
 
-  /// All prefixes with a best route at `speaker`.
-  std::vector<net::Prefix> loc_rib_prefixes(net::NodeId speaker) const;
-
   /// Loc-RIB size (for routing-state experiments). `anycast_only` counts
   /// just anycast routes.
   std::size_t loc_rib_size(net::NodeId speaker, bool anycast_only = false) const;
@@ -75,7 +72,9 @@ class BgpSystem {
   std::uint64_t messages_sent() const { return messages_sent_; }
 
   /// The speakers (border routers) of a domain, sorted by NodeId.
-  std::vector<net::NodeId> speakers_of(net::DomainId domain) const;
+  const std::vector<net::NodeId>& speakers_of(net::DomainId domain) const {
+    return speakers_of_[domain.value()];
+  }
 
   /// Notify that an inter-domain link changed state: sessions over it come
   /// up or go down and routes are re-evaluated.
@@ -99,6 +98,7 @@ class BgpSystem {
     net::LinkId link;                 // invalid() for iBGP
     net::Relationship relationship;   // of remote as seen from local (eBGP)
     bool ibgp = false;
+    std::size_t reverse = 0;          // the same session seen from `remote`
   };
 
   struct Update {
@@ -134,17 +134,37 @@ class BgpSystem {
   };
 
   bool is_speaker(net::NodeId node) const {
-    return speakers_.contains(node.value());
+    return node.value() < speakers_.size() &&
+           network_.topology().router(node).border;
   }
-  SpeakerState& speaker(net::NodeId node) { return speakers_.at(node.value()); }
+  SpeakerState& speaker(net::NodeId node) {
+    assert(is_speaker(node));
+    return speakers_[node.value()];
+  }
   const SpeakerState& speaker(net::NodeId node) const {
-    return speakers_.at(node.value());
+    assert(is_speaker(node));
+    return speakers_[node.value()];
   }
 
-  void send(net::NodeId from, net::NodeId to, std::size_t session_index,
-            Update update);
-  void receive(net::NodeId local, net::NodeId from, std::size_t session_index,
-               Update update);
+  /// Append the pair of sessions between `a` and `b`; `relationship` is
+  /// b's relationship as seen from a.
+  void add_session_pair(net::NodeId a, net::NodeId b, net::LinkId link,
+                        net::Relationship relationship, bool ibgp);
+
+  /// Send `update` over `session_index`; it arrives on the reverse session.
+  void send(std::size_t session_index, Update update);
+  /// Handle `update` arriving on `session_index` (the receiver's session).
+  void receive(std::size_t session_index, const Update& update);
+
+  /// Install `node`'s self route for a prefix it originates under `policy`,
+  /// re-decide, and force a (re-)advertisement pass.
+  void seed_self_route(net::NodeId node, net::Prefix prefix,
+                       const OriginationPolicy& policy);
+
+  /// Tear down the sessions of `node` selected by `dead`: forget what was
+  /// learned and advertised over them and re-decide the affected prefixes.
+  void drop_sessions(net::NodeId node,
+                     const std::function<bool(const Session&)>& dead);
 
   /// Re-run the decision process for `prefix` at `node`; queue updates if
   /// the best route changed.
@@ -162,9 +182,6 @@ class BgpSystem {
   /// and (for eBGP) the underlying link usable.
   bool session_usable(const Session& session) const;
 
-  /// Speakers sorted by NodeId, for deterministic fan-out order.
-  std::vector<net::NodeId> sorted_speakers() const;
-
   /// Total ordering on routes: true if `a` is preferred over `b`.
   static bool preferred(const Route& a, const Route& b);
 
@@ -176,7 +193,10 @@ class BgpSystem {
   std::function<const igp::Igp*(net::DomainId)> igp_of_;
   BgpConfig config_;
   std::vector<Session> sessions_;
-  std::unordered_map<std::uint32_t, SpeakerState> speakers_;  // by NodeId value
+  /// Indexed by NodeId value; only border routers' entries are used.
+  std::vector<SpeakerState> speakers_;
+  /// Each domain's speakers, sorted by NodeId.
+  std::vector<std::vector<net::NodeId>> speakers_of_;
   obs::Recorder* recorder_ = nullptr;
   std::uint64_t messages_sent_ = 0;
   bool started_ = false;

@@ -36,6 +36,16 @@ constexpr int local_pref_for(LearnedFrom learned) {
   return 0;
 }
 
+/// The class of a route learned from a neighbor in relationship `rel`.
+constexpr LearnedFrom learned_from(net::Relationship rel) {
+  switch (rel) {
+    case net::Relationship::kCustomer: return LearnedFrom::kCustomer;
+    case net::Relationship::kPeer: return LearnedFrom::kPeer;
+    case net::Relationship::kProvider: return LearnedFrom::kProvider;
+  }
+  return LearnedFrom::kProvider;
+}
+
 struct Route {
   net::Prefix prefix;
   /// AS path, nearest first; back() is the origin domain.
@@ -73,6 +83,8 @@ struct Route {
   }
 
   std::string describe() const;
+
+  friend bool operator==(const Route&, const Route&) = default;
 };
 
 /// How a locally originated prefix is exported.

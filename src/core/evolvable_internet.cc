@@ -41,29 +41,25 @@ EvolvableInternet::EvolvableInternet(net::Topology topology, Options options)
     }
   }
 
-  auto igp_accessor = [this](DomainId d) -> igp::Igp* {
-    return d.value() < igps_.size() ? igps_[d.value()].get() : nullptr;
-  };
-  auto const_igp_accessor = [this](DomainId d) -> const igp::Igp* {
-    return d.value() < igps_.size() ? igps_[d.value()].get() : nullptr;
-  };
-
-  bgp_ = std::make_unique<bgp::BgpSystem>(simulator_, *network_, const_igp_accessor,
+  bgp_ = std::make_unique<bgp::BgpSystem>(simulator_, *network_, igp_accessor(),
                                           options_.bgp);
   anycast_ = std::make_unique<anycast::AnycastService>(*network_, bgp_.get(),
-                                                       igp_accessor);
+                                                       igp_accessor());
   vnbones_.push_back(std::make_unique<vnbone::VnBone>(
-      *network_, bgp_.get(), igp_accessor, *anycast_, options_.vnbone));
+      *network_, bgp_.get(), igp_accessor(), *anycast_, options_.vnbone));
   host_stacks_.push_back(
       std::make_unique<host::HostStack>(*network_, *vnbones_.front()));
 }
 
-std::size_t EvolvableInternet::add_generation(vnbone::VnBoneConfig config) {
-  auto igp_accessor = [this](DomainId d) -> igp::Igp* {
+std::function<igp::Igp*(DomainId)> EvolvableInternet::igp_accessor() {
+  return [this](DomainId d) -> igp::Igp* {
     return d.value() < igps_.size() ? igps_[d.value()].get() : nullptr;
   };
+}
+
+std::size_t EvolvableInternet::add_generation(vnbone::VnBoneConfig config) {
   vnbones_.push_back(std::make_unique<vnbone::VnBone>(
-      *network_, bgp_.get(), igp_accessor, *anycast_, config));
+      *network_, bgp_.get(), igp_accessor(), *anycast_, config));
   host_stacks_.push_back(
       std::make_unique<host::HostStack>(*network_, *vnbones_.back()));
   vnbones_.back()->set_recorder(recorder_);
@@ -149,10 +145,14 @@ std::uint64_t EvolvableInternet::converge() {
   for (int i = 0; i < 8 && anycast_->sync_reachability(); ++i) {
     events += simulator_.run();
   }
+  finish_sync();
+  return events;
+}
+
+void EvolvableInternet::finish_sync() {
   bgp_->install_routes();
   for (auto& vnbone : vnbones_) vnbone->rebuild();
   close_episodes();
-  return events;
 }
 
 void EvolvableInternet::notify_link_change(LinkId link) {
@@ -178,9 +178,7 @@ void EvolvableInternet::schedule_control_sync() {
       schedule_control_sync();
       return;
     }
-    bgp_->install_routes();
-    for (auto& vnbone : vnbones_) vnbone->rebuild();
-    close_episodes();
+    finish_sync();
   });
 }
 

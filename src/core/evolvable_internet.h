@@ -4,6 +4,7 @@
 // partial, incentive-driven rollout of IPvN (assumptions A1-A4).
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -119,6 +120,10 @@ class EvolvableInternet {
   obs::Recorder* recorder() { return recorder_; }
 
  private:
+  /// The IGP lookup handed to BGP, anycast and every vN-Bone: nullptr for
+  /// a domain outside the topology.
+  std::function<igp::Igp*(net::DomainId)> igp_accessor();
+
   /// Route a link-state change to the protocol that owns the link.
   void notify_link_change(net::LinkId link);
 
@@ -135,6 +140,9 @@ class EvolvableInternet {
   /// Arm a one-shot control-plane sync (BGP route installation + vN-Bone
   /// rebuilds) at the next simulator quiescence; coalesces repeat calls.
   void schedule_control_sync();
+  /// The tail of every control-plane sync: install BGP routes, rebuild
+  /// every vN-Bone generation and close the episode spans.
+  void finish_sync();
 
   Options options_;
   sim::Simulator simulator_;

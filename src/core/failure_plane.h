@@ -60,6 +60,10 @@ struct FailureEvent {
   std::uint32_t subject;  // LinkId value for link events, NodeId otherwise
 };
 
+/// Apply `event` now through the internet's public fan-out API
+/// (set_link_up, set_node_up, deploy_router, undeploy_router).
+void apply_event(EvolvableInternet& internet, const FailureEvent& event);
+
 /// Builder for an ordered churn schedule. Events keep the order implied by
 /// their nominal times (stable for ties: insertion order wins).
 class FailureSchedule {

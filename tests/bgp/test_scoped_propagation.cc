@@ -103,6 +103,24 @@ TEST(ScopedPropagation, TtlRidesWithdrawals) {
   EXPECT_EQ(chain.bgp->best_route(chain.routers[2], p), nullptr);
 }
 
+TEST(ScopedPropagation, ReoriginationWithNewTtlTakesEffect) {
+  // Re-originating with a narrower radius must shrink visibility: the
+  // Loc-RIB has to pick up the new TTL even though nothing else changed.
+  Chain chain(4);
+  const Prefix p = Prefix::host(Ipv4Addr{0, 0, 0, 46});
+  OriginationPolicy policy;
+  policy.propagation_ttl = 3;
+  chain.bgp->originate(chain.domains[0], p, policy);
+  chain.converge();
+  ASSERT_NE(chain.bgp->best_route(chain.routers[3], p), nullptr);
+  policy.propagation_ttl = 1;
+  chain.bgp->originate(chain.domains[0], p, policy);
+  chain.converge();
+  EXPECT_NE(chain.bgp->best_route(chain.routers[1], p), nullptr);
+  EXPECT_EQ(chain.bgp->best_route(chain.routers[2], p), nullptr);
+  EXPECT_EQ(chain.bgp->best_route(chain.routers[3], p), nullptr);
+}
+
 TEST(ScopedPropagation, SurvivesIbgpDistribution) {
   // TTL must bind at domain granularity even when the route crosses a
   // multi-border domain over iBGP.
