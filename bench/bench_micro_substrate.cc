@@ -1,9 +1,9 @@
 // Experiment E9: substrate microbenchmarks (google-benchmark).
 //
 // FIB longest-prefix match, Dijkstra/SPF, trace throughput, event-queue
-// schedule/fire, and control plane convergence (LS flooding, DV settling,
-// BGP propagation) — the costs that bound how large the scenario
-// experiments can scale.
+// schedule/fire, vN-Bone route lookups, and control plane convergence (LS
+// flooding, DV settling, BGP propagation) — the costs that bound how large
+// the scenario experiments can scale.
 //
 // `--json <path>` additionally writes a flat {metric → value} artifact
 // (ns_per_op and items_per_sec per benchmark); BENCH_micro_substrate.json
@@ -415,6 +415,37 @@ void BM_VnBoneRebuild(benchmark::State& state) {
                  " routers");
 }
 BENCHMARK(BM_VnBoneRebuild)->Unit(benchmark::kMillisecond);
+
+void BM_VnBoneRoute(benchmark::State& state) {
+  // Warm proxy-advertising lookups: every tree and legacy-table entry the
+  // loop reads is filled before timing starts.
+  auto topo = net::generate_transit_stub(
+      {.transit_domains = 4, .stubs_per_transit = 3, .seed = 13});
+  core::EvolvableInternet net(std::move(topo));
+  net.start();
+  const auto& domains = net.topology().domains();
+  for (std::size_t i = 0; i < domains.size(); i += 3) net.deploy_domain(domains[i].id);
+  net.converge();
+  const auto& bone = net.vnbone();
+  const auto ingresses = bone.active_members();
+  std::vector<std::pair<net::NodeId, net::IpvNAddr>> queries;
+  for (const auto& domain : domains) {
+    const auto dst = net::IpvNAddr::self(
+        8, net.topology().router(domain.routers.front()).loopback);
+    for (const net::NodeId ingress : ingresses) queries.push_back({ingress, dst});
+  }
+  for (const auto& [ingress, dst] : queries) {
+    benchmark::DoNotOptimize(bone.route(ingress, dst, vnbone::EgressMode::kProxyAdvertising));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [ingress, dst] = queries[i++ % queries.size()];
+    const auto route = bone.route(ingress, dst, vnbone::EgressMode::kProxyAdvertising);
+    benchmark::DoNotOptimize(route.egress);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_VnBoneRoute);
 
 void BM_EndToEndSend(benchmark::State& state) {
   auto topo = net::generate_transit_stub(

@@ -168,6 +168,7 @@ void BgpSystem::decide(NodeId node, Prefix prefix) {
     if (had && current->second == *best) return;  // no effective change
     st.loc_rib[prefix] = *best;
   }
+  ++loc_rib_epoch_;
   st.dirty.insert(prefix);
   schedule_send(node);
 }
@@ -374,6 +375,7 @@ void BgpSystem::on_node_change(NodeId node, bool up) {
     // (it is configuration, restored below on recovery).
     if (is_speaker(node)) {
       auto& st = speaker(node);
+      if (!st.loc_rib.empty()) ++loc_rib_epoch_;
       st.adj_rib_in.clear();
       st.loc_rib.clear();
       st.adj_rib_out.clear();

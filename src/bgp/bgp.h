@@ -71,6 +71,11 @@ class BgpSystem {
 
   std::uint64_t messages_sent() const { return messages_sent_; }
 
+  /// Bumped whenever any speaker's Loc-RIB gains, loses or replaces an
+  /// entry (a value-equal re-decide does not count). State derived from
+  /// best routes is valid for as long as this value is unchanged.
+  std::uint64_t loc_rib_epoch() const { return loc_rib_epoch_; }
+
   /// The speakers (border routers) of a domain, sorted by NodeId.
   const std::vector<net::NodeId>& speakers_of(net::DomainId domain) const {
     return speakers_of_[domain.value()];
@@ -199,6 +204,7 @@ class BgpSystem {
   std::vector<std::vector<net::NodeId>> speakers_of_;
   obs::Recorder* recorder_ = nullptr;
   std::uint64_t messages_sent_ = 0;
+  std::uint64_t loc_rib_epoch_ = 0;
   bool started_ = false;
 };
 

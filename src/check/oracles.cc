@@ -1,6 +1,7 @@
 #include "check/oracles.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "anycast/anycast.h"
@@ -404,6 +405,62 @@ void check_vnbone(const EvolvableInternet& internet, bool healthy,
   }
 }
 
+/// ---- vN-Bone routing: compiled vs. recomputed ----------------------------
+
+void check_vn_routes(const EvolvableInternet& internet,
+                     std::vector<Violation>& out) {
+  const auto& bone = internet.vnbone();
+  if (!bone.anycast_group().valid()) return;
+  const auto& topo = internet.topology();
+  const auto active = bone.active_members();
+  if (active.empty()) return;
+
+  // Per sampled domain (up to 16, spread over the domain list): a native
+  // destination homed at its last router and a self-addressed one at its
+  // first router's loopback. Native routing ignores the egress mode.
+  constexpr std::size_t kDomains = 16;
+  const auto& domains = topo.domains();
+  const std::size_t sampled = std::min(kDomains, domains.size());
+  std::vector<std::pair<net::IpvNAddr, std::vector<vnbone::EgressMode>>> dsts;
+  for (std::size_t i = 0; i < sampled; ++i) {
+    const auto& domain = domains[i * domains.size() / sampled];
+    if (domain.routers.empty()) continue;
+    dsts.push_back({net::IpvNAddr::native(bone.config().version, domain.id.value(),
+                                          domain.routers.back().value(), 0),
+                    {bone.config().egress_mode}});
+    dsts.push_back({net::IpvNAddr::self(bone.config().version,
+                                        topo.router(domain.routers.front()).loopback),
+                    {vnbone::EgressMode::kExitAtIngress,
+                     vnbone::EgressMode::kOwnPathKnowledge,
+                     vnbone::EgressMode::kProxyAdvertising,
+                     vnbone::EgressMode::kEndhostAdvertised}});
+  }
+  // Two ingresses, the first and the middle active member, one reference
+  // tree each: the check runs at every quiescent point of every fuzz seed.
+  constexpr std::size_t kIngresses = 2;
+  const std::size_t ingresses = std::min(kIngresses, active.size());
+  const VnBoneSnapshot snapshot(internet, bone);
+  for (std::size_t i = 0; i < ingresses; ++i) {
+    const NodeId ingress = active[i * active.size() / ingresses];
+    const auto tree = net::dijkstra(snapshot.virtual_graph, ingress);
+    for (const auto& [dst, modes] : dsts) {
+      for (const auto mode : modes) {
+        const auto fast = bone.route(ingress, dst, mode);
+        const auto slow = reference_vn_route(snapshot, tree, ingress, dst, mode);
+        if (fast == slow) continue;
+        out.push_back({OracleKind::kVnRouteEquivalence, 0,
+                       "ingress " + node_str(ingress) + " under " +
+                           vnbone::to_string(mode) + ": route() egress " +
+                           node_str(fast.egress) + " cost " +
+                           std::to_string(fast.vn_cost) + ", reference egress " +
+                           node_str(slow.egress) + " cost " +
+                           std::to_string(slow.vn_cost)});
+        return;  // one differential failure is enough signal
+      }
+    }
+  }
+}
+
 /// ---- anycast state proportionality --------------------------------------
 
 void check_state_bound(const EvolvableInternet& internet,
@@ -438,6 +495,157 @@ void check_state_bound(const EvolvableInternet& internet,
 
 }  // namespace
 
+VnBoneSnapshot::VnBoneSnapshot(const EvolvableInternet& internet,
+                               const vnbone::VnBone& bone)
+    : internet(internet), bone(bone), virtual_graph(bone.virtual_graph()) {
+  const auto& topo = internet.topology();
+  for (const NodeId r : bone.deployed_routers()) {
+    if (topo.router(r).up) active_by_domain[topo.router(r).domain].push_back(r);
+  }
+}
+
+vnbone::VnBone::VnRoute reference_vn_route(const VnBoneSnapshot& snapshot,
+                                           const net::ShortestPaths& tree,
+                                           NodeId ingress, net::IpvNAddr dst,
+                                           vnbone::EgressMode mode) {
+  using vnbone::EgressMode;
+  const auto& internet = snapshot.internet;
+  const auto& bone = snapshot.bone;
+  const auto& active_by_domain = snapshot.active_by_domain;
+  const auto& topo = internet.topology();
+  vnbone::VnBone::VnRoute result;
+  auto active = [&](NodeId r) { return bone.deployed(r) && topo.router(r).up; };
+  if (!active(ingress)) return result;
+  // The shortest BGPv(N-1) AS path among `domain`'s borders (first border
+  // wins ties); null when none has a route.
+  auto legacy_best = [&](DomainId domain, DomainId target) -> const bgp::Route* {
+    const bgp::Route* best = nullptr;
+    for (const NodeId b : internet.bgp().speakers_of(domain)) {
+      const bgp::Route* route =
+          internet.bgp().best_route(b, net::Topology::domain_prefix(target));
+      if (route != nullptr &&
+          (best == nullptr || route->as_path.size() < best->as_path.size())) {
+        best = route;
+      }
+    }
+    return best;
+  };
+
+  auto finish_at = [&](NodeId egress, bool legacy) {
+    if (egress != ingress && !tree.reachable(egress)) return;
+    result.ok = true;
+    result.egress = egress;
+    result.exits_to_legacy = legacy;
+    if (egress == ingress) {
+      result.vn_hops = {ingress};
+      result.vn_cost = 0;
+    } else {
+      result.vn_hops = tree.path_to(egress);
+      result.vn_cost = tree.distance_to(egress);
+    }
+  };
+  // Linear scan for the active member of `domain` minimizing `cost`.
+  auto closest = [&](DomainId domain, auto cost) {
+    NodeId best = NodeId::invalid();
+    Cost best_d = kInfiniteCost;
+    const auto members = active_by_domain.find(domain);
+    if (members == active_by_domain.end()) return std::make_pair(best, best_d);
+    for (const NodeId r : members->second) {
+      const Cost d = cost(r);
+      if (d < best_d || (d == best_d && r < best)) {
+        best = r;
+        best_d = d;
+      }
+    }
+    return std::make_pair(best, best_d);
+  };
+  auto vn_cost_to = [&](NodeId r) {
+    return r == ingress ? Cost{0} : tree.distance_to(r);
+  };
+
+  if (!dst.is_self_address()) {
+    const NodeId home{dst.native_node()};
+    const DomainId home_domain{dst.native_domain()};
+    if (home.value() >= topo.router_count() ||
+        home_domain.value() >= topo.domain_count()) {
+      return result;
+    }
+    if (active(home)) {
+      finish_at(home, /*legacy=*/false);
+      return result;
+    }
+    const igp::Igp* igp = internet.igp(home_domain);
+    const auto [egress, egress_d] = closest(home_domain, [&](NodeId r) {
+      return igp ? igp->distance(r, home) : kInfiniteCost;
+    });
+    if (egress.valid() && egress_d != kInfiniteCost) finish_at(egress, true);
+    return result;
+  }
+
+  const auto target_domain = topo.domain_of_address(dst.embedded_v4());
+  if (!target_domain) return result;
+  switch (mode) {
+    case EgressMode::kExitAtIngress:
+      finish_at(ingress, /*legacy=*/true);
+      return result;
+    case EgressMode::kOwnPathKnowledge: {
+      const DomainId my_domain = topo.router(ingress).domain;
+      if (*target_domain == my_domain) {
+        finish_at(ingress, /*legacy=*/true);
+        return result;
+      }
+      const bgp::Route* own = legacy_best(my_domain, *target_domain);
+      DomainId chosen = DomainId::invalid();
+      if (own != nullptr) {
+        for (auto it = own->as_path.rbegin(); it != own->as_path.rend(); ++it) {
+          if (active_by_domain.contains(*it)) {
+            chosen = *it;
+            break;
+          }
+        }
+      }
+      if (!chosen.valid()) {
+        finish_at(ingress, /*legacy=*/true);
+        return result;
+      }
+      const auto [egress, egress_d] = closest(chosen, vn_cost_to);
+      finish_at(egress.valid() && egress_d != kInfiniteCost ? egress : ingress,
+                /*legacy=*/true);
+      return result;
+    }
+    case EgressMode::kEndhostAdvertised: {
+      const auto advertiser = bone.endhost_route(dst);
+      if (!advertiser || !active(*advertiser)) return result;
+      finish_at(*advertiser, /*legacy=*/true);
+      return result;
+    }
+    case EgressMode::kProxyAdvertising: {
+      NodeId egress = NodeId::invalid();
+      Cost best_score = kInfiniteCost;
+      for (const auto& [d, members] : active_by_domain) {
+        Cost legacy_len = 0;
+        if (d != *target_domain) {
+          const bgp::Route* best = legacy_best(d, *target_domain);
+          if (best == nullptr) continue;
+          legacy_len = best->as_path.size();
+        }
+        for (const NodeId r : members) {
+          const Cost vn_d = vn_cost_to(r);
+          if (vn_d == kInfiniteCost) continue;
+          const Cost score = vn_d + bone.config().as_hop_weight * legacy_len;
+          if (score < best_score || (score == best_score && r < egress)) {
+            egress = r;
+            best_score = score;
+          }
+        }
+      }
+      finish_at(egress.valid() ? egress : ingress, /*legacy=*/true);
+      return result;
+    }
+  }
+  return result;
+}
+
 const char* to_string(OracleKind oracle) {
   switch (oracle) {
     case OracleKind::kLoopFreedom: return "loop-freedom";
@@ -450,6 +658,7 @@ const char* to_string(OracleKind oracle) {
     case OracleKind::kVnBoneConnectivity: return "vnbone-connectivity";
     case OracleKind::kAnycastStateBound: return "anycast-state-bound";
     case OracleKind::kConvergenceBudget: return "convergence-budget";
+    case OracleKind::kVnRouteEquivalence: return "vn-route-equivalence";
   }
   return "?";
 }
@@ -469,6 +678,7 @@ std::vector<Violation> check_invariants(const EvolvableInternet& internet,
   check_fib_equivalence(internet, options, out);
   check_gao_rexford(internet, out);
   check_vnbone(internet, healthy, out);
+  check_vn_routes(internet, out);
   check_state_bound(internet, out);
   return out;
 }

@@ -27,14 +27,20 @@
 //   kAnycastStateBound  anycast routing state is bounded by the number of
 //                       groups (§3.2 state-proportionality claim);
 //   kConvergenceBudget  reconvergence completes within an event budget
-//                       (emitted by the scenario runner, not here).
+//                       (emitted by the scenario runner, not here);
+//   kVnRouteEquivalence VnBone::route, a lookup into state compiled per
+//                       epoch, equals reference_vn_route recomputed from
+//                       scratch, under every egress mode.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "core/evolvable_internet.h"
+#include "net/graph.h"
+#include "vnbone/vnbone.h"
 
 namespace evo::check {
 
@@ -49,6 +55,7 @@ enum class OracleKind : std::uint8_t {
   kVnBoneConnectivity,
   kAnycastStateBound,
   kConvergenceBudget,
+  kVnRouteEquivalence,
 };
 
 const char* to_string(OracleKind oracle);
@@ -71,6 +78,28 @@ struct OracleOptions {
   /// Cross-domain unicast (source, destination) pairs traced.
   std::uint32_t interdomain_pairs = 64;
 };
+
+/// The vN-Bone state reference_vn_route reads, taken from public
+/// accessors at one quiescent point.
+struct VnBoneSnapshot {
+  VnBoneSnapshot(const core::EvolvableInternet& internet, const vnbone::VnBone& bone);
+
+  const core::EvolvableInternet& internet;
+  const vnbone::VnBone& bone;
+  net::Graph virtual_graph;
+  /// Deployed and up routers, by domain, ascending.
+  std::map<net::DomainId, std::vector<net::NodeId>> active_by_domain;
+};
+
+/// The uncached vN-Bone routing decision (§3.3.2): linear scans over the
+/// snapshot's members, BGPv(N-1) paths read from the Loc-RIBs and IGP
+/// distances read on every call. `tree` must be
+/// net::dijkstra(snapshot.virtual_graph, ingress). VnBone::route must
+/// return the same VnRoute.
+vnbone::VnBone::VnRoute reference_vn_route(const VnBoneSnapshot& snapshot,
+                                           const net::ShortestPaths& tree,
+                                           net::NodeId ingress, net::IpvNAddr dst,
+                                           vnbone::EgressMode mode);
 
 /// Run every oracle against the (quiescent, synced) internet. Violations
 /// carry episode 0; the caller stamps the real episode index.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <limits>
+#include <queue>
 
 namespace evo::vnbone {
 
@@ -51,10 +53,6 @@ Ipv4Addr VnBone::anycast_address() const {
   return anycast_.group(group_).address;
 }
 
-igp::Igp* VnBone::igp_for_node(NodeId node) const {
-  return igp_of_(network_.topology().router(node).domain);
-}
-
 void VnBone::ensure_group(DomainId first_domain) {
   if (group_.valid()) return;
   default_domain_ = first_domain;
@@ -66,13 +64,27 @@ void VnBone::ensure_group(DomainId first_domain) {
 }
 
 void VnBone::deploy_router(NodeId router) {
-  if (!deployed_.insert(router).second) return;
-  ensure_group(network_.topology().router(router).domain);
+  if (deployed(router)) return;
+  if (deployed_flag_.size() <= router.value()) deployed_flag_.resize(router.value() + 1);
+  deployed_flag_[router.value()] = true;
+  ++deployed_count_;
+  const DomainId domain = network_.topology().router(router).domain;
+  if (members_by_domain_.size() <= domain.value()) {
+    members_by_domain_.resize(domain.value() + 1);
+  }
+  auto& members = members_by_domain_[domain.value()];
+  members.insert(std::lower_bound(members.begin(), members.end(), router), router);
+  ensure_group(domain);
   anycast_.add_member(group_, router);
 }
 
 void VnBone::undeploy_router(NodeId router) {
-  if (deployed_.erase(router) == 0) return;
+  if (!deployed(router)) return;
+  deployed_flag_[router.value()] = false;
+  --deployed_count_;
+  auto& members =
+      members_by_domain_[network_.topology().router(router).domain.value()];
+  members.erase(std::lower_bound(members.begin(), members.end(), router));
   anycast_.remove_member(group_, router);
 }
 
@@ -82,35 +94,43 @@ void VnBone::deploy_domain(DomainId domain) {
   }
 }
 
-bool VnBone::domain_deployed(DomainId domain) const {
-  for (const NodeId r : deployed_) {
-    if (network_.topology().router(r).domain == domain) return true;
+std::vector<NodeId> VnBone::deployed_routers() const {
+  std::vector<NodeId> out;
+  out.reserve(deployed_count_);
+  for (std::uint32_t r = 0; r < deployed_flag_.size(); ++r) {
+    if (deployed_flag_[r]) out.push_back(NodeId{r});
   }
-  return false;
+  return out;
 }
 
-std::vector<NodeId> VnBone::deployed_routers_in(DomainId domain) const {
-  std::vector<NodeId> out;
-  for (const NodeId r : deployed_) {
-    if (network_.topology().router(r).domain == domain) out.push_back(r);
+const std::vector<NodeId>& VnBone::deployed_routers_in(DomainId domain) const {
+  static const std::vector<NodeId> kNone;
+  return domain.value() < members_by_domain_.size()
+             ? members_by_domain_[domain.value()]
+             : kNone;
+}
+
+std::vector<DomainId> VnBone::deployed_domains() const {
+  std::vector<DomainId> out;
+  for (std::uint32_t d = 0; d < members_by_domain_.size(); ++d) {
+    if (!members_by_domain_[d].empty()) out.push_back(DomainId{d});
   }
   return out;
 }
 
 bool VnBone::active(NodeId router) const {
-  return deployed_.contains(router) && network_.topology().router(router).up;
+  return deployed(router) && network_.topology().router(router).up;
 }
 
 bool VnBone::domain_active(DomainId domain) const {
-  for (const NodeId r : deployed_) {
-    if (network_.topology().router(r).domain == domain && active(r)) return true;
-  }
-  return false;
+  const auto& members = deployed_routers_in(domain);
+  return std::any_of(members.begin(), members.end(),
+                     [&](NodeId r) { return network_.topology().router(r).up; });
 }
 
-std::vector<NodeId> VnBone::active_routers() const {
+std::vector<NodeId> VnBone::active_members() const {
   std::vector<NodeId> out;
-  for (const NodeId r : deployed_) {
+  for (const NodeId r : deployed_routers()) {
     if (active(r)) out.push_back(r);
   }
   return out;
@@ -118,22 +138,25 @@ std::vector<NodeId> VnBone::active_routers() const {
 
 std::vector<NodeId> VnBone::active_routers_in(DomainId domain) const {
   std::vector<NodeId> out;
-  for (const NodeId r : deployed_) {
-    if (network_.topology().router(r).domain == domain && active(r)) {
-      out.push_back(r);
-    }
+  for (const NodeId r : deployed_routers_in(domain)) {
+    if (active(r)) out.push_back(r);
   }
   return out;
 }
 
-std::vector<DomainId> VnBone::deployed_domains() const {
-  std::vector<DomainId> out;
-  for (const NodeId r : deployed_) {
-    const DomainId d = network_.topology().router(r).domain;
-    if (std::find(out.begin(), out.end(), d) == out.end()) out.push_back(d);
+template <typename CostFn>
+std::pair<NodeId, Cost> VnBone::closest_active(DomainId domain, CostFn cost) const {
+  NodeId best = NodeId::invalid();
+  Cost best_d = net::kInfiniteCost;
+  for (const NodeId r : deployed_routers_in(domain)) {
+    if (!network_.topology().router(r).up) continue;
+    const Cost d = cost(r);
+    if (d < best_d || (d == best_d && r < best)) {
+      best = r;
+      best_d = d;
+    }
   }
-  std::sort(out.begin(), out.end());
-  return out;
+  return {best, best_d};
 }
 
 void VnBone::add_manual_tunnel(NodeId a, NodeId b) {
@@ -146,20 +169,29 @@ void VnBone::remove_manual_tunnel(NodeId a, NodeId b) {
 }
 
 void VnBone::rebuild() {
-  links_.clear();
-  partition_repairs_ = 0;
-  bootstrap_tunnels_ = 0;
   obs::SpanId span;
   if (recorder_ != nullptr) {
     span = recorder_->open_span(obs::Domain::kVnBone, "vnbone.rebuild",
-                                deployed_.size());
+                                deployed_count_);
   }
-  // Every exit below must pass through the close at the end of this
-  // function; the only other return is the empty-deployment one here.
-  if (deployed_.empty()) {
-    if (recorder_ != nullptr) recorder_->close_span(span);
-    return;
+  build_links();
+  compile_bone();
+  if (recorder_ != nullptr) {
+    if (deployed_count_ == 0) {
+      recorder_->close_span(span);
+    } else {
+      recorder_->close_span(span, links_.size(),
+                            (std::uint64_t{partition_repairs_} << 32) |
+                                static_cast<std::uint32_t>(bootstrap_tunnels_));
+    }
   }
+}
+
+void VnBone::build_links() {
+  links_.clear();
+  partition_repairs_ = 0;
+  bootstrap_tunnels_ = 0;
+  if (deployed_count_ == 0) return;
 
   const auto& topo = network_.topology();
   const auto domains = deployed_domains();
@@ -299,16 +331,9 @@ void VnBone::rebuild() {
       const NodeId end_b = link.other_end(end_a);
       auto closest_member = [&](DomainId domain, NodeId to) {
         igp::Igp* igp = igp_of_(domain);
-        NodeId best = NodeId::invalid();
-        Cost best_d = net::kInfiniteCost;
-        for (const NodeId m : active_routers_in(domain)) {
-          const Cost d = (m == to) ? 0 : (igp ? igp->distance(m, to) : net::kInfiniteCost);
-          if (d < best_d || (d == best_d && m < best)) {
-            best = m;
-            best_d = d;
-          }
-        }
-        return std::make_pair(best, best_d);
+        return closest_active(domain, [&](NodeId m) {
+          return (m == to) ? 0 : (igp ? igp->distance(m, to) : net::kInfiniteCost);
+        });
       };
       const auto [ra, da_cost] = closest_member(da, end_a);
       const auto [rb, db_cost] = closest_member(db, end_b);
@@ -328,6 +353,7 @@ void VnBone::rebuild() {
   // stranded; skipping their whole component keeps the loop repairing
   // everyone else.
   std::set<NodeId> hopeless;
+  const auto members = active_members();
   while (true) {
     Graph g = virtual_graph();
     const auto comps = net::connected_components(g);
@@ -339,8 +365,8 @@ void VnBone::rebuild() {
 
     // Find a stranded active router (lowest id for determinism).
     NodeId stranded = NodeId::invalid();
-    for (const NodeId r : deployed_) {
-      if (active(r) && comps.label[r.value()] != anchor && !hopeless.contains(r)) {
+    for (const NodeId r : members) {
+      if (comps.label[r.value()] != anchor && !hopeless.contains(r)) {
         stranded = r;
         break;
       }
@@ -355,8 +381,7 @@ void VnBone::rebuild() {
     const auto paths = net::dijkstra(physical, stranded);
     NodeId target = NodeId::invalid();
     Cost target_d = net::kInfiniteCost;
-    for (const NodeId m : deployed_) {
-      if (!active(m)) continue;
+    for (const NodeId m : members) {
       if (comps.label[m.value()] == comps.label[stranded.value()]) continue;
       const Cost d = paths.distance_to(m);
       if (d < target_d || (d == target_d && m < target)) {
@@ -367,7 +392,7 @@ void VnBone::rebuild() {
     if (!target.valid() || target_d == net::kInfiniteCost) {
       // Physically cut off; no overlay can help. Mark the whole component
       // hopeless and keep repairing the rest.
-      for (const NodeId r : deployed_) {
+      for (const NodeId r : members) {
         if (comps.label[r.value()] == comps.label[stranded.value()]) {
           hopeless.insert(r);
         }
@@ -378,11 +403,80 @@ void VnBone::rebuild() {
              VirtualLink::Source::kAnycastBootstrap);
     ++bootstrap_tunnels_;
   }
-  if (recorder_ != nullptr) {
-    recorder_->close_span(span, links_.size(),
-                          (std::uint64_t{partition_repairs_} << 32) |
-                              static_cast<std::uint32_t>(bootstrap_tunnels_));
+}
+
+void VnBone::compile_bone() {
+  member_node_.clear();
+  for (const auto& l : links_) {
+    member_node_.push_back(l.a);
+    member_node_.push_back(l.b);
   }
+  std::sort(member_node_.begin(), member_node_.end());
+  member_node_.erase(std::unique(member_node_.begin(), member_node_.end()),
+                     member_node_.end());
+  member_index_.assign(network_.topology().router_count(), kNoMember);
+  for (std::uint32_t i = 0; i < member_node_.size(); ++i) {
+    member_index_[member_node_[i].value()] = i;
+  }
+
+  // CSR: count degrees, then place each link's two directed edges in
+  // links_ order, exactly as add_undirected_edge appends them.
+  const std::size_t n = member_node_.size();
+  edge_begin_.assign(n + 1, 0);
+  for (const auto& l : links_) {
+    ++edge_begin_[member_index_[l.a.value()] + 1];
+    ++edge_begin_[member_index_[l.b.value()] + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) edge_begin_[i + 1] += edge_begin_[i];
+  edges_.resize(edge_begin_[n]);
+  std::vector<std::uint32_t> cursor(edge_begin_.begin(), edge_begin_.end() - 1);
+  for (const auto& l : links_) {
+    const std::uint32_t a = member_index_[l.a.value()];
+    const std::uint32_t b = member_index_[l.b.value()];
+    edges_[cursor[a]++] = {b, l.underlay_cost};
+    edges_[cursor[b]++] = {a, l.underlay_cost};
+  }
+  trees_.assign(n, Tree{});
+}
+
+const VnBone::Tree* VnBone::tree_from(NodeId ingress) const {
+  if (ingress.value() >= member_index_.size()) return nullptr;
+  const std::uint32_t root = member_index_[ingress.value()];
+  if (root == kNoMember) return nullptr;
+  Tree& tree = trees_[root];
+  if (!tree.distance.empty()) return &tree;
+
+  // net::dijkstra over the CSR: same (distance, index) heap order and
+  // strict relaxation, so the same predecessors.
+  const std::size_t n = member_node_.size();
+  tree.distance.assign(n, net::kInfiniteCost);
+  tree.predecessor.assign(n, kNoMember);
+  using Entry = std::pair<Cost, std::uint32_t>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  tree.distance[root] = 0;
+  heap.push({0, root});
+  while (!heap.empty()) {
+    const auto [dist, u] = heap.top();
+    heap.pop();
+    if (dist > tree.distance[u]) continue;  // stale entry
+    tree.settled.push_back(u);
+    for (std::uint32_t e = edge_begin_[u]; e < edge_begin_[u + 1]; ++e) {
+      const auto [v, cost] = edges_[e];
+      if (dist + cost < tree.distance[v]) {
+        tree.distance[v] = dist + cost;
+        tree.predecessor[v] = u;
+        heap.push({dist + cost, v});
+      }
+    }
+  }
+  return &tree;
+}
+
+Cost VnBone::vn_distance(const Tree* tree, NodeId ingress, NodeId to) const {
+  if (to == ingress) return 0;
+  if (tree == nullptr || to.value() >= member_index_.size()) return net::kInfiniteCost;
+  const std::uint32_t index = member_index_[to.value()];
+  return index == kNoMember ? net::kInfiniteCost : tree->distance[index];
 }
 
 void VnBone::register_endhost_route(IpvNAddr self_addr, NodeId advertiser) {
@@ -408,20 +502,27 @@ Graph VnBone::virtual_graph() const {
   return g;
 }
 
-Cost VnBone::legacy_path_length(DomainId domain, DomainId target) const {
-  if (domain == target) return 0;
-  if (bgp_ == nullptr) return net::kInfiniteCost;
-  const Prefix prefix = net::Topology::domain_prefix(target);
-  Cost best = net::kInfiniteCost;
-  for (const NodeId b : bgp_->speakers_of(domain)) {
-    const bgp::Route* route = bgp_->best_route(b, prefix);
-    if (route != nullptr) best = std::min<Cost>(best, route->as_path.size());
+const VnBone::LegacyRoute& VnBone::legacy_route(DomainId domain,
+                                                DomainId target) const {
+  const std::size_t domains = network_.topology().domain_count();
+  assert(domain.value() < domains && target.value() < domains);
+  const std::uint64_t epoch = bgp_ == nullptr ? 0 : bgp_->loc_rib_epoch();
+  if (legacy_epoch_ != epoch || legacy_routes_.size() != domains) {
+    legacy_routes_.assign(domains, {});
+    legacy_epoch_ = epoch;
   }
-  return best;
-}
-
-std::vector<DomainId> VnBone::legacy_path(DomainId domain, DomainId target) const {
-  if (domain == target || bgp_ == nullptr) return {};
+  auto& row = legacy_routes_[domain.value()];
+  if (row.empty()) row.resize(domains);
+  LegacyRoute& entry = row[target.value()];
+  if (entry.filled) return entry;
+  entry.filled = true;
+  if (domain == target) {
+    entry.length = 0;
+    return entry;
+  }
+  if (bgp_ == nullptr) return entry;
+  // The shortest AS path among the domain's borders; the first border
+  // holding it wins ties.
   const Prefix prefix = net::Topology::domain_prefix(target);
   const bgp::Route* best = nullptr;
   for (const NodeId b : bgp_->speakers_of(domain)) {
@@ -431,7 +532,19 @@ std::vector<DomainId> VnBone::legacy_path(DomainId domain, DomainId target) cons
       best = route;
     }
   }
-  return best == nullptr ? std::vector<DomainId>{} : best->as_path;
+  if (best != nullptr) {
+    entry.length = best->as_path.size();
+    entry.path = best->as_path;
+  }
+  return entry;
+}
+
+Cost VnBone::legacy_path_length(DomainId domain, DomainId target) const {
+  return legacy_route(domain, target).length;
+}
+
+std::vector<DomainId> VnBone::legacy_path(DomainId domain, DomainId target) const {
+  return legacy_route(domain, target).path;
 }
 
 VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
@@ -440,22 +553,25 @@ VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
   if (!active(ingress)) return result;
   const auto& topo = network_.topology();
   const EgressMode mode = mode_override.value_or(config_.egress_mode);
-  const Graph vgraph = virtual_graph();
-  const auto paths = net::dijkstra(vgraph, ingress);
+  const Tree* tree = tree_from(ingress);
 
   auto finish_at = [&](NodeId egress, bool legacy) {
-    if (egress != ingress && !paths.reachable(egress)) return;
+    const Cost cost = vn_distance(tree, ingress, egress);
+    if (cost == net::kInfiniteCost) return;
     result.ok = true;
     result.egress = egress;
     result.exits_to_legacy = legacy;
-    if (egress == ingress) {
-      result.vn_hops = {ingress};
-      result.vn_cost = 0;
-    } else {
-      result.vn_hops = paths.path_to(egress);
-      result.vn_cost = paths.distance_to(egress);
+    result.vn_cost = cost;
+    result.vn_hops = {egress};
+    if (egress != ingress) {
+      for (std::uint32_t at = tree->predecessor[member_index_[egress.value()]];
+           at != kNoMember; at = tree->predecessor[at]) {
+        result.vn_hops.push_back(member_node_[at]);
+      }
+      std::reverse(result.vn_hops.begin(), result.vn_hops.end());
     }
   };
+  auto vn_cost_to = [&](NodeId r) { return vn_distance(tree, ingress, r); };
 
   if (!dst.is_self_address()) {
     // Native destination: its home domain "advertises this address into
@@ -474,18 +590,10 @@ VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
       return result;
     }
     igp::Igp* igp = igp_of_(home_domain);
-    NodeId egress = NodeId::invalid();
-    Cost egress_d = net::kInfiniteCost;
-    for (const NodeId r : active_routers_in(home_domain)) {
-      const Cost d = igp ? igp->distance(r, home) : net::kInfiniteCost;
-      if (d < egress_d || (d == egress_d && r < egress)) {
-        egress = r;
-        egress_d = d;
-      }
-    }
-    if (egress.valid() && egress_d != net::kInfiniteCost) {
-      finish_at(egress, /*legacy=*/true);
-    }
+    const auto [egress, egress_d] = closest_active(home_domain, [&](NodeId r) {
+      return igp ? igp->distance(r, home) : net::kInfiniteCost;
+    });
+    if (egress_d != net::kInfiniteCost) finish_at(egress, /*legacy=*/true);
     return result;
   }
 
@@ -501,39 +609,20 @@ VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
     }
     case EgressMode::kOwnPathKnowledge: {
       // Walk my own BGPv(N-1) path to the target; ride the vN-Bone to the
-      // deployed domain furthest along it (Figure 3).
+      // deployed domain furthest along it (Figure 3), there to its
+      // vN-closest deployed router.
       const DomainId my_domain = topo.router(ingress).domain;
-      if (*target_domain == my_domain) {
-        finish_at(ingress, /*legacy=*/true);
-        return result;
-      }
-      const auto path = legacy_path(my_domain, *target_domain);
-      DomainId chosen = DomainId::invalid();
-      for (auto it = path.rbegin(); it != path.rend(); ++it) {  // nearest target first
-        if (domain_active(*it)) {
-          chosen = *it;
-          break;
+      NodeId egress = ingress;
+      if (*target_domain != my_domain) {
+        const auto& path = legacy_route(my_domain, *target_domain).path;
+        const auto chosen = std::find_if(path.rbegin(), path.rend(),
+                                         [&](DomainId d) { return domain_active(d); });
+        if (chosen != path.rend()) {
+          const auto [closest, cost] = closest_active(*chosen, vn_cost_to);
+          if (cost != net::kInfiniteCost) egress = closest;
         }
       }
-      if (!chosen.valid()) {
-        finish_at(ingress, /*legacy=*/true);
-        return result;
-      }
-      // Within the chosen domain, use the vN-closest deployed router.
-      NodeId egress = NodeId::invalid();
-      Cost egress_d = net::kInfiniteCost;
-      for (const NodeId r : active_routers_in(chosen)) {
-        const Cost d = (r == ingress) ? 0 : paths.distance_to(r);
-        if (d < egress_d || (d == egress_d && r < egress)) {
-          egress = r;
-          egress_d = d;
-        }
-      }
-      if (!egress.valid() || egress_d == net::kInfiniteCost) {
-        finish_at(ingress, /*legacy=*/true);
-      } else {
-        finish_at(egress, /*legacy=*/true);
-      }
+      finish_at(egress, /*legacy=*/true);
       return result;
     }
     case EgressMode::kEndhostAdvertised: {
@@ -547,27 +636,30 @@ VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
     case EgressMode::kProxyAdvertising: {
       // Every deployed domain advertises its BGPv(N-1) distance to the
       // target into BGPvN (Figure 4); pick the globally cheapest
-      // (vN underlay + weighted AS hops) egress.
+      // (vN underlay + weighted AS hops) egress, ties to the lowest NodeId.
+      // A score is never below its vN cost, so the walk over members by
+      // ascending vN cost stops once that cost alone exceeds the best.
       NodeId egress = NodeId::invalid();
       Cost best_score = net::kInfiniteCost;
-      for (const DomainId d : deployed_domains()) {
-        const Cost legacy_len = legacy_path_length(d, *target_domain);
-        if (legacy_len == net::kInfiniteCost) continue;
-        for (const NodeId r : active_routers_in(d)) {
-          const Cost vn_d = (r == ingress) ? 0 : paths.distance_to(r);
-          if (vn_d == net::kInfiniteCost) continue;
-          const Cost score = vn_d + config_.as_hop_weight * legacy_len;
-          if (score < best_score || (score == best_score && r < egress)) {
-            egress = r;
-            best_score = score;
-          }
+      auto consider = [&](NodeId r, Cost vn_cost) {
+        if (!active(r)) return;
+        const Cost legacy_len = legacy_route(topo.router(r).domain, *target_domain).length;
+        if (legacy_len == net::kInfiniteCost) return;
+        const Cost score = vn_cost + config_.as_hop_weight * legacy_len;
+        if (score < best_score || (score == best_score && r < egress)) {
+          egress = r;
+          best_score = score;
+        }
+      };
+      if (tree == nullptr) {
+        consider(ingress, 0);  // a member without links reaches only itself
+      } else {
+        for (const std::uint32_t m : tree->settled) {
+          if (tree->distance[m] > best_score) break;
+          consider(member_node_[m], tree->distance[m]);
         }
       }
-      if (!egress.valid()) {
-        finish_at(ingress, /*legacy=*/true);
-      } else {
-        finish_at(egress, /*legacy=*/true);
-      }
+      finish_at(egress.valid() ? egress : ingress, /*legacy=*/true);
       return result;
     }
   }

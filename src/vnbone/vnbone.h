@@ -133,18 +133,22 @@ class VnBone {
   /// Deploy every router of `domain`.
   void deploy_domain(net::DomainId domain);
 
-  bool deployed(net::NodeId router) const { return deployed_.contains(router); }
-  bool domain_deployed(net::DomainId domain) const;
-  std::vector<net::NodeId> deployed_routers() const {
-    return {deployed_.begin(), deployed_.end()};
+  bool deployed(net::NodeId router) const {
+    return router.value() < deployed_flag_.size() && deployed_flag_[router.value()];
   }
-  std::vector<net::NodeId> deployed_routers_in(net::DomainId domain) const;
+  bool domain_deployed(net::DomainId domain) const {
+    return !deployed_routers_in(domain).empty();
+  }
+  /// Every deployed router, ascending by NodeId.
+  std::vector<net::NodeId> deployed_routers() const;
+  /// `domain`'s deployed routers, ascending by NodeId.
+  const std::vector<net::NodeId>& deployed_routers_in(net::DomainId domain) const;
   std::vector<net::DomainId> deployed_domains() const;
 
   /// The routers actually participating in the bone right now: deployed
   /// AND up. Const inspection point for invariant oracles (the fuzzer's
   /// vN-Bone connectivity check compares these against virtual_graph()).
-  std::vector<net::NodeId> active_members() const { return active_routers(); }
+  std::vector<net::NodeId> active_members() const;
 
   // --- virtual topology ----------------------------------------------------
   /// Rebuild the virtual topology from the (converged) substrate. Call
@@ -188,10 +192,19 @@ class VnBone {
     std::size_t vn_hop_count() const {
       return vn_hops.empty() ? 0 : vn_hops.size() - 1;
     }
+
+    friend bool operator==(const VnRoute&, const VnRoute&) = default;
   };
 
   /// Route an IPvN packet from `ingress` (a deployed router) toward `dst`
   /// under `mode`; the config's mode is used when `mode` is nullopt.
+  ///
+  /// A lookup into state compiled per input epoch (DESIGN.md §6): the
+  /// shortest-path tree from `ingress` (valid until the next rebuild()),
+  /// the per-domain member lists (updated by deploy/undeploy) and the
+  /// BGPv(N-1) legacy table (valid while the BGP Loc-RIB epoch holds).
+  /// Router up/down state is read live. route() is const but fills these
+  /// caches lazily, so a VnBone must not be shared across threads.
   VnRoute route(net::NodeId ingress, net::IpvNAddr dst,
                 std::optional<EgressMode> mode = std::nullopt) const;
 
@@ -223,8 +236,24 @@ class VnBone {
   std::size_t vn_rib_size(net::NodeId router) const;
 
  private:
+  /// Shortest-path tree over the compiled bone from one member, indexed by
+  /// member index. Empty until first used in a bone epoch.
+  struct Tree {
+    std::vector<net::Cost> distance;
+    std::vector<std::uint32_t> predecessor;  // kNoMember at the root
+    /// Reachable members by ascending (distance, member index).
+    std::vector<std::uint32_t> settled;
+  };
+  /// The BGPv(N-1) route from one domain to another, as the domain's
+  /// borders see it: legacy_path_length() and legacy_path().
+  struct LegacyRoute {
+    bool filled = false;  // computed in the current Loc-RIB epoch
+    net::Cost length = net::kInfiniteCost;
+    std::vector<net::DomainId> path;
+  };
+  static constexpr std::uint32_t kNoMember = ~std::uint32_t{0};
+
   void ensure_group(net::DomainId first_domain);
-  igp::Igp* igp_for_node(net::NodeId node) const;
 
   /// A router participates in the vN-Bone only while deployed AND up: a
   /// crashed member drops out of the virtual topology (and of egress
@@ -232,8 +261,23 @@ class VnBone {
   /// survives the crash.
   bool active(net::NodeId router) const;
   bool domain_active(net::DomainId domain) const;
-  std::vector<net::NodeId> active_routers() const;
   std::vector<net::NodeId> active_routers_in(net::DomainId domain) const;
+  /// The active member of `domain` minimizing `cost(member)`, ties to the
+  /// lowest NodeId, with that cost (kInfiniteCost when none is finite).
+  template <typename CostFn>
+  std::pair<net::NodeId, net::Cost> closest_active(net::DomainId domain,
+                                                   CostFn cost) const;
+
+  /// rebuild()'s construction rules: fill links_ from the substrate.
+  void build_links();
+  /// Start a bone epoch: compile links_ into the CSR adjacency and drop
+  /// every shortest-path tree.
+  void compile_bone();
+  /// The tree from `ingress`; null when `ingress` has no virtual link.
+  const Tree* tree_from(net::NodeId ingress) const;
+  /// vN-Bone distance from the root of `tree` (which is `ingress`) to `to`.
+  net::Cost vn_distance(const Tree* tree, net::NodeId ingress, net::NodeId to) const;
+  const LegacyRoute& legacy_route(net::DomainId domain, net::DomainId target) const;
 
   net::Network& network_;
   bgp::BgpSystem* bgp_;
@@ -244,12 +288,29 @@ class VnBone {
 
   net::GroupId group_ = net::GroupId::invalid();
   net::DomainId default_domain_ = net::DomainId::invalid();
-  std::set<net::NodeId> deployed_;
+  // Membership: a flag per router plus each domain's sorted member list.
+  std::vector<bool> deployed_flag_;                        // by NodeId
+  std::vector<std::vector<net::NodeId>> members_by_domain_;  // by DomainId
+  std::size_t deployed_count_ = 0;
   std::set<std::pair<net::NodeId, net::NodeId>> manual_tunnels_;  // (low, high)
   std::map<net::IpvNAddr, net::NodeId> endhost_routes_;
   std::vector<VirtualLink> links_;
   std::size_t partition_repairs_ = 0;
   std::size_t bootstrap_tunnels_ = 0;
+
+  // The compiled bone: link endpoints renumbered densely in NodeId order,
+  // with each member's edges contiguous in links_ insertion order (so
+  // Dijkstra's (distance, member) tie-break matches net::dijkstra's).
+  std::vector<net::NodeId> member_node_;            // member index -> router
+  std::vector<std::uint32_t> member_index_;         // NodeId -> member index
+  std::vector<std::uint32_t> edge_begin_;           // CSR row offsets
+  std::vector<std::pair<std::uint32_t, net::Cost>> edges_;  // (to, cost)
+  mutable std::vector<Tree> trees_;                 // by member index
+
+  // Legacy routes by [domain][target], keyed on bgp_->loc_rib_epoch(); a
+  // domain's row is allocated on its first query in an epoch.
+  mutable std::vector<std::vector<LegacyRoute>> legacy_routes_;
+  mutable std::uint64_t legacy_epoch_ = 0;
 };
 
 }  // namespace evo::vnbone

@@ -177,5 +177,49 @@ TEST(BgpDetails, UpdateBatchingBoundsMessages) {
   EXPECT_NE(f.bgp->best_route(rb, Prefix::host(Ipv4Addr{32})), nullptr);
 }
 
+TEST(BgpDetails, LocRibEpochMovesOnlyOnEffectiveChange) {
+  Topology topo;
+  const auto a = topo.add_domain("a");
+  const auto b = topo.add_domain("b");
+  const auto ra = topo.add_router(a);
+  const auto rb = topo.add_router(b);
+  topo.add_interdomain_link(ra, rb, Relationship::kPeer);
+  Fixture f(std::move(topo));
+  f.start_and_converge();
+  const Prefix p = Prefix::host(Ipv4Addr{0, 0, 0, 60});
+  OriginationPolicy policy;
+  policy.propagation_ttl = 3;
+  f.bgp->originate(a, p, policy);
+  f.converge();
+  auto epoch = f.bgp->loc_rib_epoch();
+
+  // Re-originating the same policy re-decides every Loc-RIB entry for p
+  // to an equal value: nothing derived from best routes is stale.
+  f.bgp->originate(a, p, policy);
+  f.converge();
+  EXPECT_EQ(f.bgp->loc_rib_epoch(), epoch);
+
+  // A new TTL replaces the best route at both speakers.
+  policy.propagation_ttl = 2;
+  f.bgp->originate(a, p, policy);
+  f.converge();
+  EXPECT_GT(f.bgp->loc_rib_epoch(), epoch);
+  ASSERT_NE(f.bgp->best_route(rb, p), nullptr);
+  EXPECT_EQ(f.bgp->best_route(rb, p)->propagation_ttl, 2);
+  epoch = f.bgp->loc_rib_epoch();
+
+  f.bgp->withdraw(a, p);
+  f.converge();
+  EXPECT_GT(f.bgp->loc_rib_epoch(), epoch);
+  EXPECT_EQ(f.bgp->best_route(rb, p), nullptr);
+  epoch = f.bgp->loc_rib_epoch();
+
+  // A crash clears the speaker's Loc-RIB at once.
+  f.network.topology().set_node_up(rb, false);
+  f.bgp->on_node_change(rb, false);
+  EXPECT_GT(f.bgp->loc_rib_epoch(), epoch);
+  EXPECT_EQ(f.bgp->loc_rib_size(rb), 0u);
+}
+
 }  // namespace
 }  // namespace evo::bgp
