@@ -75,39 +75,43 @@ std::vector<EndToEndTrace> send_ipvn_batch(const EvolvableInternet& internet,
   return results;
 }
 
+std::size_t LegPlan::size() const {
+  return route.vn_hop_count() + (route.exits_to_legacy ? 1 : 0);
+}
+
+Leg LegPlan::operator[](std::size_t index) const {
+  if (index < route.vn_hop_count()) {
+    // A vN-Bone virtual hop: a v(N-1) tunnel to the neighbor's loopback.
+    const NodeId next = route.vn_hops[index + 1];
+    return {Segment::Kind::kTunnel, route.vn_hops[index],
+            topology.router(next).loopback, next,
+            EndToEndTrace::Failure::kTunnelFailed};
+  }
+  // The native IPv(N-1) tail from the egress to the legacy destination.
+  return {Segment::Kind::kLegacyEgress, route.egress, legacy_dst, dst_access,
+          EndToEndTrace::Failure::kEgressFailed};
+}
+
+EndToEndTrace::Failure LegPlan::exit_failure() const {
+  // A native IPvN exit must already be the destination's access router.
+  return route.exits_to_legacy || route.egress == dst_access
+             ? EndToEndTrace::Failure::kNone
+             : EndToEndTrace::Failure::kEgressFailed;
+}
+
 EndToEndTrace send_ipvn_generation(const EvolvableInternet& internet,
                                    std::size_t generation, HostId src, HostId dst,
                                    std::optional<vnbone::EgressMode> mode) {
-  EndToEndTrace result;
-  const auto& network = internet.network();
-  const auto& topo = network.topology();
   const auto& vnbone = internet.generation(generation);
-
   if (!vnbone.anycast_group().valid()) {
+    EndToEndTrace result;
     result.failure = EndToEndTrace::Failure::kNoDeployment;
     return result;
   }
-
-  const net::Packet packet =
-      internet.generation_hosts(generation).make_datagram(src, dst);
-  const net::IpvNHeader inner = packet.layers().front().vn;
-  const NodeId src_access = topo.host(src).access_router;
-
-  // Leg 1: encapsulated packet rides unicast to the anycast address; the
-  // network delivers it to the closest IPvN router (the ingress).
-  Segment ingress_seg;
-  ingress_seg.kind = Segment::Kind::kAnycastIngress;
-  ingress_seg.trace = network.trace(src_access, packet.outer().v4.dst);
-  result.segments.push_back(ingress_seg);
-  if (!ingress_seg.trace.delivered() ||
-      !vnbone.deployed(ingress_seg.trace.delivered_at)) {
-    result.failure = EndToEndTrace::Failure::kIngressFailed;
-    return result;
-  }
-  result.ingress = ingress_seg.trace.delivered_at;
-
-  complete_from_ingress(internet, inner, dst, mode, result, generation);
-  return result;
+  // The network delivers the anycast packet to the closest IPvN router.
+  return send_via_ingress(
+      internet, src, dst, vnbone.anycast_address(),
+      [&vnbone](NodeId at) { return vnbone.deployed(at); }, mode, generation);
 }
 
 void complete_from_ingress(const EvolvableInternet& internet,
@@ -116,47 +120,28 @@ void complete_from_ingress(const EvolvableInternet& internet,
                            EndToEndTrace& result, std::size_t generation) {
   const auto& network = internet.network();
   const auto& topo = network.topology();
-  const auto& vnbone = internet.generation(generation);
 
-  // Leg 2: the ingress decapsulates and routes over the vN-Bone.
-  result.vn_route = vnbone.route(result.ingress, inner.dst, mode);
+  // The ingress decapsulates and routes over the vN-Bone.
+  result.vn_route = internet.generation(generation).route(result.ingress, inner.dst, mode);
   if (!result.vn_route.ok) {
     result.failure = EndToEndTrace::Failure::kVnRoutingFailed;
     return;
   }
   result.egress = result.vn_route.egress;
-  for (std::size_t i = 0; i + 1 < result.vn_route.vn_hops.size(); ++i) {
-    const NodeId a = result.vn_route.vn_hops[i];
-    const NodeId b = result.vn_route.vn_hops[i + 1];
-    Segment tunnel;
-    tunnel.kind = Segment::Kind::kTunnel;
-    tunnel.trace = network.trace(a, topo.router(b).loopback);
-    result.segments.push_back(tunnel);
-    if (!tunnel.trace.delivered() || tunnel.trace.delivered_at != b) {
-      result.failure = EndToEndTrace::Failure::kTunnelFailed;
+  const LegPlan plan{topo, result.vn_route, inner.legacy_dst,
+                     topo.host(dst).access_router};
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const Leg leg = plan[i];
+    Segment& segment = result.segments.emplace_back();
+    segment.kind = leg.kind;
+    segment.trace = network.trace(leg.from, leg.outer_dst);
+    if (!segment.trace.delivered() || segment.trace.delivered_at != leg.lands_on) {
+      result.failure = leg.on_miss;
       return;
     }
   }
-
-  // Leg 3: exit. Either a native IPv(N-1) tail to the legacy destination,
-  // or native IPvN delivery at the destination's access router.
-  const NodeId dst_access = topo.host(dst).access_router;
-  if (result.vn_route.exits_to_legacy) {
-    Segment egress_seg;
-    egress_seg.kind = Segment::Kind::kLegacyEgress;
-    egress_seg.trace = network.trace(result.egress, inner.legacy_dst);
-    result.segments.push_back(egress_seg);
-    if (!egress_seg.trace.delivered() ||
-        egress_seg.trace.delivered_at != dst_access) {
-      result.failure = EndToEndTrace::Failure::kEgressFailed;
-      return;
-    }
-  } else if (result.egress != dst_access) {
-    result.failure = EndToEndTrace::Failure::kEgressFailed;
-    return;
-  }
-
-  result.delivered = true;
+  result.failure = plan.exit_failure();
+  result.delivered = result.failure == EndToEndTrace::Failure::kNone;
 }
 
 NodeId register_endhost_route(EvolvableInternet& internet, HostId host) {

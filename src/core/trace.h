@@ -56,6 +56,35 @@ struct EndToEndTrace {
 
 const char* to_string(EndToEndTrace::Failure failure);
 
+/// One leg of a datagram's path after its ingress: the datagram is
+/// encapsulated at `from` toward `outer_dst` and must land on `lands_on`;
+/// anything else fails the send with `on_miss`.
+struct Leg {
+  Segment::Kind kind = Segment::Kind::kTunnel;
+  net::NodeId from;
+  net::Ipv4Addr outer_dst;
+  net::NodeId lands_on;
+  EndToEndTrace::Failure on_miss = EndToEndTrace::Failure::kTunnelFailed;
+};
+
+/// The data path from the ingress onward, read off a vN-Bone route: one
+/// IPv(N-1) tunnel per virtual hop, then a native tail to the destination
+/// when the route exits to legacy. Legs are computed on demand, so walking
+/// the plan allocates nothing. The synchronous tracer walks it with
+/// Network::trace, IpvnTransport with DeliveryEngine::inject.
+struct LegPlan {
+  const net::Topology& topology;
+  const vnbone::VnBone::VnRoute& route;
+  net::Ipv4Addr legacy_dst;  // the destination's IPv(N-1) address
+  net::NodeId dst_access;    // the destination's access router
+
+  std::size_t size() const;
+  Leg operator[](std::size_t index) const;
+  /// The verdict once every leg has landed: kNone, or kEgressFailed when
+  /// the route delivers natively at a router other than `dst_access`.
+  EndToEndTrace::Failure exit_failure() const;
+};
+
 /// Send one IPvN datagram from `src` to `dst` through the full paper
 /// data path. `mode` overrides the configured egress-selection mode.
 EndToEndTrace send_ipvn(const EvolvableInternet& internet, net::HostId src,
@@ -87,14 +116,41 @@ EndToEndTrace send_ipvn_generation(const EvolvableInternet& internet,
                                    std::optional<vnbone::EgressMode> mode =
                                        std::nullopt);
 
-/// Complete a delivery whose ingress was already determined (by anycast,
-/// a broker lookup, or a user-selected provider): runs the vN-Bone leg
-/// and the egress leg, appending segments to `result` and setting
-/// delivered/failure. `result.ingress` must be a deployed router.
+/// Complete a delivery whose ingress was already determined: route over
+/// the generation's vN-Bone from `result.ingress` (a deployed router) and
+/// walk the LegPlan, appending segments to `result` and setting
+/// delivered/failure.
 void complete_from_ingress(const EvolvableInternet& internet,
                            const net::IpvNHeader& inner, net::HostId dst,
                            std::optional<vnbone::EgressMode> mode,
                            EndToEndTrace& result, std::size_t generation = 0);
+
+/// The ingress leg every redirection mechanism shares: `src` encapsulates
+/// a datagram for `dst` toward `ingress_address` (an anycast address, or a
+/// broker-supplied unicast one); it enters the vN-Bone where it lands if
+/// `accept(at)` holds and fails with kIngressFailed otherwise.
+template <typename Accept>
+EndToEndTrace send_via_ingress(const EvolvableInternet& internet, net::HostId src,
+                               net::HostId dst, net::Ipv4Addr ingress_address,
+                               Accept accept,
+                               std::optional<vnbone::EgressMode> mode,
+                               std::size_t generation = 0) {
+  EndToEndTrace result;
+  const auto& network = internet.network();
+  const net::Packet packet =
+      internet.generation_hosts(generation).make_datagram(src, dst);
+  Segment& leg = result.segments.emplace_back();
+  leg.trace =
+      network.trace(network.topology().host(src).access_router, ingress_address);
+  if (!leg.trace.delivered() || !accept(leg.trace.delivered_at)) {
+    result.failure = EndToEndTrace::Failure::kIngressFailed;
+    return result;
+  }
+  result.ingress = leg.trace.delivered_at;
+  complete_from_ingress(internet, packet.layers().front().vn, dst, mode, result,
+                        generation);
+  return result;
+}
 
 /// §3.3.2 endhost route advertisement: `host` uses anycast to find a
 /// nearby IPvN router and registers its temporary (self) address there

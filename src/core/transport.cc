@@ -12,122 +12,84 @@ void IpvnTransport::listen(HostId host, ReceiveFn fn) {
   listeners_[host.value()] = std::move(fn);
 }
 
-void IpvnTransport::fail(EndToEndTrace::Failure failure, std::uint64_t payload_id,
-                         const FailureFn& on_failure) {
+void IpvnTransport::fail(EndToEndTrace::Failure failure, const Flight& flight) {
   ++failed_;
-  if (on_failure) on_failure(failure, payload_id);
+  if (flight.on_failure) flight.on_failure(failure, flight.payload_id);
 }
 
-void IpvnTransport::finish(HostId src, HostId dst, std::uint64_t payload_id,
-                           sim::TimePoint sent_at) {
+void IpvnTransport::finish(const Flight& flight) {
   ++received_;
-  const auto it = listeners_.find(dst.value());
+  const auto it = listeners_.find(flight.dst.value());
   if (it != listeners_.end() && it->second) {
-    it->second(src, dst, payload_id, internet_.simulator().now() - sent_at);
+    it->second(flight.src, flight.dst, flight.payload_id,
+               internet_.simulator().now() - flight.sent_at);
   }
 }
 
 void IpvnTransport::send(HostId src, HostId dst, std::uint64_t payload_id,
                          FailureFn on_failure) {
   ++sent_;
-  const auto& vnbone = internet_.vnbone();
-  if (!vnbone.anycast_group().valid()) {
-    fail(EndToEndTrace::Failure::kNoDeployment, payload_id, on_failure);
+  auto flight = std::make_shared<Flight>(Flight{
+      src, dst, payload_id, {}, internet_.simulator().now(), std::move(on_failure), {}});
+  if (!internet_.vnbone().anycast_group().valid()) {
+    fail(EndToEndTrace::Failure::kNoDeployment, *flight);
     return;
   }
   net::Packet packet = internet_.hosts().make_datagram(src, dst, payload_id);
-  const net::IpvNHeader inner = packet.layers().front().vn;
-  const NodeId src_access = internet_.topology().host(src).access_router;
-  const sim::TimePoint sent_at = internet_.simulator().now();
+  flight->inner = packet.layers().front().vn;
 
+  // The ingress leg: the encapsulated datagram rides unicast to the anycast
+  // address and must reach an IPvN router.
   engine_.inject(
-      src_access, std::move(packet),
-      [this, src, dst, payload_id, inner, sent_at, on_failure](
-          NodeId at, const net::Packet&, sim::Duration) {
-        // Leg 1 done: the encapsulated datagram reached an IPvN router.
+      internet_.topology().host(src).access_router, std::move(packet),
+      [this, flight](NodeId at, const net::Packet&, sim::Duration) {
         if (!internet_.vnbone().deployed(at)) {
-          fail(EndToEndTrace::Failure::kIngressFailed, payload_id, on_failure);
+          fail(EndToEndTrace::Failure::kIngressFailed, *flight);
           return;
         }
         // The ingress decapsulates and consults its vN routing state.
-        const auto route = internet_.vnbone().route(at, inner.dst);
-        if (!route.ok) {
-          fail(EndToEndTrace::Failure::kVnRoutingFailed, payload_id, on_failure);
+        flight->route = internet_.vnbone().route(at, flight->inner.dst);
+        if (!flight->route.ok) {
+          fail(EndToEndTrace::Failure::kVnRoutingFailed, *flight);
           return;
         }
-        ride_bone(src, dst, payload_id, inner, route, 0, sent_at, on_failure);
+        ride(flight, 0);
       },
-      [this, payload_id, on_failure](net::Network::TraceResult::Outcome, NodeId,
-                                     const net::Packet&) {
-        fail(EndToEndTrace::Failure::kIngressFailed, payload_id, on_failure);
+      [this, flight](net::Network::TraceResult::Outcome, NodeId, const net::Packet&) {
+        fail(EndToEndTrace::Failure::kIngressFailed, *flight);
       });
 }
 
-void IpvnTransport::ride_bone(HostId src, HostId dst, std::uint64_t payload_id,
-                              net::IpvNHeader inner,
-                              vnbone::VnBone::VnRoute route, std::size_t hop_index,
-                              sim::TimePoint sent_at, FailureFn on_failure) {
+void IpvnTransport::ride(std::shared_ptr<Flight> flight, std::size_t index) {
   const auto& topo = internet_.topology();
-
-  if (hop_index + 1 < route.vn_hops.size()) {
-    // Next virtual hop: re-encapsulate toward the neighbor's loopback.
-    const NodeId a = route.vn_hops[hop_index];
-    const NodeId b = route.vn_hops[hop_index + 1];
-    net::Packet tunneled;
-    tunneled.push(net::HeaderLayer::ipvn(inner));
-    net::Ipv4Header outer;
-    outer.src = topo.router(a).loopback;
-    outer.dst = topo.router(b).loopback;
-    outer.proto = net::Ipv4Header::Proto::kIpvNEncap;
-    tunneled.push(net::HeaderLayer::ipv4(outer));
-    tunneled.payload_id = payload_id;
-    engine_.inject(
-        a, std::move(tunneled),
-        [this, src, dst, payload_id, inner, route, hop_index, sent_at,
-         on_failure](NodeId, const net::Packet&, sim::Duration) {
-          ride_bone(src, dst, payload_id, inner, route, hop_index + 1, sent_at,
-                    on_failure);
-        },
-        [this, payload_id, on_failure](net::Network::TraceResult::Outcome, NodeId,
-                                       const net::Packet&) {
-          fail(EndToEndTrace::Failure::kTunnelFailed, payload_id, on_failure);
-        });
-    return;
-  }
-
-  // At the egress.
-  const NodeId egress = route.egress;
-  const NodeId dst_access = topo.host(dst).access_router;
-  if (!route.exits_to_legacy) {
-    if (egress == dst_access) {
-      finish(src, dst, payload_id, sent_at);
+  const LegPlan plan{topo, flight->route, flight->inner.legacy_dst,
+                     topo.host(flight->dst).access_router};
+  if (index == plan.size()) {
+    const auto failure = plan.exit_failure();
+    if (failure == EndToEndTrace::Failure::kNone) {
+      finish(*flight);
     } else {
-      fail(EndToEndTrace::Failure::kEgressFailed, payload_id, on_failure);
+      fail(failure, *flight);
     }
     return;
   }
-  // Native IPv(N-1) tail to the destination host.
-  net::Packet tail;
-  tail.push(net::HeaderLayer::ipvn(inner));
-  net::Ipv4Header outer;
-  outer.src = topo.router(egress).loopback;
-  outer.dst = inner.legacy_dst;
-  outer.proto = net::Ipv4Header::Proto::kIpvNEncap;
-  tail.push(net::HeaderLayer::ipv4(outer));
-  tail.payload_id = payload_id;
+  const Leg leg = plan[index];
+  net::Packet packet =
+      net::make_encapsulated(flight->inner, topo.router(leg.from).loopback,
+                             leg.outer_dst);
+  packet.payload_id = flight->payload_id;
   engine_.inject(
-      egress, std::move(tail),
-      [this, src, dst, payload_id, sent_at, dst_access, on_failure](
-          NodeId at, const net::Packet&, sim::Duration) {
-        if (at == dst_access) {
-          finish(src, dst, payload_id, sent_at);
+      leg.from, std::move(packet),
+      [this, flight, index, leg](NodeId at, const net::Packet&, sim::Duration) {
+        if (at == leg.lands_on) {
+          ride(flight, index + 1);
         } else {
-          fail(EndToEndTrace::Failure::kEgressFailed, payload_id, on_failure);
+          fail(leg.on_miss, *flight);
         }
       },
-      [this, payload_id, on_failure](net::Network::TraceResult::Outcome, NodeId,
-                                     const net::Packet&) {
-        fail(EndToEndTrace::Failure::kEgressFailed, payload_id, on_failure);
+      [this, flight, leg](net::Network::TraceResult::Outcome, NodeId,
+                          const net::Packet&) {
+        fail(leg.on_miss, *flight);
       });
 }
 

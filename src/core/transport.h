@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 
 #include "core/evolvable_internet.h"
@@ -43,17 +44,23 @@ class IpvnTransport {
   std::uint64_t datagrams_failed() const { return failed_; }
 
  private:
-  /// Ride the remaining vN-Bone hops (hop_index is the next tunnel to
-  /// take), then the egress leg.
-  void ride_bone(net::HostId src, net::HostId dst, std::uint64_t payload_id,
-                 net::IpvNHeader inner, vnbone::VnBone::VnRoute route,
-                 std::size_t hop_index, sim::TimePoint sent_at,
-                 FailureFn on_failure);
+  /// One datagram in flight: what its legs need once the ingress is known.
+  struct Flight {
+    net::HostId src;
+    net::HostId dst;
+    std::uint64_t payload_id = 0;
+    net::IpvNHeader inner;
+    sim::TimePoint sent_at;
+    FailureFn on_failure;
+    vnbone::VnBone::VnRoute route;  // set at the ingress
+  };
 
-  void finish(net::HostId src, net::HostId dst, std::uint64_t payload_id,
-              sim::TimePoint sent_at);
-  void fail(EndToEndTrace::Failure failure, std::uint64_t payload_id,
-            const FailureFn& on_failure);
+  /// Encapsulate the datagram toward leg `index` of its LegPlan, or settle
+  /// it once every leg has landed.
+  void ride(std::shared_ptr<Flight> flight, std::size_t index);
+
+  void finish(const Flight& flight);
+  void fail(EndToEndTrace::Failure failure, const Flight& flight);
 
   EvolvableInternet& internet_;
   net::DeliveryEngine engine_;

@@ -27,8 +27,9 @@ void DeliveryEngine::drop(Network::TraceResult::Outcome reason, NodeId at,
 
 void DeliveryEngine::step(NodeId node, Packet packet, sim::TimePoint injected_at,
                           DeliveredFn on_delivered, DroppedFn on_dropped) {
-  const Ipv4Addr dst = packet.outer().v4.dst;
-  if (network_.delivers_locally(node, dst)) {
+  const Network::Hop hop =
+      network_.hop(node, packet.outer().v4.dst, packet.outer().v4.ttl);
+  if (hop.stop == Network::TraceResult::Outcome::kDelivered) {
     ++delivered_;
     if (recorder_ != nullptr) {
       recorder_->instant(
@@ -39,28 +40,17 @@ void DeliveryEngine::step(NodeId node, Packet packet, sim::TimePoint injected_at
     on_delivered(node, packet, simulator_.now() - injected_at);
     return;
   }
-  if (packet.outer().v4.ttl == 0) {
-    drop(Network::TraceResult::Outcome::kTtlExpired, node, packet, on_dropped);
+  if (hop.stop) {
+    drop(*hop.stop, node, packet, on_dropped);
     return;
   }
-  const FibEntry* entry = network_.compiled_fib(node).lookup(dst);
-  if (entry == nullptr || !entry->next_hop.valid()) {
-    drop(Network::TraceResult::Outcome::kNoRoute, node, packet, on_dropped);
-    return;
-  }
-  sim::Duration latency = sim::Duration::millis(1);
-  const LinkId out_link = entry->out_link;
-  if (out_link.valid()) {
-    const Link& link = network_.topology().link(out_link);
-    if (!network_.topology().link_usable(out_link)) {
-      drop(Network::TraceResult::Outcome::kLinkDown, node, packet, on_dropped);
-      return;
-    }
-    latency = link.latency;
-  }
+  const LinkId out_link = hop.link;
+  const NodeId next = hop.next;
+  const sim::Duration latency = out_link.valid()
+                                    ? network_.topology().link(out_link).latency
+                                    : sim::Duration::millis(1);
   --packet.outer().v4.ttl;
   ++hops_forwarded_;
-  const NodeId next = entry->next_hop;
   if (recorder_ != nullptr) {
     recorder_->instant(obs::Domain::kNet, "net.pkt.hop", node.value(),
                        next.value());

@@ -84,6 +84,21 @@ Network::TraceResult Network::trace(NodeId from, Ipv4Addr dst,
   return result;
 }
 
+Network::Hop Network::hop(NodeId node, Ipv4Addr dst, unsigned ttl) const {
+  using Outcome = TraceResult::Outcome;
+  if (delivers_locally(node, dst)) return {Outcome::kDelivered};
+  if (ttl == 0) return {Outcome::kTtlExpired};
+  const FibEntry* entry = compiled_fib(node).lookup(dst);
+  ++forwarding_stats_.lookups;
+  // A local-delivery entry that didn't match delivers_locally means a
+  // stale route; treat both as no-route.
+  if (entry == nullptr || !entry->next_hop.valid()) return {Outcome::kNoRoute};
+  if (entry->out_link.valid() && !topology_.link_usable(entry->out_link)) {
+    return {Outcome::kLinkDown};
+  }
+  return {std::nullopt, entry->next_hop, entry->out_link};
+}
+
 void Network::trace_into(NodeId from, Ipv4Addr dst, unsigned max_hops,
                          TraceResult& result) const {
   result.outcome = TraceResult::Outcome::kNoRoute;
@@ -95,43 +110,33 @@ void Network::trace_into(NodeId from, Ipv4Addr dst, unsigned max_hops,
   ++forwarding_stats_.traces;
 
   // Loop detection via generation marking: one counter bump replaces a
-  // per-trace hash-set allocation.
+  // per-trace hash-set allocation. A revisited node cannot deliver
+  // locally (its first visit did not), so marking ahead of the hop rule
+  // finds exactly the loops.
   const std::uint64_t gen = ++visit_gen_;
   NodeId current = from;
-  for (unsigned hop = 0; hop <= max_hops; ++hop) {
-    if (delivers_locally(current, dst)) {
-      result.outcome = TraceResult::Outcome::kDelivered;
-      result.delivered_at = current;
-      return;
-    }
+  for (;;) {
     if (visit_mark_[current.value()] == gen) {
       result.outcome = TraceResult::Outcome::kForwardingLoop;
       return;
     }
     visit_mark_[current.value()] = gen;
-    const FibEntry* entry = compiled_fib(current).lookup(dst);
-    ++forwarding_stats_.lookups;
-    if (entry == nullptr || !entry->next_hop.valid()) {
-      // A local-delivery entry that didn't match delivers_locally means a
-      // stale route; treat both as no-route.
-      result.outcome = TraceResult::Outcome::kNoRoute;
+    const Hop step = hop(current, dst, max_hops - result.hop_count());
+    if (step.stop) {
+      result.outcome = *step.stop;
+      if (result.delivered()) result.delivered_at = current;
       return;
     }
-    if (entry->out_link.valid()) {
-      const Link& link = topology_.link(entry->out_link);
-      if (!topology_.link_usable(entry->out_link)) {
-        result.outcome = TraceResult::Outcome::kLinkDown;
-        return;
-      }
+    if (step.link.valid()) {
+      const Link& link = topology_.link(step.link);
       result.cost += link.cost;
       result.latency += link.latency;
     } else {
       result.cost += 1;  // next hop known but link identity elided
     }
-    current = entry->next_hop;
+    current = step.next;
     result.hops.push_back(current);
   }
-  result.outcome = TraceResult::Outcome::kTtlExpired;
 }
 
 std::vector<Network::TraceResult> Network::trace_batch(

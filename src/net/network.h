@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_set>
@@ -69,9 +70,20 @@ class Network {
     std::size_t hop_count() const { return hops.empty() ? 0 : hops.size() - 1; }
   };
 
-  /// Walk FIBs from `from` toward `dst`. Deterministic and observably
-  /// side-effect free (internally it refreshes the per-router compiled
-  /// forwarding caches).
+  /// What `node` does with a packet for `dst` that may still cross `ttl`
+  /// links: the one hop rule behind trace() and DeliveryEngine.
+  struct Hop {
+    /// Why the packet stops at `node` (kDelivered, kTtlExpired, kNoRoute or
+    /// kLinkDown); nullopt when it moves on to `next`.
+    std::optional<TraceResult::Outcome> stop;
+    NodeId next = NodeId::invalid();
+    LinkId link = LinkId::invalid();  // invalid also when the FIB elides it
+  };
+  Hop hop(NodeId node, Ipv4Addr dst, unsigned ttl) const;
+
+  /// Walk FIBs from `from` toward `dst`, crossing at most `max_hops`
+  /// links. Deterministic and observably side-effect free (internally it
+  /// refreshes the per-router compiled forwarding caches).
   TraceResult trace(NodeId from, Ipv4Addr dst, unsigned max_hops = 255) const;
 
   /// Like trace(), but reuses `result`'s buffers — the allocation-free

@@ -66,17 +66,13 @@ core::EndToEndTrace send_ipvn_via_broker(const core::EvolvableInternet& internet
                                          HostId dst,
                                          std::optional<vnbone::EgressMode> mode) {
   core::EndToEndTrace result;
-  const auto& network = internet.network();
-  const auto& topo = network.topology();
   const auto& vnbone = internet.vnbone();
-
   if (!vnbone.anycast_group().valid()) {
     result.failure = core::EndToEndTrace::Failure::kNoDeployment;
     return result;
   }
 
-  const NodeId src_access = topo.host(src).access_router;
-  const auto target = broker.lookup(src_access);
+  const auto target = broker.lookup(internet.topology().host(src).access_router);
   if (!target) {
     // The broker knows no IPvN router: the client is locked out even
     // though a deployment may exist (non-participating ISPs).
@@ -85,25 +81,14 @@ core::EndToEndTrace send_ipvn_via_broker(const core::EvolvableInternet& internet
   }
 
   // The client tunnels the encapsulated datagram to the broker-provided
-  // *unicast* address (no anycast involved).
-  const net::Packet packet = internet.hosts().make_datagram(src, dst);
-  const net::IpvNHeader inner = packet.layers().front().vn;
-  core::Segment ingress_seg;
-  ingress_seg.kind = core::Segment::Kind::kAnycastIngress;  // the ingress leg
-  ingress_seg.trace = network.trace(src_access, topo.router(*target).loopback);
-  result.segments.push_back(ingress_seg);
-  // Staleness bites here: the router must still be deployed to accept the
-  // encapsulated packet.
-  if (!ingress_seg.trace.delivered() ||
-      ingress_seg.trace.delivered_at != *target || !vnbone.deployed(*target)) {
-    result.failure = core::EndToEndTrace::Failure::kIngressFailed;
-    return result;
-  }
-  result.ingress = *target;
-
-  // From the ingress onward the path is identical to the anycast case.
-  core::complete_from_ingress(internet, inner, dst, mode, result);
-  return result;
+  // *unicast* address (no anycast involved). Staleness bites here: the
+  // router must still be deployed to accept the encapsulated packet.
+  return core::send_via_ingress(
+      internet, src, dst, internet.topology().router(*target).loopback,
+      [&vnbone, target = *target](NodeId at) {
+        return at == target && vnbone.deployed(at);
+      },
+      mode);
 }
 
 }  // namespace evo::redirect

@@ -57,36 +57,20 @@ core::EndToEndTrace send_ipvn_via_provider(const core::EvolvableInternet& intern
                                            DomainId provider, HostId src,
                                            HostId dst,
                                            std::optional<vnbone::EgressMode> mode) {
-  core::EndToEndTrace result;
   const auto address = select.provider_address(provider);
   if (!address) {
+    core::EndToEndTrace result;
     result.failure = core::EndToEndTrace::Failure::kNoDeployment;
     return result;
   }
-  const auto& network = internet.network();
-  const auto& topo = network.topology();
-  const auto& vnbone = internet.vnbone();
-
-  const net::Packet packet = internet.hosts().make_datagram(src, dst);
-  const net::IpvNHeader inner = packet.layers().front().vn;
-  const NodeId src_access = topo.host(src).access_router;
-
-  core::Segment ingress_seg;
-  ingress_seg.kind = core::Segment::Kind::kAnycastIngress;
-  ingress_seg.trace = network.trace(src_access, *address);
-  result.segments.push_back(ingress_seg);
-  const bool landed_with_provider =
-      ingress_seg.trace.delivered() &&
-      topo.router(ingress_seg.trace.delivered_at).domain == provider &&
-      vnbone.deployed(ingress_seg.trace.delivered_at);
-  if (!landed_with_provider) {
-    result.failure = core::EndToEndTrace::Failure::kIngressFailed;
-    return result;
-  }
-  result.ingress = ingress_seg.trace.delivered_at;
-
-  core::complete_from_ingress(internet, inner, dst, mode, result);
-  return result;
+  // The datagram must land with the chosen provider, on a deployed router.
+  return core::send_via_ingress(
+      internet, src, dst, *address,
+      [&internet, provider](NodeId at) {
+        return internet.topology().router(at).domain == provider &&
+               internet.vnbone().deployed(at);
+      },
+      mode);
 }
 
 }  // namespace evo::redirect

@@ -143,6 +143,12 @@ TEST(Network, TtlExpiry) {
   const auto result = net.trace(
       routers[0], net.topology().router(routers[9]).loopback, /*max_hops=*/3);
   EXPECT_EQ(result.outcome, Network::TraceResult::Outcome::kTtlExpired);
+  // Like DeliveryEngine with ttl 3: exactly three links are crossed.
+  EXPECT_EQ(result.hop_count(), 3u);
+  // A destination exactly max_hops away is still delivered.
+  const auto reached = net.trace(
+      routers[0], net.topology().router(routers[3]).loopback, /*max_hops=*/3);
+  EXPECT_TRUE(reached.delivered());
 }
 
 TEST(Network, LatencyAccumulates) {
