@@ -190,8 +190,8 @@ void sweep(const bench::Args& args) {
       "link/router/member returns; during a down window, probes whose only "
       "path crossed the victim stay dark (blackholes), but never loop. "
       "Distance-vector pays its poison/request round trips on crashes "
-      "(rc-max ~10x link-state); router crashes cost the most because IGP, "
-      "BGP sessions, and the vN-Bone all must react.");
+      "(rc-max ~17x link-state): on a crash IGP, BGP sessions, and the "
+      "vN-Bone all must react.");
   if (!args.json_path.empty()) json.write(args.json_path);
 }
 

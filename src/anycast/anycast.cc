@@ -114,21 +114,16 @@ void AnycastService::stop_peering_advertisement(GroupId group_id,
   sync_bgp_origination(group, member_domain);
 }
 
-bool AnycastService::member_reachable(const Group& group, DomainId domain) const {
+bool AnycastService::reaches_member(const Group& group, NodeId speaker) const {
   const auto& topo = network_.topology();
-  static const std::vector<NodeId> kNoSpeakers;
-  const auto& speakers = bgp_ ? bgp_->speakers_of(domain) : kNoSpeakers;
+  const DomainId domain = topo.router(speaker).domain;
   const igp::Igp* igp = igp_of_(domain);
   for (const NodeId m : group.members) {
     const auto& router = topo.router(m);
     if (router.domain != domain || !router.up) continue;
-    // A domain without borders never originates; membership alone counts.
-    if (speakers.empty()) return true;
-    for (const NodeId s : speakers) {
-      if (!topo.router(s).up) continue;
-      if (s == m || igp == nullptr || igp->distance(s, m) != net::kInfiniteCost) {
-        return true;
-      }
+    if (speaker == m || igp == nullptr ||
+        igp->distance(speaker, m) != net::kInfiniteCost) {
+      return true;
     }
   }
   return false;
@@ -138,32 +133,9 @@ bool AnycastService::sync_bgp_origination(const Group& group, DomainId domain,
                                           bool force) {
   if (bgp_ == nullptr) return false;
   const Prefix host_route = Prefix::host(group.address);
-  bool should = member_reachable(group, domain);
-  if (group.config.mode == InterDomainMode::kDefaultRoute) {
-    // Option 2: no global origination — the default domain's aggregate
-    // covers the address. Only member domains with peering arrangements
-    // originate the /32, scoped to those neighbors and no-export.
-    const auto peers = group.peer_advertisements.find(domain);
-    should = should && peers != group.peer_advertisements.end() &&
-             !peers->second.empty();
-  }
-
-  bool& current = originating_[{group.id.value(), domain.value()}];
-  const bool flipped = current != should;
-  if (!force && !flipped) return false;
-  current = should;
-
-  if (recorder_ != nullptr && flipped) {
-    recorder_->instant(obs::Domain::kAnycast,
-                       should ? "anycast.originate" : "anycast.withdraw",
-                       group.id.value(), domain.value());
-  }
-  if (!should) {
-    bgp_->withdraw(domain, host_route);
-    return flipped;
-  }
   bgp::OriginationPolicy policy;
   policy.anycast = true;
+  bool allowed = true;
   switch (group.config.mode) {
     case InterDomainMode::kGlobalRoutes:
       // Every serving domain originates the /32 globally ("propagating
@@ -175,13 +147,38 @@ bool AnycastService::sync_bgp_origination(const Group& group, DomainId domain,
       // farther follows the home domain's aggregate.
       policy.propagation_ttl = group.config.gia_search_radius;
       break;
-    case InterDomainMode::kDefaultRoute:
+    case InterDomainMode::kDefaultRoute: {
+      // Option 2: no global origination — the default domain's aggregate
+      // covers the address. Only member domains with peering arrangements
+      // originate the /32, scoped to those neighbors and no-export.
+      const auto peers = group.peer_advertisements.find(domain);
+      allowed = peers != group.peer_advertisements.end() && !peers->second.empty();
       policy.no_export = true;
-      policy.export_scope = group.peer_advertisements.at(domain);
+      if (allowed) policy.export_scope = peers->second;
       break;
+    }
   }
-  bgp_->originate(domain, host_route, policy);
-  return flipped;
+
+  bool flipped_any = false;
+  for (const NodeId speaker : bgp_->speakers_of(domain)) {
+    const bool should = allowed && reaches_member(group, speaker);
+    bool& current = originating_[{group.id.value(), speaker.value()}];
+    const bool flipped = current != should;
+    if (!force && !flipped) continue;
+    current = should;
+    flipped_any = flipped_any || flipped;
+    if (recorder_ != nullptr && flipped) {
+      recorder_->instant(obs::Domain::kAnycast,
+                         should ? "anycast.originate" : "anycast.withdraw",
+                         group.id.value(), speaker.value());
+    }
+    if (should) {
+      bgp_->originate(speaker, host_route, policy);
+    } else {
+      bgp_->withdraw(speaker, host_route);
+    }
+  }
+  return flipped_any;
 }
 
 bool AnycastService::sync_reachability() {

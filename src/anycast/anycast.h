@@ -49,8 +49,6 @@ struct GroupConfig {
   /// For kDefaultRoute: the domain whose address space hosts the group
   /// address ("e.g., the first ISP to initiate deployment of IPvN").
   net::DomainId default_domain;
-  /// The IP version this group serves (bookkeeping only).
-  std::uint8_t ip_version = 0;
   /// For kGia: how many AS hops member advertisements travel before the
   /// home-domain default route takes over.
   std::uint8_t gia_search_radius = 2;
@@ -96,10 +94,10 @@ class AnycastService {
                                   net::DomainId neighbor);
 
   /// Conditional origination, the BGP "network statement" discipline: a
-  /// member domain advertises a group's route only while some member is up
-  /// AND IGP-reachable from one of the domain's BGP speakers. Otherwise the
-  /// border would attract anycast traffic it can only default-route back
-  /// out — a persistent inter-domain forwarding loop. Call after each IGP
+  /// border router of a member domain advertises a group's route only
+  /// while it reaches an up member itself through the IGP. Otherwise it
+  /// would attract anycast traffic it can only default-route back out — a
+  /// persistent inter-domain forwarding loop. Call after each IGP
   /// reconvergence; returns true when any origination changed (new BGP
   /// UPDATEs are then in flight, so reconverge again).
   bool sync_reachability();
@@ -118,26 +116,26 @@ class AnycastService {
  private:
   Group& mutable_group(net::GroupId id) { return groups_.at(id.value()); }
 
-  /// (Re-)originate or withdraw the group's BGP routes for `domain`
-  /// according to mode, membership, speaker reachability, and peering
-  /// advertisements. With `force` false, BGP is touched only when the
-  /// originate/withdraw state flips (originate() always re-advertises, so
-  /// an unconditional resweep would never quiesce); membership and peering
-  /// mutations pass true to push policy changes out. Returns whether the
-  /// origination state flipped.
+  /// (Re-)originate or withdraw the group's BGP route at each border of
+  /// `domain` according to mode, membership, the border's reachability of
+  /// a member, and peering advertisements. With `force` false, BGP is
+  /// touched only where the originate/withdraw state flips (originate()
+  /// always re-advertises, so an unconditional resweep would never
+  /// quiesce); membership and peering mutations pass true to push policy
+  /// changes out. Returns whether any origination state flipped.
   bool sync_bgp_origination(const Group& group, net::DomainId domain,
                             bool force = true);
 
-  /// True when `domain` can actually serve the group: some member in it is
-  /// up and reachable from an up BGP speaker through the domain's IGP.
-  bool member_reachable(const Group& group, net::DomainId domain) const;
+  /// True when `speaker` can serve the group: an up member of its domain
+  /// is the speaker itself or reachable from it through the domain's IGP.
+  bool reaches_member(const Group& group, net::NodeId speaker) const;
 
   net::Network& network_;
   bgp::BgpSystem* bgp_;
   std::function<igp::Igp*(net::DomainId)> igp_of_;
   obs::Recorder* recorder_ = nullptr;
   std::vector<Group> groups_;
-  /// Current origination state per (group, domain), so the reachability
+  /// Current origination state per (group, speaker), so the reachability
   /// sweep only calls into BGP on transitions.
   std::map<std::pair<std::uint32_t, std::uint32_t>, bool> originating_;
   /// Next free option-1 address and per-domain option-2 slot counters.

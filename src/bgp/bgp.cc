@@ -38,12 +38,8 @@ std::string Route::describe() const {
 }
 
 BgpSystem::BgpSystem(sim::Simulator& simulator, net::Network& network,
-                     std::function<const igp::Igp*(net::DomainId)> igp_of,
-                     BgpConfig config)
-    : simulator_(simulator),
-      network_(network),
-      igp_of_(std::move(igp_of)),
-      config_(config) {
+                     std::function<const igp::Igp*(net::DomainId)> igp_of)
+    : simulator_(simulator), network_(network), igp_of_(std::move(igp_of)) {
   const auto& topo = network_.topology();
   // Every border router is a speaker.
   speakers_.resize(topo.router_count());
@@ -92,14 +88,16 @@ void BgpSystem::start() {
 }
 
 void BgpSystem::originate(DomainId domain, Prefix prefix, OriginationPolicy policy) {
+  for (const NodeId node : speakers_of(domain)) originate(node, prefix, policy);
+}
+
+void BgpSystem::originate(NodeId node, Prefix prefix, const OriginationPolicy& policy) {
   if (recorder_ != nullptr) {
-    recorder_->instant(obs::Domain::kBgp, "bgp.originate", domain.value(),
+    recorder_->instant(obs::Domain::kBgp, "bgp.originate", node.value(),
                        (std::uint64_t{prefix.address().bits()} << 8) | prefix.length());
   }
-  for (const NodeId node : speakers_of(domain)) {
-    speaker(node).originated[prefix] = policy;
-    seed_self_route(node, prefix, policy);
-  }
+  speaker(node).originated[prefix] = policy;
+  seed_self_route(node, prefix, policy);
 }
 
 void BgpSystem::seed_self_route(NodeId node, Prefix prefix,
@@ -123,16 +121,18 @@ void BgpSystem::seed_self_route(NodeId node, Prefix prefix,
 }
 
 void BgpSystem::withdraw(DomainId domain, Prefix prefix) {
+  for (const NodeId node : speakers_of(domain)) withdraw(node, prefix);
+}
+
+void BgpSystem::withdraw(NodeId node, Prefix prefix) {
   if (recorder_ != nullptr) {
-    recorder_->instant(obs::Domain::kBgp, "bgp.withdraw", domain.value(),
+    recorder_->instant(obs::Domain::kBgp, "bgp.withdraw", node.value(),
                        (std::uint64_t{prefix.address().bits()} << 8) | prefix.length());
   }
-  for (const NodeId node : speakers_of(domain)) {
-    auto& st = speaker(node);
-    st.originated.erase(prefix);
-    st.adj_rib_in.erase({prefix, kSelfSession});
-    decide(node, prefix);
-  }
+  auto& st = speaker(node);
+  st.originated.erase(prefix);
+  st.adj_rib_in.erase({prefix, kSelfSession});
+  decide(node, prefix);
 }
 
 bool BgpSystem::preferred(const Route& a, const Route& b) {
@@ -207,7 +207,7 @@ void BgpSystem::schedule_send(NodeId node) {
   auto& st = speaker(node);
   if (st.send_pending || !started_) return;
   st.send_pending = true;
-  simulator_.schedule_after(config_.update_delay, [this, node] {
+  simulator_.schedule_after(kUpdateDelay, [this, node] {
     speaker(node).send_pending = false;
     flush_updates(node);
   });
@@ -219,7 +219,36 @@ bool BgpSystem::session_usable(const Session& session) const {
     return false;
   }
   // iBGP rides the intra-domain fabric; eBGP needs its physical link.
-  return !session.link.valid() || topo.link_usable(session.link);
+  return session.ibgp ? session.igp_reachable : topo.link_usable(session.link);
+}
+
+bool BgpSystem::sync_sessions() {
+  bool changed = false;
+  for (Session& session : sessions_) {
+    if (!session.ibgp || session.local > session.remote) continue;  // once a pair
+    const igp::Igp* igp = igp_of_(speaker(session.local).domain);
+    const bool reachable =
+        igp == nullptr ||
+        igp->distance(session.local, session.remote) != net::kInfiniteCost;
+    if (reachable == session.igp_reachable) continue;
+    changed = true;
+    session.igp_reachable = sessions_[session.reverse].igp_reachable = reachable;
+    for (const auto& [end, peer] : {std::pair{session.local, session.remote},
+                                    std::pair{session.remote, session.local}}) {
+      if (reachable) {
+        readvertise(end);
+      } else {
+        drop_sessions(end, [peer](const Session& s) { return s.ibgp && s.remote == peer; });
+      }
+    }
+  }
+  return changed;
+}
+
+void BgpSystem::readvertise(NodeId node) {
+  auto& st = speaker(node);
+  for (const auto& [prefix, route] : st.loc_rib) st.dirty.insert(prefix);
+  schedule_send(node);
 }
 
 void BgpSystem::flush_updates(NodeId node) {
@@ -264,9 +293,8 @@ void BgpSystem::flush_updates(NodeId node) {
 
 void BgpSystem::send(std::size_t session_index, Update update) {
   const Session& session = sessions_[session_index];
-  const sim::Duration latency = session.ibgp
-                                    ? config_.ibgp_latency
-                                    : network_.topology().link(session.link).latency;
+  const sim::Duration latency =
+      session.ibgp ? kIbgpLatency : network_.topology().link(session.link).latency;
   ++messages_sent_;
   simulator_.schedule_after(latency, [this, in = session.reverse,
                                       update = std::move(update)] {
@@ -332,11 +360,7 @@ void BgpSystem::on_link_change(LinkId link_id) {
   }
   if (network_.topology().link_usable(link_id)) {
     // Sessions re-establish: both ends re-advertise their full Loc-RIBs.
-    for (const NodeId end : {link.a, link.b}) {
-      auto& st = speaker(end);
-      for (const auto& [prefix, route] : st.loc_rib) st.dirty.insert(prefix);
-      schedule_send(end);
-    }
+    for (const NodeId end : {link.a, link.b}) readvertise(end);
   } else {
     // Session down at both ends.
     for (const NodeId end : {link.a, link.b}) {
@@ -405,8 +429,7 @@ void BgpSystem::on_node_change(NodeId node, bool up) {
           std::any_of(st.sessions.begin(), st.sessions.end(),
                       [&](std::size_t si) { return sessions_[si].remote == node; });
       if (!has_session || st.loc_rib.empty()) continue;
-      for (const auto& [prefix, route] : st.loc_rib) st.dirty.insert(prefix);
-      schedule_send(peer);
+      readvertise(peer);
     }
   }
 }
@@ -473,15 +496,11 @@ void BgpSystem::install_routes() {
         // Never install a BGP route for our own aggregate: intra-domain
         // routing handles it.
         if (prefix == domain.prefix) continue;
-        // Likewise skip any prefix this domain originates itself (e.g. an
-        // anycast /32 with local members): internal reachability is the
-        // IGP's job, and clobbering the IGP's anycast routes would defeat
-        // local capture.
-        const bool originated_here = std::any_of(
-            borders.begin(), borders.end(), [&](NodeId b) {
-              return speaker(b).originated.contains(prefix);
-            });
-        if (originated_here) continue;
+        // Likewise skip a host route the router terminates itself (an
+        // anycast member delivers its group address locally).
+        if (prefix.length() == 32 && network_.delivers_locally(r, prefix.address())) {
+          continue;
+        }
         // Intra-domain routes win over BGP for an identical prefix (the
         // "IGP-preferred" admin-distance rule; see DESIGN.md): a member
         // domain's own anycast members must keep capturing local traffic

@@ -24,12 +24,10 @@
 
 namespace evo::bgp {
 
-struct BgpConfig {
-  /// Latency of iBGP propagation between border routers of one domain.
-  sim::Duration ibgp_latency = sim::Duration::millis(2);
-  /// Debounce between a Loc-RIB change and the UPDATEs it triggers.
-  sim::Duration update_delay = sim::Duration::millis(5);
-};
+/// Latency of iBGP propagation between border routers of one domain.
+inline constexpr sim::Duration kIbgpLatency = sim::Duration::millis(2);
+/// Debounce between a Loc-RIB change and the UPDATEs it triggers.
+inline constexpr sim::Duration kUpdateDelay = sim::Duration::millis(5);
 
 class BgpSystem {
  public:
@@ -37,8 +35,7 @@ class BgpSystem {
   /// `igp_of` maps each domain to its running IGP (used for hot-potato
   /// distances at FIB-install time).
   BgpSystem(sim::Simulator& simulator, net::Network& network,
-            std::function<const igp::Igp*(net::DomainId)> igp_of,
-            BgpConfig config = {});
+            std::function<const igp::Igp*(net::DomainId)> igp_of);
 
   /// Create sessions and originate every domain's own prefix. Run the
   /// simulator afterwards to converge.
@@ -48,9 +45,21 @@ class BgpSystem {
   /// routers) under `policy`.
   void originate(net::DomainId domain, net::Prefix prefix,
                  OriginationPolicy policy = {});
+  /// Originate `prefix` at the border router `speaker` alone.
+  void originate(net::NodeId speaker, net::Prefix prefix,
+                 const OriginationPolicy& policy = {});
 
-  /// Withdraw a locally originated prefix.
+  /// Withdraw a locally originated prefix (at every border / at one).
   void withdraw(net::DomainId domain, net::Prefix prefix);
+  void withdraw(net::NodeId speaker, net::Prefix prefix);
+
+  /// iBGP sessions follow IGP reachability: re-check each against its
+  /// domain's IGP. A session whose peer became unreachable is torn down;
+  /// one whose peer is reachable again re-advertises both Loc-RIBs. Call
+  /// only at quiescence (mid-convergence IGP distances are transiently
+  /// infinite). Returns true when a session changed: UPDATEs are then in
+  /// flight.
+  bool sync_sessions();
 
   /// Push converged routes into every router's FIB (hot potato through the
   /// domain's IGP). Call after the simulator reaches quiescence.
@@ -104,6 +113,7 @@ class BgpSystem {
     net::Relationship relationship;   // of remote as seen from local (eBGP)
     bool ibgp = false;
     std::size_t reverse = 0;          // the same session seen from `remote`
+    bool igp_reachable = true;        // iBGP: as of the last sync_sessions()
   };
 
   struct Update {
@@ -182,9 +192,13 @@ class BgpSystem {
 
   void schedule_send(net::NodeId node);
   void flush_updates(net::NodeId node);
+  /// Queue `node`'s whole Loc-RIB for (re-)advertisement, as a session
+  /// (re-)establishes.
+  void readvertise(net::NodeId node);
 
-  /// True when the session can carry updates right now: both speakers up
-  /// and (for eBGP) the underlying link usable.
+  /// True when the session can carry updates right now: both speakers up,
+  /// and for eBGP the underlying link usable, for iBGP the peer reachable
+  /// through the IGP.
   bool session_usable(const Session& session) const;
 
   /// Total ordering on routes: true if `a` is preferred over `b`.
@@ -196,7 +210,6 @@ class BgpSystem {
   sim::Simulator& simulator_;
   net::Network& network_;
   std::function<const igp::Igp*(net::DomainId)> igp_of_;
-  BgpConfig config_;
   std::vector<Session> sessions_;
   /// Indexed by NodeId value; only border routers' entries are used.
   std::vector<SpeakerState> speakers_;

@@ -632,7 +632,7 @@ vnbone::VnBone::VnRoute reference_vn_route(const VnBoneSnapshot& snapshot,
         for (const NodeId r : members) {
           const Cost vn_d = vn_cost_to(r);
           if (vn_d == kInfiniteCost) continue;
-          const Cost score = vn_d + bone.config().as_hop_weight * legacy_len;
+          const Cost score = vn_d + vnbone::kAsHopWeight * legacy_len;
           if (score < best_score || (score == best_score && r < egress)) {
             egress = r;
             best_score = score;

@@ -41,8 +41,7 @@ EvolvableInternet::EvolvableInternet(net::Topology topology, Options options)
     }
   }
 
-  bgp_ = std::make_unique<bgp::BgpSystem>(simulator_, *network_, igp_accessor(),
-                                          options_.bgp);
+  bgp_ = std::make_unique<bgp::BgpSystem>(simulator_, *network_, igp_accessor());
   anycast_ = std::make_unique<anycast::AnycastService>(*network_, bgp_.get(),
                                                        igp_accessor());
   vnbones_.push_back(std::make_unique<vnbone::VnBone>(
@@ -138,15 +137,18 @@ void EvolvableInternet::undeploy_router(NodeId router) {
 
 std::uint64_t EvolvableInternet::converge() {
   std::uint64_t events = simulator_.run();
-  // Conditional anycast origination tracks IGP reachability; a withdraw or
-  // re-advertisement sends new UPDATEs, so iterate to the joint fixpoint
-  // (reachability is a function of the now-converged IGPs, so one extra
-  // round suffices; the bound is sheer paranoia).
-  for (int i = 0; i < 8 && anycast_->sync_reachability(); ++i) {
-    events += simulator_.run();
-  }
+  // iBGP sessions and conditional anycast origination track IGP
+  // reachability; a change sends new UPDATEs, so iterate to the joint
+  // fixpoint (reachability is a function of the now-converged IGPs, so one
+  // extra round suffices; the bound is sheer paranoia).
+  for (int i = 0; i < 8 && sync_with_igp(); ++i) events += simulator_.run();
   finish_sync();
   return events;
+}
+
+bool EvolvableInternet::sync_with_igp() {
+  const bool sessions_changed = bgp_->sync_sessions();
+  return anycast_->sync_reachability() || sessions_changed;
 }
 
 void EvolvableInternet::finish_sync() {
@@ -172,9 +174,9 @@ void EvolvableInternet::schedule_control_sync() {
   sync_pending_ = true;
   simulator_.notify_on_idle([this] {
     sync_pending_ = false;
-    if (anycast_->sync_reachability()) {
-      // Origination changed: UPDATEs are in flight again. Re-arm and
-      // finish the sync at the next quiescence instead.
+    if (sync_with_igp()) {
+      // Sessions or origination changed: UPDATEs are in flight again.
+      // Re-arm and finish the sync at the next quiescence instead.
       schedule_control_sync();
       return;
     }

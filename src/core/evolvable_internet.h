@@ -33,7 +33,6 @@ struct Options {
   IgpKind igp = IgpKind::kLinkState;
   igp::LinkStateConfig link_state{};
   igp::DistanceVectorConfig distance_vector{};
-  bgp::BgpConfig bgp{};
   vnbone::VnBoneConfig vnbone{};
 };
 
@@ -136,6 +135,10 @@ class EvolvableInternet {
   void open_igp_episode(net::DomainId domain);
   void open_bgp_episode(std::uint64_t subject);
   void close_episodes();
+
+  /// Bring iBGP sessions and anycast origination in line with the
+  /// converged IGPs; true when either changed (UPDATEs are in flight).
+  bool sync_with_igp();
 
   /// Arm a one-shot control-plane sync (BGP route installation + vN-Bone
   /// rebuilds) at the next simulator quiescence; coalesces repeat calls.

@@ -169,8 +169,7 @@ std::vector<DistanceVectorIgp::AdvertisedRoute> DistanceVectorIgp::routes_for(
     if (!full && !route.changed) continue;
     Cost metric = route.metric;
     if (route.next_hop == neighbor && config_.split_horizon) {
-      if (!config_.poisoned_reverse) continue;  // plain split horizon
-      metric = config_.infinity;                // poisoned reverse
+      metric = config_.infinity;  // poisoned reverse
     }
     out.push_back(AdvertisedRoute{prefix, metric, route.anycast, route.tags});
   }
@@ -302,7 +301,7 @@ void DistanceVectorIgp::schedule_triggered(NodeId router) {
   auto& st = state(router);
   if (st.update_pending) return;
   st.update_pending = true;
-  simulator_.schedule_after(config_.triggered_delay, [this, router] {
+  simulator_.schedule_after(kTriggeredDelay, [this, router] {
     state(router).update_pending = false;
     send_update(router, /*full=*/false);
   });

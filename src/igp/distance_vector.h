@@ -25,20 +25,20 @@
 
 namespace evo::igp {
 
+/// Debounce between a table change and the triggered update it sends.
+inline constexpr sim::Duration kTriggeredDelay = sim::Duration::millis(10);
+
 struct DistanceVectorConfig {
   /// Metric treated as unreachable (count-to-infinity bound).
   net::Cost infinity = 256;
-  /// Debounce between a table change and the triggered update it sends.
-  sim::Duration triggered_delay = sim::Duration::millis(10);
   /// Period for full-table refreshes; zero disables them (triggered-only).
   sim::Duration periodic_interval = sim::Duration::zero();
-  /// Split horizon with poisoned reverse.
-  bool poisoned_reverse = true;
-  /// Fault-injection backdoor: when false, routes are advertised back to
-  /// the neighbor they were learned from at their real metric (no split
-  /// horizon at all, overriding poisoned_reverse), which re-enables the
-  /// classic count-to-infinity pathology on route loss. Exists so the fuzz
-  /// harness can prove its convergence-budget oracle catches exactly that.
+  /// Split horizon with poisoned reverse. Fault-injection backdoor: when
+  /// false, routes are advertised back to the neighbor they were learned
+  /// from at their real metric (no split horizon at all), which re-enables
+  /// the classic count-to-infinity pathology on route loss. Exists so the
+  /// fuzz harness can prove its convergence-budget oracle catches exactly
+  /// that.
   bool split_horizon = true;
   /// The paper's "explicitly listing its anycast address" variant: the
   /// router's own loopback advertisement carries its anycast memberships,

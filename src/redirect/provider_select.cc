@@ -22,7 +22,6 @@ GroupId ProviderSelect::enable_provider(DomainId provider) {
   // this address always land with the chosen provider.
   config.mode = anycast::InterDomainMode::kDefaultRoute;
   config.default_domain = provider;
-  config.ip_version = internet_.vnbone().config().version;
   const GroupId group = internet_.anycast().create_group(config);
   groups_.emplace(provider, group);
   refresh_provider(provider);

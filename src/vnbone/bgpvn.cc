@@ -118,7 +118,7 @@ void BgpVn::schedule_send(DomainId domain) {
   auto& st = speakers_.at(domain);
   if (st.send_pending) return;
   st.send_pending = true;
-  simulator_.schedule_after(config_.update_delay, [this, domain] {
+  simulator_.schedule_after(kVnUpdateDelay, [this, domain] {
     // The speaker set may have been rebuilt since; ignore stale timers.
     const auto it = speakers_.find(domain);
     if (it == speakers_.end()) return;

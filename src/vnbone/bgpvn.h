@@ -33,9 +33,10 @@ namespace evo::vnbone {
 struct BgpVnConfig {
   /// Originate proxy routes for reachable legacy domains (Figure 4).
   bool proxy_advertising = true;
-  /// Debounce between a vN-RIB change and the UPDATEs it triggers.
-  sim::Duration update_delay = sim::Duration::millis(5);
 };
+
+/// Debounce between a vN-RIB change and the UPDATEs it triggers.
+inline constexpr sim::Duration kVnUpdateDelay = sim::Duration::millis(5);
 
 /// One vN-RIB entry at a domain, for either a native or a proxy target.
 struct VnRoute {

@@ -59,7 +59,6 @@ void VnBone::ensure_group(DomainId first_domain) {
   anycast::GroupConfig gc;
   gc.mode = config_.anycast_mode;
   gc.default_domain = first_domain;
-  gc.ip_version = config_.version;
   group_ = anycast_.create_group(gc);
 }
 
@@ -645,7 +644,7 @@ VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
         if (!active(r)) return;
         const Cost legacy_len = legacy_route(topo.router(r).domain, *target_domain).length;
         if (legacy_len == net::kInfiniteCost) return;
-        const Cost score = vn_cost + config_.as_hop_weight * legacy_len;
+        const Cost score = vn_cost + kAsHopWeight * legacy_len;
         if (score < best_score || (score == best_score && r < egress)) {
           egress = r;
           best_score = score;

@@ -62,6 +62,10 @@ enum class EgressMode : std::uint8_t {
 
 const char* to_string(EgressMode mode);
 
+/// Control-plane weight of one BGPv(N-1) AS hop when comparing egress
+/// candidates against vN-Bone underlay costs (proxy advertising only).
+inline constexpr net::Cost kAsHopWeight = 5;
+
 struct VnBoneConfig {
   /// The IP version being deployed (e.g. 8 for the paper's "IPv8").
   std::uint8_t version = 8;
@@ -82,9 +86,6 @@ struct VnBoneConfig {
   /// it, yielding a join-order tree (plus congruent links, which need only
   /// local knowledge). Set false to grant every IGP full discovery.
   bool respect_discovery_limits = true;
-  /// Control-plane weight of one BGPv(N-1) AS hop when comparing egress
-  /// candidates against vN-Bone underlay costs (proxy advertising only).
-  net::Cost as_hop_weight = 5;
   /// Anycast deployment option for the group serving this vN-Bone.
   anycast::InterDomainMode anycast_mode = anycast::InterDomainMode::kDefaultRoute;
 };

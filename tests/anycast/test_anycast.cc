@@ -153,6 +153,52 @@ TEST(AnycastService, GlobalModeWithdrawsWhenLastMemberLeaves) {
   EXPECT_EQ(f.bgp->best_route(c_border, host_route), nullptr);
 }
 
+TEST(AnycastService, OnlyBordersReachingAMemberOriginate) {
+  // Member domain m: member - near - far, with a border at each end. Once
+  // far loses IGP reachability to the member it must stop originating,
+  // while near keeps doing so.
+  Topology topo;
+  const auto m = topo.add_domain("m");
+  const auto x = topo.add_domain("x");
+  const auto y = topo.add_domain("y");
+  const NodeId member = topo.add_router(m);
+  const NodeId near = topo.add_router(m);
+  const NodeId far = topo.add_router(m);
+  topo.add_link(member, near);
+  const auto cut = topo.add_link(near, far);
+  topo.add_interdomain_link(near, topo.add_router(x), Relationship::kCustomer);
+  topo.add_interdomain_link(far, topo.add_router(y), Relationship::kCustomer);
+  Fixture f(std::move(topo));
+  f.start();
+  GroupConfig config;
+  config.mode = InterDomainMode::kGlobalRoutes;
+  const auto g = f.service->create_group(config);
+  f.service->add_member(g, member);
+  f.converge();
+  const auto host_route = net::Prefix::host(f.service->group(g).address);
+  const auto originates = [&](NodeId border) {
+    const auto* route = f.bgp->best_route(border, host_route);
+    return route != nullptr && route->learned == bgp::LearnedFrom::kSelf;
+  };
+  EXPECT_TRUE(originates(near));
+  EXPECT_TRUE(originates(far));
+
+  f.network.topology().set_link_up(cut, false);
+  f.igps[m.value()]->on_link_change(cut);
+  f.simulator.run();
+  EXPECT_TRUE(f.service->sync_reachability());
+  f.converge();
+  EXPECT_TRUE(originates(near));
+  EXPECT_FALSE(originates(far));
+
+  f.network.topology().set_link_up(cut, true);
+  f.igps[m.value()]->on_link_change(cut);
+  f.simulator.run();
+  EXPECT_TRUE(f.service->sync_reachability());
+  f.converge();
+  EXPECT_TRUE(originates(far));
+}
+
 TEST(AnycastService, DefaultModeNoGlobalOrigination) {
   Fixture f(domain_line3());
   f.start();

@@ -47,6 +47,48 @@ struct Fixture {
   std::unique_ptr<BgpSystem> bgp;
 };
 
+TEST(BgpDetails, IbgpSessionFollowsIgpReachability) {
+  // Transit a has borders a0 (customer b behind it) and a1 (peer c behind
+  // it), joined by one intra-domain link. Once the IGP loses a1, a1 must
+  // stop speaking for b: it cannot carry the traffic itself.
+  Topology topo;
+  const auto a = topo.add_domain("a");
+  const auto b = topo.add_domain("b");
+  const auto c = topo.add_domain("c");
+  const auto a0 = topo.add_router(a);
+  const auto a1 = topo.add_router(a);
+  const auto rb = topo.add_router(b);
+  const auto rc = topo.add_router(c);
+  const auto cut = topo.add_link(a0, a1);
+  topo.add_interdomain_link(a0, rb, Relationship::kCustomer);
+  topo.add_interdomain_link(a1, rc, Relationship::kPeer);
+  Fixture f(std::move(topo));
+  f.start_and_converge();
+  const Prefix b_prefix = f.network.topology().domain(b).prefix;
+  ASSERT_NE(f.bgp->best_route(a1, b_prefix), nullptr);
+  ASSERT_NE(f.bgp->best_route(rc, b_prefix), nullptr);
+  EXPECT_FALSE(f.bgp->sync_sessions());  // converged: nothing to change
+
+  f.network.topology().set_link_up(cut, false);
+  f.igps[a.value()]->on_link_change(cut);
+  f.converge();
+  // Sessions are re-checked only at the quiescent sync.
+  EXPECT_NE(f.bgp->best_route(a1, b_prefix), nullptr);
+  EXPECT_TRUE(f.bgp->sync_sessions());
+  f.converge();
+  EXPECT_EQ(f.bgp->best_route(a1, b_prefix), nullptr);
+  EXPECT_EQ(f.bgp->best_route(rc, b_prefix), nullptr);
+  EXPECT_FALSE(f.bgp->sync_sessions());
+
+  f.network.topology().set_link_up(cut, true);
+  f.igps[a.value()]->on_link_change(cut);
+  f.converge();
+  EXPECT_TRUE(f.bgp->sync_sessions());
+  f.converge();
+  EXPECT_NE(f.bgp->best_route(a1, b_prefix), nullptr);
+  EXPECT_NE(f.bgp->best_route(rc, b_prefix), nullptr);
+}
+
 TEST(BgpDetails, ParallelLinksBothCarrySessions) {
   // Two physical links between the same pair of routers: two eBGP
   // sessions; killing one keeps reachability through the other.
