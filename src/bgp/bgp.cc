@@ -238,7 +238,8 @@ bool BgpSystem::sync_sessions() {
       if (reachable) {
         readvertise(end);
       } else {
-        drop_sessions(end, [peer](const Session& s) { return s.ibgp && s.remote == peer; });
+        drop_sessions(end,
+                      [peer](const Session& s) { return s.ibgp && s.remote == peer; });
       }
     }
   }

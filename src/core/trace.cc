@@ -122,7 +122,8 @@ void complete_from_ingress(const EvolvableInternet& internet,
   const auto& topo = network.topology();
 
   // The ingress decapsulates and routes over the vN-Bone.
-  result.vn_route = internet.generation(generation).route(result.ingress, inner.dst, mode);
+  result.vn_route =
+      internet.generation(generation).route(result.ingress, inner.dst, mode);
   if (!result.vn_route.ok) {
     result.failure = EndToEndTrace::Failure::kVnRoutingFailed;
     return;

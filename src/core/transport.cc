@@ -29,8 +29,9 @@ void IpvnTransport::finish(const Flight& flight) {
 void IpvnTransport::send(HostId src, HostId dst, std::uint64_t payload_id,
                          FailureFn on_failure) {
   ++sent_;
-  auto flight = std::make_shared<Flight>(Flight{
-      src, dst, payload_id, {}, internet_.simulator().now(), std::move(on_failure), {}});
+  auto flight = std::make_shared<Flight>(Flight{src, dst, payload_id, {},
+                                                internet_.simulator().now(),
+                                                std::move(on_failure), {}});
   if (!internet_.vnbone().anycast_group().valid()) {
     fail(EndToEndTrace::Failure::kNoDeployment, *flight);
     return;
