@@ -1,9 +1,10 @@
 // Experiment E9: substrate microbenchmarks (google-benchmark).
 //
 // FIB longest-prefix match, Dijkstra/SPF, trace throughput, event-queue
-// schedule/fire, vN-Bone route lookups, and control plane convergence (LS
-// flooding, DV settling, BGP propagation) — the costs that bound how large
-// the scenario experiments can scale.
+// schedule/fire, vN-Bone route lookups, control plane convergence (LS
+// flooding, DV settling, BGP propagation) and the BGP-to-FIB install after
+// one flap — the costs that bound how large the scenario experiments can
+// scale.
 //
 // `--json <path>` additionally writes a flat {metric → value} artifact
 // (ns_per_op and items_per_sec per benchmark); BENCH_micro_substrate.json
@@ -399,6 +400,35 @@ void BM_BgpConvergence(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BgpConvergence)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
+
+void BM_InstallRoutesAfterFlap(benchmark::State& state) {
+  // The delta install after one eBGP flap: each iteration toggles the first
+  // inter-domain link and lets BGP converge untimed, then times
+  // install_routes() alone.
+  auto topo = net::generate_transit_stub(
+      {.transit_domains = 4, .stubs_per_transit = 3, .seed = 13});
+  core::EvolvableInternet net(std::move(topo));
+  net.start();
+  net::LinkId flapped = net::LinkId::invalid();
+  for (const auto& link : net.topology().links()) {
+    if (link.interdomain) {
+      flapped = link.id;
+      break;
+    }
+  }
+  auto& topology = net.network().topology();
+  for (auto _ : state) {
+    state.PauseTiming();
+    topology.set_link_up(flapped, !topology.link(flapped).up);
+    net.bgp().on_link_change(flapped);
+    net.simulator().run();
+    state.ResumeTiming();
+    net.bgp().install_routes();
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(std::to_string(net.topology().domain_count()) + " domains");
+}
+BENCHMARK(BM_InstallRoutesAfterFlap)->Unit(benchmark::kMicrosecond);
 
 void BM_VnBoneRebuild(benchmark::State& state) {
   auto topo = net::generate_transit_stub(

@@ -44,6 +44,9 @@ BgpSystem::BgpSystem(sim::Simulator& simulator, net::Network& network,
   // Every border router is a speaker.
   speakers_.resize(topo.router_count());
   speakers_of_.resize(topo.domain_count());
+  install_dirty_.resize(topo.domain_count());
+  install_inputs_.resize(topo.router_count());
+  install_link_usable_.resize(topo.link_count());
   for (const auto& router : topo.routers()) {
     speakers_[router.id.value()].domain = router.domain;
     if (router.border) speakers_of_[router.domain.value()].push_back(router.id);
@@ -169,6 +172,7 @@ void BgpSystem::decide(NodeId node, Prefix prefix) {
     st.loc_rib[prefix] = *best;
   }
   ++loc_rib_epoch_;
+  install_dirty_[st.domain.value()].insert(prefix);
   st.dirty.insert(prefix);
   schedule_send(node);
 }
@@ -401,6 +405,9 @@ void BgpSystem::on_node_change(NodeId node, bool up) {
     if (is_speaker(node)) {
       auto& st = speaker(node);
       if (!st.loc_rib.empty()) ++loc_rib_epoch_;
+      for (const auto& [prefix, route] : st.loc_rib) {
+        install_dirty_[st.domain.value()].insert(prefix);
+      }
       st.adj_rib_in.clear();
       st.loc_rib.clear();
       st.adj_rib_out.clear();
@@ -474,91 +481,106 @@ net::LinkId BgpSystem::connecting_link(NodeId a, NodeId b) const {
   return best;
 }
 
+std::optional<FibEntry> BgpSystem::install_entry(NodeId r, Prefix prefix) const {
+  const auto& topo = network_.topology();
+  const auto& domain = topo.domain(topo.router(r).domain);
+  // Never install a BGP route for our own aggregate: intra-domain routing
+  // handles it.
+  if (prefix == domain.prefix) return std::nullopt;
+  // Likewise skip a host route the router terminates itself (an anycast
+  // member delivers its group address locally).
+  if (prefix.length() == 32 && network_.delivers_locally(r, prefix.address())) {
+    return std::nullopt;
+  }
+  // Intra-domain routes win over BGP for an identical prefix (the
+  // "IGP-preferred" admin-distance rule; see DESIGN.md): a member domain's
+  // own anycast members must keep capturing local traffic even when a
+  // remote member peer-advertises the same /32 to us.
+  if (const auto* existing = network_.fib(r).find(prefix);
+      existing != nullptr && existing->origin != RouteOrigin::kBgp) {
+    return std::nullopt;
+  }
+
+  // Hot potato: the IGP-closest border router with a best route.
+  const igp::Igp* igp = igp_of_(domain.id);
+  NodeId chosen = NodeId::invalid();
+  Cost chosen_cost = net::kInfiniteCost;
+  for (const NodeId b : speakers_of(domain.id)) {
+    const auto& rib = speaker(b).loc_rib;
+    const auto it = rib.find(prefix);
+    if (it == rib.end()) continue;
+    // Don't egress through an iBGP-learned copy when its eBGP owner is
+    // also a candidate: route through the true egress.
+    const NodeId egress = it->second.via_ibgp ? it->second.egress_router : b;
+    const Cost d = (r == egress) ? 0
+                                 : (igp ? igp->distance(r, egress) : net::kInfiniteCost);
+    if (d < chosen_cost || (d == chosen_cost && egress < chosen)) {
+      chosen = egress;
+      chosen_cost = d;
+    }
+  }
+  if (!chosen.valid()) return std::nullopt;
+
+  if (r == chosen) {
+    // We are the egress: forward over the eBGP link. Self-originated routes
+    // need no FIB entry (IGP covers the domain); via_ibgp at the egress
+    // itself cannot happen (egress resolution above).
+    const auto& rib = speaker(chosen).loc_rib;
+    const auto it = rib.find(prefix);
+    if (it == rib.end()) return std::nullopt;
+    const Route& route = it->second;
+    if (route.learned == LearnedFrom::kSelf || route.via_ibgp) return std::nullopt;
+    if (!route.via_link.valid() || !topo.link_usable(route.via_link)) return std::nullopt;
+    return FibEntry{prefix, route.ebgp_next_hop, route.via_link, RouteOrigin::kBgp,
+                    static_cast<Cost>(route.as_path.size())};
+  }
+  const NodeId hop = igp ? igp->next_hop(r, chosen) : NodeId::invalid();
+  if (!hop.valid()) return std::nullopt;
+  return FibEntry{prefix, hop, connecting_link(r, hop), RouteOrigin::kBgp, chosen_cost};
+}
+
 void BgpSystem::install_routes() {
   const auto& topo = network_.topology();
-  for (const auto& domain : topo.domains()) {
-    const auto& borders = speakers_of(domain.id);
-    if (borders.empty()) continue;
-    const igp::Igp* igp = igp_of_(domain.id);
-
-    // Union of prefixes any border router can reach.
-    std::set<Prefix> prefixes;
-    for (const NodeId b : borders) {
-      for (const auto& [prefix, route] : speaker(b).loc_rib) prefixes.insert(prefix);
+  const auto inputs_moved = [&](NodeId r) {
+    const InstallInputs& seen = install_inputs_[r.value()];
+    const auto& router = topo.router(r);
+    if (network_.fib(r).epoch() != seen.fib_epoch || router.up != seen.up ||
+        network_.local_address_epoch(r) != seen.local_address_epoch) {
+      return true;
     }
+    return std::any_of(router.links.begin(), router.links.end(), [&](LinkId link) {
+      return topo.link_usable(link) != install_link_usable_[link.value()];
+    });
+  };
 
-    for (const NodeId r : domain.routers) {
-      auto& fib = network_.fib(r);
-      // Collected first, installed via replace_origins below: a sync that
-      // rederives the same BGP table leaves the route epoch (and thus the
-      // router's compiled forwarding state) untouched.
-      std::vector<FibEntry> routes;
-      for (const Prefix prefix : prefixes) {
-        // Never install a BGP route for our own aggregate: intra-domain
-        // routing handles it.
-        if (prefix == domain.prefix) continue;
-        // Likewise skip a host route the router terminates itself (an
-        // anycast member delivers its group address locally).
-        if (prefix.length() == 32 && network_.delivers_locally(r, prefix.address())) {
-          continue;
-        }
-        // Intra-domain routes win over BGP for an identical prefix (the
-        // "IGP-preferred" admin-distance rule; see DESIGN.md): a member
-        // domain's own anycast members must keep capturing local traffic
-        // even when a remote member peer-advertises the same /32 to us.
-        if (const auto* existing = fib.find(prefix);
-            existing != nullptr && existing->origin != RouteOrigin::kBgp) {
-          continue;
-        }
-
-        // Hot potato: the IGP-closest border router with a best route.
-        NodeId chosen = NodeId::invalid();
-        Cost chosen_cost = net::kInfiniteCost;
-        const Route* chosen_route = nullptr;
-        for (const NodeId b : borders) {
-          const auto& rib = speaker(b).loc_rib;
-          const auto it = rib.find(prefix);
-          if (it == rib.end()) continue;
-          // Don't egress through an iBGP-learned copy when its eBGP owner
-          // is also a candidate: route through the true egress.
-          const NodeId egress = it->second.via_ibgp ? it->second.egress_router : b;
-          const Cost d = (r == egress) ? 0
-                                       : (igp ? igp->distance(r, egress)
-                                              : net::kInfiniteCost);
-          if (d < chosen_cost || (d == chosen_cost && egress < chosen)) {
-            chosen = egress;
-            chosen_cost = d;
-            chosen_route = &it->second;
-          }
-        }
-        if (!chosen.valid() || chosen_route == nullptr) continue;
-
-        if (r == chosen) {
-          // We are the egress: forward over the eBGP link. Self-originated
-          // routes need no FIB entry (IGP covers the domain).
-          const auto& rib = speaker(chosen).loc_rib;
-          const auto it = rib.find(prefix);
-          if (it == rib.end()) continue;
-          const Route& route = it->second;
-          if (route.learned == LearnedFrom::kSelf || route.via_ibgp) {
-            // via_ibgp at the egress itself shouldn't happen (egress
-            // resolution above); kSelf means the prefix is ours — skip.
-            continue;
-          }
-          if (!route.via_link.valid() || !topo.link_usable(route.via_link)) continue;
-          routes.push_back(FibEntry{prefix, route.ebgp_next_hop, route.via_link,
-                                    RouteOrigin::kBgp,
-                                    static_cast<Cost>(route.as_path.size())});
-        } else {
-          const NodeId hop = igp ? igp->next_hop(r, chosen) : NodeId::invalid();
-          if (!hop.valid()) continue;
-          const LinkId out = connecting_link(r, hop);
-          routes.push_back(
-              FibEntry{prefix, hop, out, RouteOrigin::kBgp, chosen_cost});
+  for (const auto& domain : topo.domains()) {
+    auto& dirty = install_dirty_[domain.id.value()];
+    if (std::any_of(domain.routers.begin(), domain.routers.end(), inputs_moved)) {
+      for (const NodeId b : speakers_of(domain.id)) {
+        for (const auto& [prefix, route] : speaker(b).loc_rib) dirty.insert(prefix);
+      }
+    }
+    for (const Prefix prefix : dirty) {
+      for (const NodeId r : domain.routers) {
+        auto& fib = network_.fib(r);
+        if (const auto entry = install_entry(r, prefix)) {
+          fib.insert(*entry);  // a no-op when the entry is unchanged
+        } else if (const auto* old = fib.find(prefix);
+                   old != nullptr && old->origin == RouteOrigin::kBgp) {
+          fib.remove(prefix);
         }
       }
-      fib.replace_origins({RouteOrigin::kBgp}, routes);
     }
+    dirty.clear();
+  }
+
+  for (const auto& router : topo.routers()) {
+    install_inputs_[router.id.value()] = {network_.fib(router.id).epoch(),
+                                          network_.local_address_epoch(router.id),
+                                          router.up};
+  }
+  for (const auto& link : topo.links()) {
+    install_link_usable_[link.id.value()] = topo.link_usable(link.id);
   }
 }
 

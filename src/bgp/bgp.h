@@ -14,6 +14,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -63,7 +64,26 @@ class BgpSystem {
 
   /// Push converged routes into every router's FIB (hot potato through the
   /// domain's IGP). Call after the simulator reaches quiescence.
+  ///
+  /// The install is a delta. It rewrites only the (domain, prefix) pairs
+  /// whose inputs moved since the previous call, each router of the domain
+  /// getting install_entry() through Fib::insert, or losing its kBgp entry
+  /// for the prefix. A pair is dirty when the best route for the prefix
+  /// changed at any border of the domain (decide() or a crash). A domain
+  /// is fully dirty, every prefix of its borders' Loc-RIBs recomputed,
+  /// when for one of its routers a foreign input of the rule moved since
+  /// BGP's last write: the Fib epoch (IGP and anycast writes, distance and
+  /// next-hop changes), the up state, the usability of an incident link,
+  /// or the local addresses. The first call treats every domain as dirty.
   void install_routes();
+
+  /// The one install rule: the entry BGP wants in `router`'s FIB for
+  /// `prefix`, given its domain's border Loc-RIBs and the live IGP, FIB,
+  /// link and local-address state; nullopt when BGP leaves the prefix to
+  /// another origin or has no usable route. install_routes() writes it for
+  /// every dirty pair; the install-equivalence oracle applies it to all.
+  std::optional<net::FibEntry> install_entry(net::NodeId router,
+                                             net::Prefix prefix) const;
 
   /// Best route for `prefix` at `speaker`'s Loc-RIB, if any.
   const Route* best_route(net::NodeId speaker, net::Prefix prefix) const;
@@ -219,6 +239,20 @@ class BgpSystem {
   std::uint64_t messages_sent_ = 0;
   std::uint64_t loc_rib_epoch_ = 0;
   bool started_ = false;
+
+  /// install_routes() bookkeeping. Per domain: the prefixes whose best
+  /// route changed at one of its borders since the last install.
+  std::vector<std::set<net::Prefix>> install_dirty_;
+  /// Per router: the foreign inputs of the install rule as of BGP's last
+  /// write (fib_epoch 0 never matches a Fib, so the first call is full).
+  struct InstallInputs {
+    std::uint64_t fib_epoch = 0;
+    std::uint64_t local_address_epoch = 0;
+    bool up = false;
+  };
+  std::vector<InstallInputs> install_inputs_;
+  /// Per link: link_usable() as of BGP's last write.
+  std::vector<bool> install_link_usable_;
 };
 
 }  // namespace evo::bgp

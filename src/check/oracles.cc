@@ -273,6 +273,15 @@ void check_fib_equivalence(const EvolvableInternet& internet,
   }
 }
 
+/// ---- BGP install: delta vs. full pass ------------------------------------
+
+std::string entry_str(const net::FibEntry* entry) {
+  if (entry == nullptr) return "none";
+  return "via " + node_str(entry->next_hop) + " link " +
+         std::to_string(entry->out_link.value()) + " metric " +
+         std::to_string(entry->metric);
+}
+
 /// ---- Gao-Rexford policy compliance --------------------------------------
 
 void check_gao_rexford(const EvolvableInternet& internet,
@@ -659,6 +668,7 @@ const char* to_string(OracleKind oracle) {
     case OracleKind::kAnycastStateBound: return "anycast-state-bound";
     case OracleKind::kConvergenceBudget: return "convergence-budget";
     case OracleKind::kVnRouteEquivalence: return "vn-route-equivalence";
+    case OracleKind::kInstallEquivalence: return "install-equivalence";
   }
   return "?";
 }
@@ -666,6 +676,40 @@ const char* to_string(OracleKind oracle) {
 std::string Violation::describe() const {
   return std::string(to_string(oracle)) + " @episode " + std::to_string(episode) +
          ": " + detail;
+}
+
+std::vector<Violation> check_install_equivalence(const net::Network& network,
+                                                 const bgp::BgpSystem& bgp) {
+  std::vector<Violation> out;
+  for (const auto& domain : network.topology().domains()) {
+    std::set<net::Prefix> prefixes;
+    for (const NodeId b : bgp.speakers_of(domain.id)) {
+      bgp.for_each_best_route(b, [&](const bgp::Route& r) { prefixes.insert(r.prefix); });
+    }
+    for (const NodeId r : domain.routers) {
+      const auto& fib = network.fib(r);
+      std::size_t expected = 0;
+      for (const net::Prefix prefix : prefixes) {
+        const auto want = bgp.install_entry(r, prefix);
+        const auto* have = fib.find(prefix);
+        if (have != nullptr && have->origin != net::RouteOrigin::kBgp) have = nullptr;
+        expected += want.has_value();
+        if (want ? have != nullptr && *have == *want : have == nullptr) continue;
+        out.push_back({OracleKind::kInstallEquivalence, 0,
+                       "router " + node_str(r) + " prefix " + prefix.to_string() +
+                           ": installed " + entry_str(have) + ", full pass gives " +
+                           entry_str(want ? &*want : nullptr)});
+        return out;  // one differential failure is enough signal
+      }
+      if (fib.size_with_origin(net::RouteOrigin::kBgp) != expected) {
+        out.push_back({OracleKind::kInstallEquivalence, 0,
+                       "router " + node_str(r) +
+                           ": a BGP entry for a prefix no border of its domain holds"});
+        return out;
+      }
+    }
+  }
+  return out;
 }
 
 std::vector<Violation> check_invariants(const EvolvableInternet& internet,
@@ -680,6 +724,8 @@ std::vector<Violation> check_invariants(const EvolvableInternet& internet,
   check_vnbone(internet, healthy, out);
   check_vn_routes(internet, out);
   check_state_bound(internet, out);
+  const auto installs = check_install_equivalence(internet.network(), internet.bgp());
+  out.insert(out.end(), installs.begin(), installs.end());
   return out;
 }
 

@@ -30,7 +30,11 @@
 //                       (emitted by the scenario runner, not here);
 //   kVnRouteEquivalence VnBone::route, a lookup into state compiled per
 //                       epoch, equals reference_vn_route recomputed from
-//                       scratch, under every egress mode.
+//                       scratch, under every egress mode;
+//   kInstallEquivalence every router's BGP FIB entries, written by the
+//                       delta install, equal the install rule applied to
+//                       all of its domain's border Loc-RIB prefixes (the
+//                       full pass).
 #pragma once
 
 #include <cstdint>
@@ -38,8 +42,10 @@
 #include <string>
 #include <vector>
 
+#include "bgp/bgp.h"
 #include "core/evolvable_internet.h"
 #include "net/graph.h"
+#include "net/network.h"
 #include "vnbone/vnbone.h"
 
 namespace evo::check {
@@ -56,6 +62,7 @@ enum class OracleKind : std::uint8_t {
   kAnycastStateBound,
   kConvergenceBudget,
   kVnRouteEquivalence,
+  kInstallEquivalence,
 };
 
 const char* to_string(OracleKind oracle);
@@ -100,6 +107,12 @@ vnbone::VnBone::VnRoute reference_vn_route(const VnBoneSnapshot& snapshot,
                                            const net::ShortestPaths& tree,
                                            net::NodeId ingress, net::IpvNAddr dst,
                                            vnbone::EgressMode mode);
+
+/// The install-equivalence oracle on its own: every router's kBgp FIB
+/// entries against bgp.install_entry() applied to every prefix in its
+/// domain's border Loc-RIBs (what a full install pass would write).
+std::vector<Violation> check_install_equivalence(const net::Network& network,
+                                                 const bgp::BgpSystem& bgp);
 
 /// Run every oracle against the (quiescent, synced) internet. Violations
 /// carry episode 0; the caller stamps the real episode index.

@@ -19,17 +19,22 @@ const char* to_string(Network::TraceResult::Outcome outcome) {
 Network::Network(Topology topology) : topology_(std::move(topology)) {
   fibs_.resize(topology_.router_count());
   local_addresses_.resize(topology_.router_count());
+  local_address_epochs_.resize(topology_.router_count(), 0);
   compiled_fibs_.resize(topology_.router_count());
   visit_mark_.resize(topology_.router_count(), 0);
   install_connected_routes();
 }
 
 void Network::add_local_address(NodeId node, Ipv4Addr addr) {
-  local_addresses_[node.value()].insert(addr);
+  if (local_addresses_[node.value()].insert(addr).second) {
+    ++local_address_epochs_[node.value()];
+  }
 }
 
 void Network::remove_local_address(NodeId node, Ipv4Addr addr) {
-  local_addresses_[node.value()].erase(addr);
+  if (local_addresses_[node.value()].erase(addr) > 0) {
+    ++local_address_epochs_[node.value()];
+  }
 }
 
 bool Network::has_local_address(NodeId node, Ipv4Addr addr) const {
@@ -48,6 +53,7 @@ void Network::install_connected_routes() {
   if (fibs_.size() < topology_.router_count()) {
     fibs_.resize(topology_.router_count());
     local_addresses_.resize(topology_.router_count());
+    local_address_epochs_.resize(topology_.router_count(), 0);
     compiled_fibs_.resize(topology_.router_count());
     visit_mark_.resize(topology_.router_count(), 0);
   }

@@ -43,6 +43,11 @@ class Network {
   void add_local_address(NodeId node, Ipv4Addr addr);
   void remove_local_address(NodeId node, Ipv4Addr addr);
   bool has_local_address(NodeId node, Ipv4Addr addr) const;
+  /// Moves whenever `node`'s set of local addresses changes, so state
+  /// derived from delivers_locally() can tell when to recompute.
+  std::uint64_t local_address_epoch(NodeId node) const {
+    return local_address_epochs_[node.value()];
+  }
 
   /// True if `node` delivers `dst` locally: loopback, registered local
   /// address, or an attached-subnet address.
@@ -127,6 +132,7 @@ class Network {
   Topology topology_;
   std::vector<Fib> fibs_;
   std::vector<std::unordered_set<Ipv4Addr>> local_addresses_;
+  std::vector<std::uint64_t> local_address_epochs_;
 
   // Lazily (re)compiled per-router forwarding tables plus the visited-node
   // scratch for loop detection. Mutable: tracing is logically const but

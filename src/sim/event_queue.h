@@ -110,6 +110,10 @@ class EventQueue {
     std::uint64_t overflow_scheduled = 0;   // events that landed past the horizon
     std::uint64_t overflow_redistributed = 0;  // overflow events pulled into the ring
     std::uint64_t rebases = 0;              // horizon rebase operations
+    /// Entries the ring buckets can hold without reallocating, summed over
+    /// all buckets: memory the queue keeps between bursts. A snapshot taken
+    /// by stats(), not cumulative.
+    std::size_t ring_capacity = 0;
   };
 
   EventQueue() : table_(std::make_shared<detail::SlotTable>()), ring_(kBuckets) {}
@@ -131,7 +135,11 @@ class EventQueue {
   /// cancel and fire, so cancelled entries never inflate it.
   std::size_t size() const { return table_->live; }
 
-  const Stats& stats() const { return stats_; }
+  const Stats& stats() const {
+    stats_.ring_capacity = 0;
+    for (const auto& bucket : ring_) stats_.ring_capacity += bucket.capacity();
+    return stats_;
+  }
 
   /// Telemetry sink for rare structural events (horizon rebases). Null by
   /// default; never consulted on the schedule/pop fast path.
@@ -187,6 +195,10 @@ class EventQueue {
   static constexpr std::int64_t kBuckets = 256;
   static constexpr std::int64_t kNoOverflow =
       std::numeric_limits<std::int64_t>::max();
+  // A drained active vector parks in the ring slot it was swapped with; one
+  // larger than this is freed there, so the slots do not each grow to the
+  // largest burst they ever held. Smaller ones are kept for reuse.
+  static constexpr std::size_t kParkedCapacity = 256;
 
   struct Entry {
     TimePoint when;
@@ -250,6 +262,7 @@ class EventQueue {
         if (bucket.empty()) continue;
         base_abs_ = ab;
         active_.swap(bucket);
+        if (bucket.capacity() > kParkedCapacity) std::vector<Entry>().swap(bucket);
         std::sort(active_.begin(), active_.end(), entry_less);
         loaded = true;
         break;

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "bgp/bgp.h"
+#include "check/oracles.h"
 #include "igp/link_state.h"
 
 namespace evo::bgp {
@@ -39,6 +40,20 @@ struct Fixture {
   void converge() {
     simulator.run();
     bgp->install_routes();
+  }
+
+  /// Every router's BGP entries equal what a full install pass writes.
+  void expect_full_pass() const {
+    for (const auto& v : check::check_install_equivalence(network, *bgp)) {
+      ADD_FAILURE() << v.describe();
+    }
+  }
+
+  /// `node`'s BGP entry for `prefix`, or null.
+  const net::FibEntry* bgp_entry(NodeId node, Prefix prefix) const {
+    const auto* entry = network.fib(node).find(prefix);
+    return entry != nullptr && entry->origin == net::RouteOrigin::kBgp ? entry
+                                                                       : nullptr;
   }
 
   sim::Simulator simulator;
@@ -189,12 +204,30 @@ TEST(BgpDetails, InstallRespectsIgpOverBgpForSamePrefix) {
   f.bgp->originate(b, Prefix::host(addr), policy);
   f.converge();
   // a1 (border) must keep its IGP anycast route toward a0.
-  const auto* entry = f.network.fib(a1).find(Prefix::host(addr));
+  const net::FibEntry* entry = f.network.fib(a1).find(Prefix::host(addr));
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->origin, net::RouteOrigin::kAnycast);
   const auto trace = f.network.trace(a1, addr);
   ASSERT_TRUE(trace.delivered());
   EXPECT_EQ(trace.delivered_at, a0);
+  f.expect_full_pass();
+
+  // The IGP stops advertising the /32 while a0 still delivers it: only
+  // a1's FIB moves, and BGP's /32 takes the IGP's place there.
+  f.igps[0]->remove_anycast_member(a0, addr);
+  f.converge();
+  f.expect_full_pass();
+  entry = f.network.fib(a1).find(Prefix::host(addr));
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->origin, net::RouteOrigin::kBgp);
+
+  // The IGP /32 appears over the BGP one again.
+  f.igps[0]->add_anycast_member(a0, addr);
+  f.converge();
+  f.expect_full_pass();
+  entry = f.network.fib(a1).find(Prefix::host(addr));
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->origin, net::RouteOrigin::kAnycast);
 }
 
 TEST(BgpDetails, UpdateBatchingBoundsMessages) {
@@ -261,6 +294,221 @@ TEST(BgpDetails, LocRibEpochMovesOnlyOnEffectiveChange) {
   f.bgp->on_node_change(rb, false);
   EXPECT_GT(f.bgp->loc_rib_epoch(), epoch);
   EXPECT_EQ(f.bgp->loc_rib_size(rb), 0u);
+}
+
+// ---- delta install: each input that dirties a (domain, prefix) pair ------
+
+/// Transit a: a0 - a1, with a1 peering with b's single router.
+struct PeerPair {
+  PeerPair() {
+    Topology topo;
+    const auto a = topo.add_domain("a");
+    b = topo.add_domain("b");
+    a0 = topo.add_router(a);
+    a1 = topo.add_router(a);
+    topo.add_link(a0, a1, 1);
+    rb = topo.add_router(b);
+    ebgp = topo.add_interdomain_link(a1, rb, Relationship::kPeer);
+    f = std::make_unique<Fixture>(std::move(topo));
+    f->start_and_converge();
+    b_prefix = f->network.topology().domain(b).prefix;
+  }
+
+  DomainId b;
+  NodeId a0, a1, rb;
+  LinkId ebgp;
+  Prefix b_prefix;
+  std::unique_ptr<Fixture> f;
+};
+
+TEST(DeltaInstall, EbgpFlap) {
+  PeerPair p;
+  auto& f = *p.f;
+  f.expect_full_pass();
+  ASSERT_NE(f.bgp_entry(p.a0, p.b_prefix), nullptr);
+
+  f.network.topology().set_link_up(p.ebgp, false);
+  f.bgp->on_link_change(p.ebgp);
+  f.converge();
+  f.expect_full_pass();
+  EXPECT_EQ(f.bgp_entry(p.a0, p.b_prefix), nullptr);
+  EXPECT_EQ(f.bgp_entry(p.a1, p.b_prefix), nullptr);
+
+  f.network.topology().set_link_up(p.ebgp, true);
+  f.bgp->on_link_change(p.ebgp);
+  f.converge();
+  f.expect_full_pass();
+  EXPECT_NE(f.bgp_entry(p.a0, p.b_prefix), nullptr);
+  EXPECT_NE(f.bgp_entry(p.a1, p.b_prefix), nullptr);
+}
+
+TEST(DeltaInstall, SilentLinkDownThenInstall) {
+  // The eBGP link dies with no protocol told: the Loc-RIBs keep the route,
+  // but the egress may no longer forward over it.
+  PeerPair p;
+  auto& f = *p.f;
+  const auto* entry = f.bgp_entry(p.a1, p.b_prefix);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->out_link, p.ebgp);
+
+  f.network.topology().set_link_up(p.ebgp, false);
+  f.bgp->install_routes();
+  f.expect_full_pass();
+  EXPECT_EQ(f.bgp_entry(p.a1, p.b_prefix), nullptr);
+  EXPECT_NE(f.bgp->best_route(p.a1, p.b_prefix), nullptr);
+}
+
+TEST(DeltaInstall, SilentCrashOfIsolatedRouter) {
+  // a0 delivers a /32 that b announces. Its only link dies silently, then
+  // a0 itself crashes silently: no link's usability moves at the crash,
+  // only the up state, which decides whether a0 still delivers the /32.
+  PeerPair p;
+  auto& f = *p.f;
+  const Ipv4Addr addr{0, 2, 255, 1};
+  const Prefix group = Prefix::host(addr);
+  f.network.add_local_address(p.a0, addr);
+  f.network.add_local_address(p.rb, addr);
+  f.bgp->originate(p.b, group, {});
+  f.converge();
+  ASSERT_EQ(f.bgp_entry(p.a0, group), nullptr);
+
+  const LinkId only = f.network.topology().router(p.a0).links.front();
+  f.network.topology().set_link_up(only, false);
+  f.bgp->install_routes();
+  f.expect_full_pass();
+  EXPECT_EQ(f.bgp_entry(p.a0, group), nullptr);
+
+  // Crashed, a0 no longer terminates the /32; its IGP, never told, still
+  // names a next hop, so the full pass installs a BGP entry for it.
+  f.network.topology().set_node_up(p.a0, false);
+  f.bgp->install_routes();
+  f.expect_full_pass();
+  EXPECT_NE(f.bgp_entry(p.a0, group), nullptr);
+}
+
+/// Transit m reaches stub d through borders m0 and m2; internal m1 sits
+/// closer to m0 (cost 1) than to m2 (cost 2), and m0 - m2 costs 5.
+struct TwoEgresses {
+  TwoEgresses() {
+    Topology topo;
+    m = topo.add_domain("m");
+    d = topo.add_domain("d", /*stub=*/true);
+    m0 = topo.add_router(m);
+    m1 = topo.add_router(m);
+    m2 = topo.add_router(m);
+    near = topo.add_link(m0, m1, 1);
+    topo.add_link(m1, m2, 2);
+    topo.add_link(m0, m2, 5);
+    const auto d0 = topo.add_router(d);
+    const auto d1 = topo.add_router(d);
+    topo.add_link(d0, d1, 1);
+    topo.add_interdomain_link(m0, d0, Relationship::kCustomer);
+    topo.add_interdomain_link(m2, d1, Relationship::kCustomer);
+    f = std::make_unique<Fixture>(std::move(topo));
+    f->start_and_converge();
+    d_prefix = f->network.topology().domain(d).prefix;
+  }
+
+  /// m1's next hop toward d, or invalid() without a BGP entry.
+  NodeId m1_hop() const {
+    const auto* entry = f->bgp_entry(m1, d_prefix);
+    return entry != nullptr ? entry->next_hop : NodeId::invalid();
+  }
+
+  /// Crash or recover `node` the way the control plane sees it.
+  void set_node_up(NodeId node, bool up) {
+    f->network.topology().set_node_up(node, up);
+    f->bgp->on_node_change(node, up);
+    for (const LinkId link : f->network.topology().router(node).links) {
+      if (f->network.topology().link(link).interdomain) {
+        f->bgp->on_link_change(link);
+      } else {
+        f->igps[m.value()]->on_link_change(link);
+      }
+    }
+    f->converge();
+  }
+
+  DomainId m, d;
+  NodeId m0, m1, m2;
+  LinkId near;
+  Prefix d_prefix;
+  std::unique_ptr<Fixture> f;
+};
+
+TEST(DeltaInstall, IntraDomainFlapMovesHotPotatoEgress) {
+  // Only the IGP moves: no best route changes, yet m1's egress does.
+  TwoEgresses t;
+  auto& f = *t.f;
+  f.expect_full_pass();
+  EXPECT_EQ(t.m1_hop(), t.m0);
+  const auto epoch = f.bgp->loc_rib_epoch();
+
+  f.network.topology().set_link_up(t.near, false);
+  f.igps[t.m.value()]->on_link_change(t.near);
+  f.converge();
+  EXPECT_EQ(f.bgp->loc_rib_epoch(), epoch);
+  f.expect_full_pass();
+  EXPECT_EQ(t.m1_hop(), t.m2);
+
+  f.network.topology().set_link_up(t.near, true);
+  f.igps[t.m.value()]->on_link_change(t.near);
+  f.converge();
+  EXPECT_EQ(f.bgp->loc_rib_epoch(), epoch);
+  f.expect_full_pass();
+  EXPECT_EQ(t.m1_hop(), t.m0);
+}
+
+TEST(DeltaInstall, BorderCrashAndRecovery) {
+  // The crash clears m0's Loc-RIB at once; recovery refills it.
+  TwoEgresses t;
+  auto& f = *t.f;
+  ASSERT_EQ(t.m1_hop(), t.m0);
+
+  t.set_node_up(t.m0, false);
+  f.expect_full_pass();
+  EXPECT_EQ(f.bgp->loc_rib_size(t.m0), 0u);
+  EXPECT_EQ(t.m1_hop(), t.m2);
+
+  t.set_node_up(t.m0, true);
+  f.expect_full_pass();
+  EXPECT_NE(f.bgp->best_route(t.m0, t.d_prefix), nullptr);
+  EXPECT_EQ(t.m1_hop(), t.m0);
+}
+
+TEST(DeltaInstall, AnycastMemberInSingleRouterDomain) {
+  // s0, the only router of s, joins a group b announces into BGP: it now
+  // delivers the /32 itself, and neither its Loc-RIB nor its FIB moves.
+  Topology topo;
+  const auto s = topo.add_domain("s", /*stub=*/true);
+  const auto b = topo.add_domain("b");
+  const auto s0 = topo.add_router(s);
+  const auto rb = topo.add_router(b);
+  topo.add_interdomain_link(s0, rb, Relationship::kProvider);
+  Fixture f(std::move(topo));
+  f.start_and_converge();
+  const Ipv4Addr addr{0, 2, 255, 1};
+  const Prefix group = Prefix::host(addr);
+  f.network.add_local_address(rb, addr);
+  OriginationPolicy policy;
+  policy.anycast = true;
+  f.bgp->originate(b, group, policy);
+  f.converge();
+  ASSERT_NE(f.bgp_entry(s0, group), nullptr);
+
+  f.network.add_local_address(s0, addr);
+  f.igps[s.value()]->add_anycast_member(s0, addr);
+  f.converge();
+  f.expect_full_pass();
+  EXPECT_EQ(f.bgp_entry(s0, group), nullptr);
+  EXPECT_EQ(f.network.trace(s0, addr).delivered_at, s0);
+
+  f.network.remove_local_address(s0, addr);
+  f.igps[s.value()]->remove_anycast_member(s0, addr);
+  f.converge();
+  f.expect_full_pass();
+  EXPECT_NE(f.bgp_entry(s0, group), nullptr);
+  EXPECT_EQ(f.network.trace(s0, addr).delivered_at, rb);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "check/fuzzer.h"
 #include "core/evolvable_internet.h"
 #include "net/topology_gen.h"
@@ -84,6 +86,32 @@ TEST(Oracles, SilentLinkDownIsCaught) {
     }
   }
   EXPECT_TRUE(found_forwarding_violation);
+}
+
+TEST(Oracles, CorruptedBgpEntryTripsInstallEquivalenceOnly) {
+  auto internet = healthy_internet();
+  // Bump the metric of one BGP entry: forwarding is unchanged, but the
+  // entry no longer matches what a full install pass writes.
+  std::optional<net::FibEntry> victim;
+  net::NodeId owner;
+  for (const auto& router : internet->topology().routers()) {
+    internet->network().fib(router.id).for_each([&](const net::FibEntry& entry) {
+      if (!victim && entry.origin == net::RouteOrigin::kBgp) {
+        victim = entry;
+        owner = router.id;
+      }
+    });
+    if (victim) break;
+  }
+  ASSERT_TRUE(victim.has_value());
+  ++victim->metric;
+  internet->network().fib(owner).insert(*victim);
+
+  const auto violations = check_invariants(*internet);
+  ASSERT_FALSE(violations.empty());
+  for (const auto& v : violations) {
+    EXPECT_EQ(v.oracle, OracleKind::kInstallEquivalence) << v.describe();
+  }
 }
 
 TEST(Oracles, ViolationDescribesItself) {

@@ -214,5 +214,24 @@ TEST(EventQueue, ManyEventsStressOrder) {
   EXPECT_EQ(popped.size(), 1000u);
 }
 
+TEST(EventQueue, DrainedBurstBuffersAreNotHoarded) {
+  // One burst per ring bucket, drained before the next, twice round the
+  // ring. Each drained active vector parks in a ring slot; kept whole, every
+  // slot would end up holding the capacity of a 600-entry burst.
+  EventQueue q;
+  constexpr int kRingBuckets = 256;
+  constexpr int kBurst = 600;
+  std::int64_t micros = 0;
+  for (int bucket = 0; bucket < 2 * kRingBuckets; ++bucket) {
+    micros += 1024;  // the next bucket
+    for (int i = 0; i < kBurst; ++i) {
+      q.schedule(TimePoint::origin() + Duration::micros(micros), [] {});
+    }
+    while (!q.empty()) q.pop();
+  }
+  // Only buffers within the 256-entry cap stay parked.
+  EXPECT_LE(q.stats().ring_capacity, std::size_t{kRingBuckets} * 256);
+}
+
 }  // namespace
 }  // namespace evo::sim
