@@ -446,6 +446,24 @@ void BM_VnBoneRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_VnBoneRebuild)->Unit(benchmark::kMillisecond);
 
+void BM_VnBoneRebuildPartial(benchmark::State& state) {
+  // Every third domain deployed, as in BM_VnBoneRoute: stranded deployed
+  // domains join through the anycast bootstrap on every rebuild.
+  auto topo = net::generate_transit_stub(
+      {.transit_domains = 4, .stubs_per_transit = 3, .seed = 13});
+  core::EvolvableInternet net(std::move(topo));
+  net.start();
+  const auto& domains = net.topology().domains();
+  for (std::size_t i = 0; i < domains.size(); i += 3) net.deploy_domain(domains[i].id);
+  net.converge();
+  for (auto _ : state) {
+    net.vnbone().rebuild();
+    benchmark::DoNotOptimize(net.vnbone().virtual_links().size());
+  }
+  state.SetLabel(std::to_string(net.vnbone().bootstrap_tunnels()) + " bootstrap tunnels");
+}
+BENCHMARK(BM_VnBoneRebuildPartial)->Unit(benchmark::kMicrosecond);
+
 void BM_VnBoneRoute(benchmark::State& state) {
   // Warm proxy-advertising lookups: every tree and legacy-table entry the
   // loop reads is filled before timing starts.

@@ -669,6 +669,7 @@ const char* to_string(OracleKind oracle) {
     case OracleKind::kConvergenceBudget: return "convergence-budget";
     case OracleKind::kVnRouteEquivalence: return "vn-route-equivalence";
     case OracleKind::kInstallEquivalence: return "install-equivalence";
+    case OracleKind::kVnBoneRebuildEquivalence: return "vnbone-rebuild-equivalence";
   }
   return "?";
 }
@@ -712,6 +713,31 @@ std::vector<Violation> check_install_equivalence(const net::Network& network,
   return out;
 }
 
+std::vector<Violation> check_vnbone_rebuild_equivalence(const EvolvableInternet& internet,
+                                                        const VnBoneBuild& built) {
+  const auto want = reference_vnbone_build(internet, internet.vnbone());
+  if (built == want) return {};
+  auto link_str = [](const std::vector<vnbone::VirtualLink>& links, std::size_t i) {
+    if (i >= links.size()) return std::string("none");
+    const auto& l = links[i];
+    return node_str(l.a) + "-" + node_str(l.b) + " cost " +
+           std::to_string(l.underlay_cost) + (l.interdomain ? " inter " : " intra ") +
+           vnbone::to_string(l.source);
+  };
+  std::size_t i = 0;
+  while (i < built.links.size() && i < want.links.size() &&
+         built.links[i] == want.links[i]) {
+    ++i;
+  }
+  return {{OracleKind::kVnBoneRebuildEquivalence, 0,
+           "link " + std::to_string(i) + ": rebuild gives " + link_str(built.links, i) +
+               ", reference gives " + link_str(want.links, i) + "; repairs " +
+               std::to_string(built.partition_repairs) + " vs " +
+               std::to_string(want.partition_repairs) + ", bootstraps " +
+               std::to_string(built.bootstrap_tunnels) + " vs " +
+               std::to_string(want.bootstrap_tunnels)}};
+}
+
 std::vector<Violation> check_invariants(const EvolvableInternet& internet,
                                         const OracleOptions& options) {
   std::vector<Violation> out;
@@ -723,6 +749,10 @@ std::vector<Violation> check_invariants(const EvolvableInternet& internet,
   check_gao_rexford(internet, out);
   check_vnbone(internet, healthy, out);
   check_vn_routes(internet, out);
+  const auto& bone = internet.vnbone();
+  const auto rebuilt = check_vnbone_rebuild_equivalence(
+      internet, {bone.virtual_links(), bone.partition_repairs(), bone.bootstrap_tunnels()});
+  out.insert(out.end(), rebuilt.begin(), rebuilt.end());
   check_state_bound(internet, out);
   const auto installs = check_install_equivalence(internet.network(), internet.bgp());
   out.insert(out.end(), installs.begin(), installs.end());

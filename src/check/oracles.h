@@ -35,6 +35,10 @@
 //                       delta install, equal the install rule applied to
 //                       all of its domain's border Loc-RIB prefixes (the
 //                       full pass).
+//   kVnBoneRebuildEquivalence
+//                       VnBone::rebuild()'s links and repair counters
+//                       equal reference_vnbone_build recomputed from
+//                       scratch, link for link.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +67,7 @@ enum class OracleKind : std::uint8_t {
   kConvergenceBudget,
   kVnRouteEquivalence,
   kInstallEquivalence,
+  kVnBoneRebuildEquivalence,
 };
 
 const char* to_string(OracleKind oracle);
@@ -107,6 +112,28 @@ vnbone::VnBone::VnRoute reference_vn_route(const VnBoneSnapshot& snapshot,
                                            const net::ShortestPaths& tree,
                                            net::NodeId ingress, net::IpvNAddr dst,
                                            vnbone::EgressMode mode);
+
+/// What VnBone::rebuild() builds: the virtual links in insertion order and
+/// the two repair counters.
+struct VnBoneBuild {
+  std::vector<vnbone::VirtualLink> links;
+  std::size_t partition_repairs = 0;
+  std::size_t bootstrap_tunnels = 0;
+
+  friend bool operator==(const VnBoneBuild&, const VnBoneBuild&) = default;
+};
+
+/// The vN-Bone construction rules (§3.3.1) recomputed from `bone`'s public
+/// state: connected_components over a fresh graph after every partition
+/// repair and every bootstrap tunnel, and a full net::dijkstra per
+/// stranded router. VnBone::rebuild() must build the same links.
+VnBoneBuild reference_vnbone_build(const core::EvolvableInternet& internet,
+                                   const vnbone::VnBone& bone);
+
+/// The vnbone-rebuild-equivalence oracle on its own: `built` against
+/// reference_vnbone_build for the internet's vN-Bone.
+std::vector<Violation> check_vnbone_rebuild_equivalence(
+    const core::EvolvableInternet& internet, const VnBoneBuild& built);
 
 /// The install-equivalence oracle on its own: every router's kBgp FIB
 /// entries against bgp.install_entry() applied to every prefix in its

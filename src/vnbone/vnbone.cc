@@ -4,6 +4,7 @@
 #include <cassert>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <queue>
 
 namespace evo::vnbone {
@@ -173,8 +174,11 @@ void VnBone::rebuild() {
     span = recorder_->open_span(obs::Domain::kVnBone, "vnbone.rebuild",
                                 deployed_count_);
   }
+  std::vector<VirtualLink> previous;
+  previous.swap(links_);
   build_links();
-  compile_bone();
+  // The compiled bone and route()'s trees depend on the links alone.
+  if (links_ != previous) compile_bone();
   if (recorder_ != nullptr) {
     if (deployed_count_ == 0) {
       recorder_->close_span(span);
@@ -186,6 +190,80 @@ void VnBone::rebuild() {
   }
 }
 
+namespace {
+
+/// Union-find over routers, by size with path halving. Each root keeps the
+/// lowest router id of its set: the order in which
+/// net::connected_components numbers components.
+class Components {
+ public:
+  explicit Components(std::size_t routers)
+      : parent_(routers), size_(routers, 1), lowest_(routers) {
+    std::iota(parent_.begin(), parent_.end(), 0u);
+    std::iota(lowest_.begin(), lowest_.end(), 0u);
+  }
+
+  std::uint32_t root(NodeId router) {
+    std::uint32_t at = router.value();
+    while (parent_[at] != at) at = parent_[at] = parent_[parent_[at]];
+    return at;
+  }
+  /// The lowest router id in `router`'s component.
+  std::uint32_t lowest(NodeId router) { return lowest_[root(router)]; }
+
+  void unite(NodeId a, NodeId b) {
+    std::uint32_t ra = root(a);
+    std::uint32_t rb = root(b);
+    if (ra == rb) return;
+    if (size_[ra] < size_[rb]) std::swap(ra, rb);
+    parent_[rb] = ra;
+    size_[ra] += size_[rb];
+    lowest_[ra] = std::min(lowest_[ra], lowest_[rb]);
+  }
+
+ private:
+  std::vector<std::uint32_t> parent_;
+  std::vector<std::uint32_t> size_;
+  std::vector<std::uint32_t> lowest_;
+};
+
+/// The router nearest `source` in `graph` for which `wanted` holds, ties
+/// to the lowest NodeId, with its distance; invalid when none is reachable.
+/// Dijkstra pops routers by nondecreasing distance, so it stops once the
+/// popped distance exceeds the best found: a router at that distance with
+/// a lower id is still popped first, and no farther router is settled.
+template <typename Wanted>
+std::pair<NodeId, Cost> nearest(const Graph& graph, NodeId source, Wanted wanted) {
+  std::vector<Cost> distance(graph.size(), net::kInfiniteCost);
+  using Entry = std::pair<Cost, std::uint32_t>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  NodeId best = NodeId::invalid();
+  Cost best_d = net::kInfiniteCost;
+  distance[source.value()] = 0;
+  heap.push({0, source.value()});
+  while (!heap.empty()) {
+    const auto [dist, u] = heap.top();
+    heap.pop();
+    if (dist > best_d) break;
+    if (dist > distance[u]) continue;  // stale entry
+    const NodeId node{u};
+    if (wanted(node) && (dist < best_d || (dist == best_d && node < best))) {
+      best = node;
+      best_d = dist;
+    }
+    for (const auto& edge : graph.neighbors(node)) {
+      const Cost next = dist + edge.cost;
+      if (next < distance[edge.to.value()]) {
+        distance[edge.to.value()] = next;
+        heap.push({next, edge.to.value()});
+      }
+    }
+  }
+  return {best, best_d};
+}
+
+}  // namespace
+
 void VnBone::build_links() {
   links_.clear();
   partition_repairs_ = 0;
@@ -194,15 +272,23 @@ void VnBone::build_links() {
 
   const auto& topo = network_.topology();
   const auto domains = deployed_domains();
+  std::optional<Graph> physical;  // built on first use
+  auto physical_graph = [&]() -> const Graph& {
+    if (!physical) physical = topo.physical_graph();
+    return *physical;
+  };
 
-  // Dedup helper: canonical (low, high) pairs already linked.
+  // Dedup helper: canonical (low, high) pairs already linked. The
+  // components of the non-interdomain links drive partition repair.
   std::set<std::pair<std::uint32_t, std::uint32_t>> have;
+  Components intra(topo.router_count());
   auto add_link = [&](NodeId a, NodeId b, Cost cost, bool interdomain,
                       VirtualLink::Source source) {
     const std::uint32_t lo = std::min(a.value(), b.value());
     const std::uint32_t hi = std::max(a.value(), b.value());
     if (!have.insert({lo, hi}).second) return;
     links_.push_back(VirtualLink{a, b, cost, interdomain, source});
+    if (!interdomain) intra.unite(a, b);
   };
 
   // ---- operator-configured (manual) tunnels -----------------------------
@@ -210,7 +296,7 @@ void VnBone::build_links() {
   // absorbed by) the automatic rules.
   for (const auto& [a, b] : manual_tunnels_) {
     if (!active(a) || !active(b)) continue;  // dormant until both deploy & up
-    const auto paths = net::dijkstra(topo.physical_graph(), a);
+    const auto paths = net::dijkstra(physical_graph(), a);
     if (!paths.reachable(b)) continue;
     const bool interdomain = topo.router(a).domain != topo.router(b).domain;
     add_link(a, b, paths.distance_to(b), interdomain,
@@ -280,26 +366,26 @@ void VnBone::build_links() {
     // Partition detection & repair: "such [partitions] can be easily
     // detected and repaired because every router has complete knowledge of
     // all other IPvN routers" (§3.3.1). Greedily connect components with
-    // the cheapest available member pair.
+    // the cheapest available member pair (a, b), where a's component has
+    // the lower lowest router id; ties go to the lowest (a, b).
+    std::vector<std::uint32_t> label(members.size());
     while (true) {
-      Graph g(topo.router_count());
-      for (const auto& l : links_) {
-        if (!l.interdomain && topo.router(l.a).domain == domain) {
-          g.add_undirected_edge(l.a, l.b, l.underlay_cost);
-        }
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        label[i] = intra.lowest(members[i]);
       }
-      // Component labels restricted to this domain's members.
-      const auto comps = net::connected_components(g);
-      std::set<std::uint32_t> labels;
-      for (const NodeId m : members) labels.insert(comps.label[m.value()]);
-      if (labels.size() <= 1) break;
+      if (std::all_of(label.begin(), label.end(),
+                      [&](std::uint32_t l) { return l == label.front(); })) {
+        break;
+      }
 
       Cost best_cost = net::kInfiniteCost;
       NodeId best_a = NodeId::invalid();
       NodeId best_b = NodeId::invalid();
-      for (const NodeId a : members) {
-        for (const NodeId b : members) {
-          if (comps.label[a.value()] >= comps.label[b.value()]) continue;
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        for (std::size_t j = 0; j < members.size(); ++j) {
+          if (label[i] >= label[j]) continue;
+          const NodeId a = members[i];
+          const NodeId b = members[j];
           const Cost d = dist(a, b);
           if (d < best_cost || (d == best_cost && (a < best_a || (a == best_a && b < best_b)))) {
             best_cost = d;
@@ -347,59 +433,47 @@ void VnBone::build_links() {
   // "a newly joined ISP could reuse the anycast mechanism as the initial
   // bootstrap"; "every domain [should] ensure that it is connected ... to
   // the 'default' provider of the anycast address" (§3.3.1).
-  const net::Graph physical = topo.physical_graph();
+  // The default component holds the default domain's first active router
+  // (the default domain always has one deployed: it deployed first).
+  const auto default_members = active_routers_in(default_domain_);
+  if (default_members.empty()) return;  // default fully dark: no anchor
+  const NodeId anchor = default_members.front();
+  Components bone(topo.router_count());
+  for (const auto& l : links_) bone.unite(l.a, l.b);
   // Routers proven physically unreachable from every other component stay
   // stranded; skipping their whole component keeps the loop repairing
   // everyone else.
-  std::set<NodeId> hopeless;
+  std::vector<bool> hopeless(topo.router_count(), false);
   const auto members = active_members();
-  while (true) {
-    Graph g = virtual_graph();
-    const auto comps = net::connected_components(g);
-    // The default component: the one holding the default domain's first
-    // deployed router (default domain always has one: it deployed first).
-    const auto default_members = active_routers_in(default_domain_);
-    if (default_members.empty()) break;  // default fully dark: no anchor
-    const std::uint32_t anchor = comps.label[default_members.front().value()];
-
-    // Find a stranded active router (lowest id for determinism).
-    NodeId stranded = NodeId::invalid();
-    for (const NodeId r : members) {
-      if (comps.label[r.value()] != anchor && !hopeless.contains(r)) {
-        stranded = r;
-        break;
-      }
+  // Components only merge and hopeless marks only grow, so a member passed
+  // over once (anchored or hopeless) is never stranded again.
+  for (std::size_t next = 0; next < members.size();) {
+    // The stranded active router with the lowest id.
+    const NodeId stranded = members[next];
+    if (bone.root(stranded) == bone.root(anchor) || hopeless[stranded.value()]) {
+      ++next;
+      continue;
     }
-    if (!stranded.valid()) break;
 
     // Bootstrap: the stranded router reaches the nearest *foreign-
     // component* IPvN router through the anycast mechanism (modeled as the
     // closest member by unicast distance — valid because the stranded ISP
     // is not yet advertising the anycast route itself, per the paper's
     // footnote).
-    const auto paths = net::dijkstra(physical, stranded);
-    NodeId target = NodeId::invalid();
-    Cost target_d = net::kInfiniteCost;
-    for (const NodeId m : members) {
-      if (comps.label[m.value()] == comps.label[stranded.value()]) continue;
-      const Cost d = paths.distance_to(m);
-      if (d < target_d || (d == target_d && m < target)) {
-        target = m;
-        target_d = d;
-      }
-    }
-    if (!target.valid() || target_d == net::kInfiniteCost) {
+    const auto [target, target_d] = nearest(physical_graph(), stranded, [&](NodeId r) {
+      return active(r) && bone.root(r) != bone.root(stranded);
+    });
+    if (!target.valid()) {
       // Physically cut off; no overlay can help. Mark the whole component
       // hopeless and keep repairing the rest.
       for (const NodeId r : members) {
-        if (comps.label[r.value()] == comps.label[stranded.value()]) {
-          hopeless.insert(r);
-        }
+        if (bone.root(r) == bone.root(stranded)) hopeless[r.value()] = true;
       }
       continue;
     }
     add_link(stranded, target, target_d, true,
              VirtualLink::Source::kAnycastBootstrap);
+    bone.unite(stranded, target);
     ++bootstrap_tunnels_;
   }
 }

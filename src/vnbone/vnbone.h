@@ -105,6 +105,8 @@ struct VirtualLink {
   net::Cost underlay_cost = 0;
   bool interdomain = false;
   Source source = Source::kIntraK;
+
+  friend bool operator==(const VirtualLink&, const VirtualLink&) = default;
 };
 
 const char* to_string(VirtualLink::Source source);
@@ -164,6 +166,10 @@ class VnBone {
   void add_manual_tunnel(net::NodeId a, net::NodeId b);
   void remove_manual_tunnel(net::NodeId a, net::NodeId b);
   std::size_t manual_tunnel_count() const { return manual_tunnels_.size(); }
+  /// Every configured tunnel as (low, high), active or dormant.
+  const std::set<std::pair<net::NodeId, net::NodeId>>& manual_tunnels() const {
+    return manual_tunnels_;
+  }
 
   const std::vector<VirtualLink>& virtual_links() const { return links_; }
   /// Weighted graph over router NodeIds (only deployed routers have
@@ -201,9 +207,9 @@ class VnBone {
   /// under `mode`; the config's mode is used when `mode` is nullopt.
   ///
   /// A lookup into state compiled per input epoch (DESIGN.md §6): the
-  /// shortest-path tree from `ingress` (valid until the next rebuild()),
-  /// the per-domain member lists (updated by deploy/undeploy) and the
-  /// BGPv(N-1) legacy table (valid while the BGP Loc-RIB epoch holds).
+  /// shortest-path tree from `ingress` (valid until a rebuild() changes a
+  /// link), the per-domain member lists (updated by deploy/undeploy) and
+  /// the BGPv(N-1) legacy table (valid while the BGP Loc-RIB epoch holds).
   /// Router up/down state is read live. route() is const but fills these
   /// caches lazily, so a VnBone must not be shared across threads.
   VnRoute route(net::NodeId ingress, net::IpvNAddr dst,
@@ -272,7 +278,7 @@ class VnBone {
   /// rebuild()'s construction rules: fill links_ from the substrate.
   void build_links();
   /// Start a bone epoch: compile links_ into the CSR adjacency and drop
-  /// every shortest-path tree.
+  /// every shortest-path tree. rebuild() skips it when no link changed.
   void compile_bone();
   /// The tree from `ingress`; null when `ingress` has no virtual link.
   const Tree* tree_from(net::NodeId ingress) const;

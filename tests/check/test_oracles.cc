@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 
 #include "check/fuzzer.h"
@@ -112,6 +113,46 @@ TEST(Oracles, CorruptedBgpEntryTripsInstallEquivalenceOnly) {
   for (const auto& v : violations) {
     EXPECT_EQ(v.oracle, OracleKind::kInstallEquivalence) << v.describe();
   }
+}
+
+TEST(Oracles, MutatedVirtualLinkTripsVnBoneRebuildEquivalenceOnly) {
+  auto internet = healthy_internet();
+  // Router 10's stub peers only with the undeployed transit 1, so it joins
+  // through an anycast bootstrap tunnel.
+  internet->deploy_router(net::NodeId{10});
+  internet->converge();
+  const auto& bone = internet->vnbone();
+  const VnBoneBuild built{bone.virtual_links(), bone.partition_repairs(),
+                          bone.bootstrap_tunnels()};
+  EXPECT_TRUE(check_invariants(*internet).empty());
+  EXPECT_TRUE(check_vnbone_rebuild_equivalence(*internet, built).empty());
+  const auto tunnel = std::find_if(built.links.begin(), built.links.end(), [](const auto& l) {
+    return l.source == vnbone::VirtualLink::Source::kAnycastBootstrap;
+  });
+  ASSERT_NE(tunnel, built.links.end());
+  const auto index = static_cast<std::size_t>(tunnel - built.links.begin());
+
+  auto expect_only_rebuild_violation = [&](const VnBoneBuild& mutated) {
+    const auto violations = check_vnbone_rebuild_equivalence(*internet, mutated);
+    ASSERT_EQ(violations.size(), 1u);
+    EXPECT_EQ(violations.front().oracle, OracleKind::kVnBoneRebuildEquivalence)
+        << violations.front().describe();
+  };
+  VnBoneBuild costlier = built;
+  ++costlier.links[index].underlay_cost;
+  expect_only_rebuild_violation(costlier);
+
+  // The same tunnel to the one active member it does not touch.
+  VnBoneBuild retargeted = built;
+  auto& moved = retargeted.links[index];
+  for (const net::NodeId m : bone.active_members()) {
+    if (m != moved.a && m != moved.b) {
+      moved.b = m;
+      break;
+    }
+  }
+  ASSERT_NE(moved, *tunnel);
+  expect_only_rebuild_violation(retargeted);
 }
 
 TEST(Oracles, ViolationDescribesItself) {

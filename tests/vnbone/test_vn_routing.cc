@@ -313,6 +313,41 @@ TEST(VnRoutingCache, LinkFlapAndRebuildChangeVnHops) {
   expect_matches_reference(net, routers[0], home_at_1);
 }
 
+TEST(VnRoutingCache, NoOpRebuildKeepsTreesAndCostChangeReplacesThem) {
+  // Triangle 0-1-2 (cost 1 each) with a direct 0-2 of cost 5, every router
+  // deployed: the bone is the physical triangle and 0 reaches 2 via 1.
+  net::Topology topo;
+  const DomainId domain = topo.add_domain("triangle", /*stub=*/true);
+  for (int i = 0; i < 3; ++i) topo.add_router(domain);
+  const net::LinkId zero_one = topo.add_link(NodeId{0}, NodeId{1}, 1);
+  topo.add_link(NodeId{1}, NodeId{2}, 1);
+  topo.add_link(NodeId{0}, NodeId{2}, 5);
+  core::EvolvableInternet net(std::move(topo));
+  net.start();
+  net.deploy_domain(domain);
+  net.converge();
+  const auto home_at_2 = IpvNAddr::native(8, domain.value(), 2, 0);
+  const auto before = net.vnbone().route(NodeId{0}, home_at_2);
+  EXPECT_EQ(before.vn_hops, (std::vector<NodeId>{NodeId{0}, NodeId{1}, NodeId{2}}));
+  EXPECT_EQ(before.vn_cost, 2u);
+
+  // Nothing moved: the same links, and route() answers from the same tree.
+  const auto links = net.vnbone().virtual_links();
+  net.vnbone().rebuild();
+  EXPECT_EQ(net.vnbone().virtual_links(), links);
+  EXPECT_EQ(net.vnbone().route(NodeId{0}, home_at_2), before);
+
+  // An intra-domain flap takes 0-1 down: 0 reaches 1 only around via 2
+  // (cost 6), so the tree from 0 now takes the direct 0-2 tunnel.
+  net.set_link_up(zero_one, false);
+  net.converge();
+  EXPECT_NE(net.vnbone().virtual_links(), links);
+  const auto after = net.vnbone().route(NodeId{0}, home_at_2);
+  EXPECT_EQ(after.vn_hops, (std::vector<NodeId>{NodeId{0}, NodeId{2}}));
+  EXPECT_EQ(after.vn_cost, 5u);
+  expect_matches_reference(net, NodeId{0}, home_at_2);
+}
+
 TEST(VnRoutingCache, EndhostRouteRegistration) {
   Figure4Deployed f;
   auto endhost = [&] {
