@@ -302,9 +302,15 @@ void BM_ParallelSweepCells(benchmark::State& state) {
 BENCHMARK(BM_ParallelSweepCells)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_Dijkstra(benchmark::State& state) {
+  // An n x n unit-cost grid with edges in single_domain_grid's order, built
+  // as a bare Graph: one domain's address plan numbers at most 255 routers.
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  const auto topo = net::single_domain_grid(n, n);
-  const auto graph = topo.physical_graph();
+  net::Graph graph(n * n);
+  for (std::uint32_t at = 0; at < n * n; ++at) {
+    const net::NodeId node{at};
+    if (at % n + 1 < n) graph.add_undirected_edge(node, net::NodeId{at + 1}, 1);
+    if (at / n + 1 < n) graph.add_undirected_edge(node, net::NodeId{at + n}, 1);
+  }
   for (auto _ : state) {
     const auto paths = net::dijkstra(graph, net::NodeId{0});
     benchmark::DoNotOptimize(paths.distance.back());
@@ -494,6 +500,40 @@ void BM_VnBoneRoute(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_VnBoneRoute);
+
+void BM_VnBoneRouteCold(benchmark::State& state) {
+  // rollout's read path: untimed, each iteration toggles a manual tunnel
+  // between two deployed routers and rebuilds, so the links change and
+  // every tree drops; it then times the first proxy-advertising route()
+  // from each active member, each of which builds that member's tree.
+  auto topo = net::generate_transit_stub(
+      {.transit_domains = 4, .stubs_per_transit = 3, .seed = 13});
+  core::EvolvableInternet net(std::move(topo));
+  net.start();
+  const auto& domains = net.topology().domains();
+  for (std::size_t i = 0; i < domains.size(); i += 3) net.deploy_domain(domains[i].id);
+  net.converge();
+  auto& bone = net.vnbone();
+  const auto ingresses = bone.active_members();
+  const auto legacy = net.topology().router(domains[1].routers.front()).loopback;
+  const auto dst = net::IpvNAddr::self(8, legacy);
+  for (auto _ : state) {
+    state.PauseTiming();
+    if (bone.manual_tunnel_count() == 0) {
+      bone.add_manual_tunnel(ingresses.front(), ingresses.back());
+    } else {
+      bone.remove_manual_tunnel(ingresses.front(), ingresses.back());
+    }
+    bone.rebuild();
+    state.ResumeTiming();
+    for (const net::NodeId ingress : ingresses) {
+      benchmark::DoNotOptimize(
+          bone.route(ingress, dst, vnbone::EgressMode::kProxyAdvertising));
+    }
+  }
+  state.SetLabel(std::to_string(ingresses.size()) + " ingresses");
+}
+BENCHMARK(BM_VnBoneRouteCold)->Unit(benchmark::kMicrosecond);
 
 void BM_EndToEndSend(benchmark::State& state) {
   auto topo = net::generate_transit_stub(

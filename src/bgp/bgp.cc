@@ -466,21 +466,6 @@ std::size_t BgpSystem::loc_rib_size(NodeId node, bool anycast_only) const {
   return count;
 }
 
-net::LinkId BgpSystem::connecting_link(NodeId a, NodeId b) const {
-  const auto& topo = network_.topology();
-  LinkId best = LinkId::invalid();
-  Cost best_cost = net::kInfiniteCost;
-  for (const LinkId link_id : topo.router(a).links) {
-    const auto& link = topo.link(link_id);
-    if (!topo.link_usable(link_id) || link.other_end(a) != b) continue;
-    if (link.cost < best_cost) {
-      best = link_id;
-      best_cost = link.cost;
-    }
-  }
-  return best;
-}
-
 std::optional<FibEntry> BgpSystem::install_entry(NodeId r, Prefix prefix) const {
   const auto& topo = network_.topology();
   const auto& domain = topo.domain(topo.router(r).domain);
@@ -534,9 +519,13 @@ std::optional<FibEntry> BgpSystem::install_entry(NodeId r, Prefix prefix) const 
     return FibEntry{prefix, route.ebgp_next_hop, route.via_link, RouteOrigin::kBgp,
                     static_cast<Cost>(route.as_path.size())};
   }
-  const NodeId hop = igp ? igp->next_hop(r, chosen) : NodeId::invalid();
-  if (!hop.valid()) return std::nullopt;
-  return FibEntry{prefix, hop, connecting_link(r, hop), RouteOrigin::kBgp, chosen_cost};
+  // Toward another border: the next hop and link are the IGP's own, read
+  // from its FIB entry for the egress's loopback.
+  const FibEntry* toward =
+      network_.fib(r).find(Prefix::host(topo.router(chosen).loopback));
+  if (toward == nullptr || toward->origin != RouteOrigin::kIgp) return std::nullopt;
+  return FibEntry{prefix, toward->next_hop, toward->out_link, RouteOrigin::kBgp,
+                  chosen_cost};
 }
 
 void BgpSystem::install_routes() {

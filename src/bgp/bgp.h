@@ -79,9 +79,11 @@ class BgpSystem {
 
   /// The one install rule: the entry BGP wants in `router`'s FIB for
   /// `prefix`, given its domain's border Loc-RIBs and the live IGP, FIB,
-  /// link and local-address state; nullopt when BGP leaves the prefix to
-  /// another origin or has no usable route. install_routes() writes it for
-  /// every dirty pair; the install-equivalence oracle applies it to all.
+  /// link and local-address state. A router other than the egress forwards
+  /// along its kIgp FIB entry for the egress's loopback. nullopt when BGP
+  /// leaves the prefix to another origin or has no usable route.
+  /// install_routes() writes it for every dirty pair; the
+  /// install-equivalence oracle applies it to all.
   std::optional<net::FibEntry> install_entry(net::NodeId router,
                                              net::Prefix prefix) const;
 
@@ -223,9 +225,6 @@ class BgpSystem {
 
   /// Total ordering on routes: true if `a` is preferred over `b`.
   static bool preferred(const Route& a, const Route& b);
-
-  /// Find the cheapest up link between adjacent routers (for FIB entries).
-  net::LinkId connecting_link(net::NodeId a, net::NodeId b) const;
 
   sim::Simulator& simulator_;
   net::Network& network_;

@@ -22,6 +22,11 @@ using net::Relationship;
 
 namespace {
 
+/// Random addresses added to the FIB-differential probe set.
+constexpr std::uint32_t kRandomAddresses = 16;
+/// Cross-domain unicast (source, destination) pairs traced.
+constexpr std::uint32_t kInterdomainPairs = 64;
+
 using Outcome = net::Network::TraceResult::Outcome;
 
 const char* to_cstr(Outcome outcome) { return net::to_string(outcome); }
@@ -93,6 +98,13 @@ void check_igp_and_intradomain(const EvolvableInternet& internet,
                              " blackholed (" + to_cstr(trace.outcome) +
                              ") though dijkstra distance is " +
                              std::to_string(expect)});
+        } else if (trace.delivered() && trace.cost != expect) {
+          // The FIB must use the links the distance was computed over.
+          out.push_back({OracleKind::kIgpGroundTruth, 0,
+                         "domain " + std::to_string(domain.id.value()) + " " +
+                             node_str(u) + "->" + node_str(v) + ": trace costs " +
+                             std::to_string(trace.cost) + ", dijkstra says " +
+                             std::to_string(expect)});
         }
       }
     }
@@ -109,7 +121,7 @@ void check_interdomain_unicast(const EvolvableInternet& internet, bool healthy,
   if (topo.domain_count() < 2 || topo.router_count() < 2) return;
   sim::Rng rng{sim::derive_seed(options.probe_seed, 0xA11)};
   const auto n = static_cast<std::int64_t>(topo.router_count());
-  for (std::uint32_t i = 0; i < options.interdomain_pairs; ++i) {
+  for (std::uint32_t i = 0; i < kInterdomainPairs; ++i) {
     const NodeId u{static_cast<std::uint32_t>(rng.uniform_int(0, n - 1))};
     const NodeId v{static_cast<std::uint32_t>(rng.uniform_int(0, n - 1))};
     if (u == v || topo.router(u).domain == topo.router(v).domain) continue;
@@ -244,7 +256,7 @@ void check_fib_equivalence(const EvolvableInternet& internet,
         internet.anycast().group(internet.vnbone().anycast_group()).address);
   }
   sim::Rng rng{sim::derive_seed(options.probe_seed, 0xF1B)};
-  for (std::uint32_t i = 0; i < options.random_addresses; ++i) {
+  for (std::uint32_t i = 0; i < kRandomAddresses; ++i) {
     probes.push_back(Ipv4Addr{static_cast<std::uint32_t>(rng.next_u64())});
   }
 

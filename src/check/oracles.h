@@ -85,10 +85,6 @@ struct Violation {
 struct OracleOptions {
   /// Seed for the deterministic random probe addresses / pair sampling.
   std::uint64_t probe_seed = 1;
-  /// Random addresses added to the FIB-differential probe set.
-  std::uint32_t random_addresses = 16;
-  /// Cross-domain unicast (source, destination) pairs traced.
-  std::uint32_t interdomain_pairs = 64;
 };
 
 /// The vN-Bone state reference_vn_route reads, taken from public

@@ -232,6 +232,20 @@ ParsedReplay parse_replay(std::string_view text) {
         }
         if (!ok) fail("bad topology value for '" + std::string(k) + "'");
       }
+      if (!parsed.error.empty()) continue;
+      // What the address plan (net::Topology) can number.
+      const auto numbered = [](std::uint32_t routers) {
+        return routers >= 1 && routers <= net::Topology::kMaxRoutersPerDomain;
+      };
+      const std::uint64_t domains = std::uint64_t{topo.transit_domains} *
+                                    (1 + std::uint64_t{topo.stubs_per_transit});
+      if (!numbered(topo.transit_internal.routers) ||
+          !numbered(topo.stub_internal.routers)) {
+        fail("transit_routers and stub_routers must be in 1.." +
+             std::to_string(net::Topology::kMaxRoutersPerDomain));
+      } else if (domains > net::Topology::kMaxDomains) {
+        fail("more domains than the address plan numbers");
+      }
     } else if (key == "deploy" && tokens.size() == 2) {
       std::uint32_t router = 0;
       if (!parse_u32(tokens[1], router)) {

@@ -27,7 +27,7 @@ EvolvableInternet::EvolvableInternet(net::Topology topology, Options options)
     switch (options_.igp) {
       case IgpKind::kLinkState:
         igps_[domain.id.value()] = std::make_unique<igp::LinkStateIgp>(
-            simulator_, *network_, domain.id, options_.link_state);
+            simulator_, *network_, domain.id);
         break;
       case IgpKind::kDistanceVector:
       case IgpKind::kDistanceVectorTagged: {

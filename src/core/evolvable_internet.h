@@ -31,7 +31,6 @@ const char* to_string(IgpKind kind);
 
 struct Options {
   IgpKind igp = IgpKind::kLinkState;
-  igp::LinkStateConfig link_state{};
   igp::DistanceVectorConfig distance_vector{};
   vnbone::VnBoneConfig vnbone{};
 };

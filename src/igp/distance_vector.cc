@@ -120,16 +120,6 @@ Cost DistanceVectorIgp::distance(NodeId from, NodeId to) const {
   return it->second.metric;
 }
 
-NodeId DistanceVectorIgp::next_hop(NodeId from, NodeId to) const {
-  if (from == to) return from;
-  const auto& st = state(from);
-  const auto it = st.table.find(Prefix::host(network_.topology().router(to).loopback));
-  if (it == st.table.end() || it->second.metric >= config_.infinity) {
-    return NodeId::invalid();
-  }
-  return it->second.next_hop;
-}
-
 void DistanceVectorIgp::on_link_change(LinkId link_id) {
   const auto& link = network_.topology().link(link_id);
   if (link.interdomain) return;
@@ -244,12 +234,14 @@ void DistanceVectorIgp::receive_update(NodeId router, NodeId from, LinkId link_i
     if (!current.next_hop.valid() && current.metric == 0) {
       continue;  // never displace a live self-originated route
     }
-    const bool via_sender = current.next_hop == from;
+    // The current route came in over this very link: a parallel link to
+    // the same neighbour is a different route.
+    const bool via_sender = current.out_link == link_id;
     const bool better = offered < current.metric ||
                         (offered == current.metric && current.metric < config_.infinity &&
                          !via_sender && from < current.next_hop);
     if (via_sender) {
-      // Must accept whatever the current next hop now says (incl. poison).
+      // Must accept whatever the current route's link now says (incl. poison).
       if (current.metric != offered || current.tags != adv.tags) {
         const bool worsened = offered > current.metric;
         current.metric = offered;

@@ -61,7 +61,6 @@ class DistanceVectorIgp final : public Igp {
   std::vector<net::NodeId> discovered_members(net::NodeId viewpoint,
                                               net::Ipv4Addr anycast) const override;
   net::Cost distance(net::NodeId from, net::NodeId to) const override;
-  net::NodeId next_hop(net::NodeId from, net::NodeId to) const override;
   void on_link_change(net::LinkId link) override;
   std::uint64_t messages_sent() const override { return messages_sent_; }
 

@@ -49,11 +49,9 @@ class Igp {
 
   /// Converged IGP distance between two routers of this domain;
   /// kInfiniteCost when unknown/unreachable. Used by BGP hot-potato
-  /// egress selection and by vN-Bone neighbor selection.
+  /// egress selection and by vN-Bone neighbor selection. The next hop and
+  /// link toward `to` are `from`'s kIgp FIB entry for `to`'s loopback.
   virtual net::Cost distance(net::NodeId from, net::NodeId to) const = 0;
-
-  /// First hop from `from` toward `to`; invalid() when unreachable.
-  virtual net::NodeId next_hop(net::NodeId from, net::NodeId to) const = 0;
 
   /// Notify the protocol that a link's up/down state changed.
   virtual void on_link_change(net::LinkId link) = 0;

@@ -15,8 +15,8 @@ using net::Prefix;
 using net::RouteOrigin;
 
 LinkStateIgp::LinkStateIgp(sim::Simulator& simulator, net::Network& network,
-                           DomainId domain, LinkStateConfig config)
-    : simulator_(simulator), network_(network), domain_(domain), config_(config) {
+                           DomainId domain)
+    : simulator_(simulator), network_(network), domain_(domain) {
   for (const NodeId node : network_.topology().domain(domain_).routers) {
     states_.emplace(node.value(), RouterState{});
   }
@@ -73,18 +73,8 @@ std::vector<NodeId> LinkStateIgp::discovered_members(NodeId viewpoint,
 }
 
 Cost LinkStateIgp::distance(NodeId from, NodeId to) const {
-  const auto& st = state(from);
-  if (!st.spf_valid || to.value() >= st.spf.distance.size()) return net::kInfiniteCost;
-  return st.spf.distance_to(to);
-}
-
-NodeId LinkStateIgp::next_hop(NodeId from, NodeId to) const {
-  const auto& st = state(from);
-  if (!st.spf_valid || to.value() >= st.spf.distance.size() || !st.spf.reachable(to)) {
-    return NodeId::invalid();
-  }
-  const auto path = st.spf.path_to(to);
-  return path.size() >= 2 ? path[1] : from;
+  const auto& distance = state(from).distance;
+  return to.value() < distance.size() ? distance[to.value()] : net::kInfiniteCost;
 }
 
 void LinkStateIgp::on_link_change(LinkId link) {
@@ -172,7 +162,7 @@ void LinkStateIgp::schedule_spf(NodeId router) {
   auto& st = state(router);
   if (st.spf_pending) return;
   st.spf_pending = true;
-  simulator_.schedule_after(config_.spf_delay, [this, router] { run_spf(router); });
+  simulator_.schedule_after(kSpfDelay, [this, router] { run_spf(router); });
 }
 
 net::Graph LinkStateIgp::lsdb_graph(const RouterState& st) const {
@@ -202,9 +192,26 @@ void LinkStateIgp::run_spf(NodeId router) {
                        router.value());
   }
 
+  // Each destination's first hop and the link toward it, read once as it
+  // settles: its predecessor settled before it. A first hop's link is the
+  // first edge to it at its distance, the one strict relaxation kept.
   const net::Graph graph = lsdb_graph(st);
-  st.spf = net::dijkstra(graph, router);
-  st.spf_valid = true;
+  std::vector<std::pair<NodeId, LinkId>> first(graph.size());
+  const auto settle = [&](NodeId node, const net::ShortestPaths& p) {
+    const NodeId via = p.predecessor[node.value()];
+    if (via != router) {
+      if (via.valid()) first[node.value()] = first[via.value()];
+      return true;
+    }
+    for (const net::Graph::Edge& e : graph.neighbors(router)) {
+      if (e.to == node && e.cost == p.distance_to(node)) {
+        first[node.value()] = {node, e.link};
+        break;
+      }
+    }
+    return true;
+  };
+  auto spf = net::dijkstra(graph, router, settle);
 
   // Accumulate the full IGP+anycast table, then swap it in with one
   // replace_origins call: the Fib bumps its route epoch (invalidating the
@@ -215,18 +222,10 @@ void LinkStateIgp::run_spf(NodeId router) {
 
   // Unicast routes to every other router in the LSDB.
   for (const auto& [origin, lsa] : st.lsdb) {
-    if (origin == router || !st.spf.reachable(origin)) continue;
-    const auto path = st.spf.path_to(origin);
-    assert(path.size() >= 2);
-    const NodeId hop = path[1];
-    const LinkId out = [&] {
-      for (const net::Graph::Edge& e : graph.neighbors(router)) {
-        if (e.to == hop) return e.link;
-      }
-      return LinkId::invalid();
-    }();
+    if (origin == router || !spf.reachable(origin)) continue;
+    const auto [hop, out] = first[origin.value()];
     const auto& r = topo.router(origin);
-    const Cost metric = st.spf.distance_to(origin);
+    const Cost metric = spf.distance_to(origin);
     routes.push_back(
         FibEntry{Prefix::host(r.loopback), hop, out, RouteOrigin::kIgp, metric});
     routes.push_back(FibEntry{net::Topology::router_subnet(r.domain, r.index_in_domain),
@@ -238,9 +237,9 @@ void LinkStateIgp::run_spf(NodeId router) {
   // members, so it is added for fidelity but cannot change the winner.
   std::map<Ipv4Addr, std::pair<Cost, NodeId>> best;
   for (const auto& [origin, lsa] : st.lsdb) {
-    if (!st.spf.reachable(origin)) continue;
+    if (!spf.reachable(origin)) continue;
     for (const Ipv4Addr addr : lsa.anycast_addresses) {
-      const Cost total = st.spf.distance_to(origin) + config_.anycast_stub_cost;
+      const Cost total = spf.distance_to(origin) + kAnycastStubCost;
       auto [it, inserted] = best.emplace(addr, std::make_pair(total, origin));
       if (!inserted && (total < it->second.first ||
                         (total == it->second.first && origin < it->second.second))) {
@@ -251,21 +250,14 @@ void LinkStateIgp::run_spf(NodeId router) {
   for (const auto& [addr, winner] : best) {
     const auto& [metric, member] = winner;
     if (member == router) continue;  // delivered locally; no route needed
-    const auto path = st.spf.path_to(member);
-    assert(path.size() >= 2);
-    const NodeId hop = path[1];
-    const LinkId out = [&] {
-      for (const net::Graph::Edge& e : graph.neighbors(router)) {
-        if (e.to == hop) return e.link;
-      }
-      return LinkId::invalid();
-    }();
+    const auto [hop, out] = first[member.value()];
     routes.push_back(
         FibEntry{Prefix::host(addr), hop, out, RouteOrigin::kAnycast, metric});
   }
 
   network_.fib(router).replace_origins({RouteOrigin::kIgp, RouteOrigin::kAnycast},
                                        routes);
+  st.distance = std::move(spf.distance);
 }
 
 }  // namespace evo::igp

@@ -19,21 +19,19 @@
 
 namespace evo::igp {
 
-struct LinkStateConfig {
-  /// Cost of the virtual stub link to an anycast address. "This high cost
-  /// is necessary to prevent routers from attempting to route through an
-  /// anycast address" (§3.2). It is added symmetrically to every member,
-  /// so it never changes which member is closest.
-  net::Cost anycast_stub_cost = 1000;
-  /// Debounce between an LSDB change and the SPF run it triggers.
-  sim::Duration spf_delay = sim::Duration::millis(10);
-};
+/// Cost of the virtual stub link to an anycast address. "This high cost is
+/// necessary to prevent routers from attempting to route through an
+/// anycast address" (§3.2). It is added symmetrically to every member, so
+/// it never changes which member is closest.
+inline constexpr net::Cost kAnycastStubCost = 1000;
+/// Debounce between an LSDB change and the SPF run it triggers.
+inline constexpr sim::Duration kSpfDelay = sim::Duration::millis(10);
 
 class LinkStateIgp final : public Igp {
  public:
   /// `network` and `simulator` must outlive this object.
   LinkStateIgp(sim::Simulator& simulator, net::Network& network,
-               net::DomainId domain, LinkStateConfig config = {});
+               net::DomainId domain);
 
   net::DomainId domain() const override { return domain_; }
   void start() override;
@@ -43,7 +41,6 @@ class LinkStateIgp final : public Igp {
   std::vector<net::NodeId> discovered_members(net::NodeId viewpoint,
                                               net::Ipv4Addr anycast) const override;
   net::Cost distance(net::NodeId from, net::NodeId to) const override;
-  net::NodeId next_hop(net::NodeId from, net::NodeId to) const override;
   void on_link_change(net::LinkId link) override;
   std::uint64_t messages_sent() const override { return messages_sent_; }
 
@@ -69,9 +66,9 @@ class LinkStateIgp final : public Igp {
     std::set<net::Ipv4Addr> memberships;  // anycast addresses terminated here
     std::uint64_t own_sequence = 0;
     bool spf_pending = false;
-    // Converged SPF snapshot for distance()/next_hop() queries.
-    net::ShortestPaths spf;
-    bool spf_valid = false;
+    // Distances from the last SPF run (empty before the first), for
+    // distance() queries.
+    std::vector<net::Cost> distance;
   };
 
   bool in_domain(net::NodeId node) const;
@@ -101,7 +98,6 @@ class LinkStateIgp final : public Igp {
   sim::Simulator& simulator_;
   net::Network& network_;
   net::DomainId domain_;
-  LinkStateConfig config_;
   std::unordered_map<std::uint32_t, RouterState> states_;  // by NodeId value
   std::uint64_t messages_sent_ = 0;
   std::uint64_t spf_runs_ = 0;

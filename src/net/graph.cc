@@ -32,60 +32,6 @@ std::vector<NodeId> ShortestPaths::path_to(NodeId node) const {
   return path;
 }
 
-namespace {
-
-struct HeapEntry {
-  Cost dist;
-  std::uint32_t node;
-  friend bool operator<(const HeapEntry& a, const HeapEntry& b) {
-    if (a.dist != b.dist) return a.dist > b.dist;  // min-heap
-    return a.node > b.node;                        // deterministic tiebreak
-  }
-};
-
-}  // namespace
-
-ShortestPaths dijkstra(const Graph& graph, std::span<const NodeId> sources) {
-  const std::size_t n = graph.size();
-  ShortestPaths result;
-  result.distance.assign(n, kInfiniteCost);
-  result.predecessor.assign(n, NodeId::invalid());
-  result.source_of.assign(n, NodeId::invalid());
-
-  std::priority_queue<HeapEntry> heap;
-  for (NodeId s : sources) {
-    assert(s.value() < n);
-    if (result.distance[s.value()] == 0 && result.source_of[s.value()].valid())
-      continue;  // duplicate source
-    result.distance[s.value()] = 0;
-    result.source_of[s.value()] = s;
-    heap.push(HeapEntry{0, s.value()});
-  }
-
-  while (!heap.empty()) {
-    const auto [dist, u] = heap.top();
-    heap.pop();
-    if (dist > result.distance[u]) continue;  // stale entry
-    for (const auto& edge : graph.neighbors(NodeId{u})) {
-      const auto v = edge.to.value();
-      // Guard against overflow on kInfiniteCost arithmetic.
-      const Cost next = dist + edge.cost;
-      if (next < result.distance[v]) {
-        result.distance[v] = next;
-        result.predecessor[v] = NodeId{u};
-        result.source_of[v] = result.source_of[u];
-        heap.push(HeapEntry{next, v});
-      }
-    }
-  }
-  return result;
-}
-
-ShortestPaths dijkstra(const Graph& graph, NodeId source) {
-  const NodeId sources[] = {source};
-  return dijkstra(graph, std::span<const NodeId>(sources));
-}
-
 Components connected_components(const Graph& graph) {
   const std::size_t n = graph.size();
   Components result;

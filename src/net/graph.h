@@ -6,8 +6,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <queue>
+#include <ranges>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "net/ids.h"
@@ -68,14 +72,81 @@ struct ShortestPaths {
   std::vector<NodeId> path_to(NodeId node) const;
 };
 
-/// Single-source shortest paths.
-ShortestPaths dijkstra(const Graph& graph, NodeId source);
+/// The one Dijkstra loop; every shortest-path search outside check/ runs
+/// it. Nodes are dense indices, and `distance` and `predecessor` arrive
+/// filled with kInfiniteCost and the "no node" value. The heap pops
+/// (distance, index) in ascending order and an edge relaxes only when
+/// strictly shorter, so a node's predecessor, Pred{u}, is the first
+/// settled u with an edge reaching its final distance. `settle(u, dist)`
+/// sees each reachable node once, in pop order, with its entries final;
+/// returning false stops the search. `edges(u, relax)` calls relax(v, cost)
+/// for each edge out of u. `sources` is a range of indices.
+template <typename Sources, typename Pred, typename Edges, typename Settle>
+void dijkstra_search(Sources&& sources, std::vector<Cost>& distance,
+                     std::vector<Pred>& predecessor, Edges&& edges, Settle&& settle) {
+  using Entry = std::pair<Cost, std::uint32_t>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  for (const std::uint32_t s : sources) {
+    if (distance[s] == 0) continue;  // duplicate source
+    distance[s] = 0;
+    heap.push({0, s});
+  }
+  while (!heap.empty()) {
+    const Cost dist = heap.top().first;
+    const std::uint32_t u = heap.top().second;
+    heap.pop();
+    if (dist > distance[u]) continue;  // stale entry
+    if (!settle(u, dist)) return;
+    edges(u, [&](std::uint32_t v, Cost cost) {
+      if (dist + cost < distance[v]) {
+        distance[v] = dist + cost;
+        predecessor[v] = Pred{u};
+        heap.push({dist + cost, v});
+      }
+    });
+  }
+}
+
+/// dijkstra()'s default settle callback: search the whole graph.
+struct SettleAll {
+  bool operator()(NodeId, const ShortestPaths&) const { return true; }
+};
 
 /// Multi-source shortest paths: distance to the *nearest* source, and which
 /// source that is. This is exactly the anycast delivery oracle — "the
 /// server closest to the client host where closest is defined in terms of
 /// the network's measure of routing distance" (RFC 1546 via the paper).
-ShortestPaths dijkstra(const Graph& graph, std::span<const NodeId> sources);
+/// `settle(node, paths)` is dijkstra_search's callback, with the node's
+/// entries in `paths` final; if it stops the search, unsettled nodes keep
+/// tentative values.
+template <typename Settle = SettleAll>
+ShortestPaths dijkstra(const Graph& graph, std::span<const NodeId> sources,
+                       Settle settle = {}) {
+  ShortestPaths paths;
+  paths.distance.assign(graph.size(), kInfiniteCost);
+  paths.predecessor.assign(graph.size(), NodeId::invalid());
+  paths.source_of.assign(graph.size(), NodeId::invalid());
+  dijkstra_search(
+      std::views::transform(sources, [](NodeId s) { return s.value(); }),
+      paths.distance, paths.predecessor,
+      [&](std::uint32_t u, auto&& relax) {
+        for (const Graph::Edge& e : graph.neighbors(NodeId{u})) {
+          relax(e.to.value(), e.cost);
+        }
+      },
+      [&](std::uint32_t u, Cost) {
+        const NodeId via = paths.predecessor[u];
+        paths.source_of[u] = via.valid() ? paths.source_of[via.value()] : NodeId{u};
+        return settle(NodeId{u}, std::as_const(paths));
+      });
+  return paths;
+}
+
+/// Single-source shortest paths.
+template <typename Settle = SettleAll>
+ShortestPaths dijkstra(const Graph& graph, NodeId source, Settle settle = {}) {
+  return dijkstra(graph, std::span<const NodeId>(&source, 1), settle);
+}
 
 /// Connected components (treating edges as undirected); returns a label per
 /// node and the number of components.

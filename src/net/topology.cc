@@ -33,6 +33,11 @@ NodeId Topology::add_router(DomainId domain) {
   r.id = id;
   r.domain = domain;
   r.index_in_domain = static_cast<std::uint32_t>(domains_[domain.value()].routers.size());
+  if (r.index_in_domain >= kMaxRoutersPerDomain) {
+    throw std::out_of_range("Topology::add_router: the address plan numbers at most " +
+                            std::to_string(kMaxRoutersPerDomain) +
+                            " routers per domain");
+  }
   r.loopback = router_loopback(domain, r.index_in_domain);
   routers_.push_back(std::move(r));
   domains_[domain.value()].routers.push_back(id);

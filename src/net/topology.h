@@ -91,8 +91,15 @@ class Topology {
  public:
   Topology() = default;
 
+  /// The address plan's limits: domain d owns /16 number d + 1, and its
+  /// routers the /24s 0..254 of it (255 holds anycast addresses).
+  static constexpr std::uint32_t kMaxDomains = 0xFFFF;
+  static constexpr std::uint32_t kMaxRoutersPerDomain = 255;
+
   // --- construction -------------------------------------------------------
   DomainId add_domain(std::string name, bool stub = false);
+  /// Throws std::out_of_range past kMaxRoutersPerDomain routers in
+  /// `domain` (checked in all build types).
   NodeId add_router(DomainId domain);
 
   /// Intra-domain link; both ends must be in the same domain.
@@ -161,7 +168,7 @@ class Topology {
     return Prefix{Ipv4Addr{(id.value() + 1) << 16}, 16};
   }
   static Ipv4Addr router_loopback(DomainId d, std::uint32_t router_index) {
-    assert(router_index < 255);
+    assert(router_index < kMaxRoutersPerDomain);
     return Ipv4Addr{domain_prefix(d).address().bits() | (router_index << 8) | 1};
   }
   static Prefix router_subnet(DomainId d, std::uint32_t router_index) {

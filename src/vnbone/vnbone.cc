@@ -5,7 +5,6 @@
 #include <functional>
 #include <limits>
 #include <numeric>
-#include <queue>
 
 namespace evo::vnbone {
 
@@ -227,41 +226,6 @@ class Components {
   std::vector<std::uint32_t> lowest_;
 };
 
-/// The router nearest `source` in `graph` for which `wanted` holds, ties
-/// to the lowest NodeId, with its distance; invalid when none is reachable.
-/// Dijkstra pops routers by nondecreasing distance, so it stops once the
-/// popped distance exceeds the best found: a router at that distance with
-/// a lower id is still popped first, and no farther router is settled.
-template <typename Wanted>
-std::pair<NodeId, Cost> nearest(const Graph& graph, NodeId source, Wanted wanted) {
-  std::vector<Cost> distance(graph.size(), net::kInfiniteCost);
-  using Entry = std::pair<Cost, std::uint32_t>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  NodeId best = NodeId::invalid();
-  Cost best_d = net::kInfiniteCost;
-  distance[source.value()] = 0;
-  heap.push({0, source.value()});
-  while (!heap.empty()) {
-    const auto [dist, u] = heap.top();
-    heap.pop();
-    if (dist > best_d) break;
-    if (dist > distance[u]) continue;  // stale entry
-    const NodeId node{u};
-    if (wanted(node) && (dist < best_d || (dist == best_d && node < best))) {
-      best = node;
-      best_d = dist;
-    }
-    for (const auto& edge : graph.neighbors(node)) {
-      const Cost next = dist + edge.cost;
-      if (next < distance[edge.to.value()]) {
-        distance[edge.to.value()] = next;
-        heap.push({next, edge.to.value()});
-      }
-    }
-  }
-  return {best, best_d};
-}
-
 }  // namespace
 
 void VnBone::build_links() {
@@ -459,10 +423,23 @@ void VnBone::build_links() {
     // component* IPvN router through the anycast mechanism (modeled as the
     // closest member by unicast distance — valid because the stranded ISP
     // is not yet advertising the anycast route itself, per the paper's
-    // footnote).
-    const auto [target, target_d] = nearest(physical_graph(), stranded, [&](NodeId r) {
-      return active(r) && bone.root(r) != bone.root(stranded);
-    });
+    // footnote). Routers settle by nondecreasing distance, so the search
+    // stops once one lies beyond the best target: a lower-id router at the
+    // best distance still settles before the stop, even when a zero-cost
+    // link reaches it only after a higher-id one.
+    NodeId target = NodeId::invalid();
+    Cost target_d = net::kInfiniteCost;
+    const auto settle = [&](NodeId r, const net::ShortestPaths& p) {
+      const Cost d = p.distance_to(r);
+      if (d > target_d) return false;
+      const bool foreign = active(r) && bone.root(r) != bone.root(stranded);
+      if (foreign && (d < target_d || r < target)) {
+        target = r;
+        target_d = d;
+      }
+      return true;
+    };
+    net::dijkstra(physical_graph(), stranded, settle);
     if (!target.valid()) {
       // Physically cut off; no overlay can help. Mark the whole component
       // hopeless and keep repairing the rest.
@@ -519,29 +496,23 @@ const VnBone::Tree* VnBone::tree_from(NodeId ingress) const {
   Tree& tree = trees_[root];
   if (!tree.distance.empty()) return &tree;
 
-  // net::dijkstra over the CSR: same (distance, index) heap order and
-  // strict relaxation, so the same predecessors.
+  // net::dijkstra's loop over the CSR, whose members are numbered in
+  // NodeId order: the same predecessors as over virtual_graph().
   const std::size_t n = member_node_.size();
   tree.distance.assign(n, net::kInfiniteCost);
   tree.predecessor.assign(n, kNoMember);
-  using Entry = std::pair<Cost, std::uint32_t>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  tree.distance[root] = 0;
-  heap.push({0, root});
-  while (!heap.empty()) {
-    const auto [dist, u] = heap.top();
-    heap.pop();
-    if (dist > tree.distance[u]) continue;  // stale entry
-    tree.settled.push_back(u);
-    for (std::uint32_t e = edge_begin_[u]; e < edge_begin_[u + 1]; ++e) {
-      const auto [v, cost] = edges_[e];
-      if (dist + cost < tree.distance[v]) {
-        tree.distance[v] = dist + cost;
-        tree.predecessor[v] = u;
-        heap.push({dist + cost, v});
-      }
-    }
-  }
+  const std::uint32_t source[] = {root};
+  net::dijkstra_search(
+      source, tree.distance, tree.predecessor,
+      [&](std::uint32_t u, auto&& relax) {
+        for (std::uint32_t e = edge_begin_[u]; e < edge_begin_[u + 1]; ++e) {
+          relax(edges_[e].first, edges_[e].second);
+        }
+      },
+      [&](std::uint32_t u, Cost) {
+        tree.settled.push_back(u);
+        return true;
+      });
   return &tree;
 }
 

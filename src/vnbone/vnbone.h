@@ -248,7 +248,7 @@ class VnBone {
   struct Tree {
     std::vector<net::Cost> distance;
     std::vector<std::uint32_t> predecessor;  // kNoMember at the root
-    /// Reachable members by ascending (distance, member index).
+    /// Reachable members in settling order (nondecreasing distance).
     std::vector<std::uint32_t> settled;
   };
   /// The BGPv(N-1) route from one domain to another, as the domain's
@@ -305,9 +305,9 @@ class VnBone {
   std::size_t partition_repairs_ = 0;
   std::size_t bootstrap_tunnels_ = 0;
 
-  // The compiled bone: link endpoints renumbered densely in NodeId order,
-  // with each member's edges contiguous in links_ insertion order (so
-  // Dijkstra's (distance, member) tie-break matches net::dijkstra's).
+  // The compiled bone: link endpoints renumbered densely in NodeId order
+  // (so net::dijkstra_search over it breaks ties as net::dijkstra does
+  // over virtual_graph()), each member's edges contiguous in links_ order.
   std::vector<net::NodeId> member_node_;            // member index -> router
   std::vector<std::uint32_t> member_index_;         // NodeId -> member index
   std::vector<std::uint32_t> edge_begin_;           // CSR row offsets

@@ -89,6 +89,31 @@ TEST(Oracles, SilentLinkDownIsCaught) {
   EXPECT_TRUE(found_forwarding_violation);
 }
 
+TEST(Oracles, CostlierParallelLinkTripsIgpGroundTruthOnly) {
+  // Two routers joined by a cost-5 and then a cost-1 link. The IGP routes
+  // over the cost-1 link; moved onto the cost-5 link, the loopback route
+  // still delivers, but its trace no longer costs the Dijkstra distance.
+  net::Topology topo;
+  const auto d = topo.add_domain("parallel");
+  const auto r0 = topo.add_router(d);
+  const auto r1 = topo.add_router(d);
+  const auto costly = topo.add_link(r0, r1, 5);
+  topo.add_link(r0, r1, 1);
+  core::EvolvableInternet internet(std::move(topo));
+  internet.start();
+  internet.converge();
+  for (const auto& v : check_invariants(internet)) ADD_FAILURE() << v.describe();
+
+  const auto loopback = internet.topology().router(r1).loopback;
+  internet.network().fib(r0).insert(
+      {net::Prefix::host(loopback), r1, costly, net::RouteOrigin::kIgp, 1});
+  const auto violations = check_invariants(internet);
+  ASSERT_FALSE(violations.empty());
+  for (const auto& v : violations) {
+    EXPECT_EQ(v.oracle, OracleKind::kIgpGroundTruth) << v.describe();
+  }
+}
+
 TEST(Oracles, CorruptedBgpEntryTripsInstallEquivalenceOnly) {
   auto internet = healthy_internet();
   // Bump the metric of one BGP entry: forwarding is unchanged, but the

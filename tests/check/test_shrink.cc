@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "check/replay.h"
 
 namespace evo::check {
@@ -80,6 +82,40 @@ TEST(Replay, RejectsCorruptedInput) {
   EXPECT_FALSE(parse_replay(text + "unknown-key 42\n").ok());
   EXPECT_FALSE(parse_replay("").ok());
   EXPECT_FALSE(parse_replay("seed zzz\n").ok());
+}
+
+TEST(Replay, RejectsTopologiesTheAddressPlanCannotNumber) {
+  // A domain numbers routers 0..254 (255's /24 holds anycast addresses)
+  // and domain d owns /16 number d + 1.
+  const std::string text = format_replay(generate_plan(1));
+  const auto with_topology = [&](const std::string& line) {
+    std::string edited;
+    std::istringstream in(text);
+    std::size_t number = 0;
+    std::size_t topology_line = 0;
+    for (std::string l; std::getline(in, l);) {
+      ++number;
+      if (l.rfind("topology ", 0) == 0) {
+        l = line;
+        topology_line = number;
+      }
+      edited += l + "\n";
+    }
+    return std::make_pair(parse_replay(edited), topology_line);
+  };
+  for (const char* bad : {"topology transit_routers=258", "topology stub_routers=0",
+                          "topology transit_routers=256",
+                          "topology transit=256 stubs=256"}) {
+    const auto [parsed, line] = with_topology(bad);
+    EXPECT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.error.rfind("line " + std::to_string(line) + ": ", 0), 0u)
+        << bad << ": " << parsed.error;
+  }
+  for (const char* good : {"topology transit_routers=255 stub_routers=1",
+                           "topology transit=255 stubs=256"}) {
+    const auto [parsed, line] = with_topology(good);
+    EXPECT_TRUE(parsed.ok()) << good << ": " << parsed.error;
+  }
 }
 
 }  // namespace

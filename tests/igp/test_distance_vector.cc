@@ -11,6 +11,13 @@ using net::DomainId;
 using net::LinkId;
 using net::NodeId;
 
+/// `from`'s next hop toward `to`: its FIB entry for `to`'s loopback.
+NodeId next_hop(const net::Network& network, NodeId from, NodeId to) {
+  const auto* entry =
+      network.fib(from).find(net::Prefix::host(network.topology().router(to).loopback));
+  return entry == nullptr ? NodeId::invalid() : entry->next_hop;
+}
+
 struct Fixture {
   explicit Fixture(net::Topology topo, DistanceVectorConfig config = {})
       : network(std::move(topo)),
@@ -32,7 +39,7 @@ TEST(DistanceVectorIgp, ConvergesOnLine) {
   const auto& routers = f.network.topology().domain(DomainId{0}).routers;
   EXPECT_EQ(f.igp.distance(routers[0], routers[3]), 6u);
   EXPECT_EQ(f.igp.distance(routers[3], routers[0]), 6u);
-  EXPECT_EQ(f.igp.next_hop(routers[0], routers[3]), routers[1]);
+  EXPECT_EQ(next_hop(f.network, routers[0], routers[3]), routers[1]);
 }
 
 TEST(DistanceVectorIgp, MatchesOracleOnGrid) {
@@ -91,7 +98,30 @@ TEST(DistanceVectorIgp, UnreachableAfterPartition) {
   f.igp.on_link_change(LinkId{1});
   f.simulator.run();
   EXPECT_EQ(f.igp.distance(routers[0], routers[2]), net::kInfiniteCost);
-  EXPECT_EQ(f.igp.next_hop(routers[0], routers[2]), NodeId::invalid());
+  EXPECT_EQ(next_hop(f.network, routers[0], routers[2]), NodeId::invalid());
+}
+
+TEST(DistanceVectorIgp, ParallelLinksUseTheCheaper) {
+  // A cost-5 link, then a cost-1 link between the same two routers: the
+  // offer over the cost-1 link is a different route, not a new metric for
+  // the cost-5 one, so the route must leave on the cost-1 link.
+  net::Topology topo;
+  const auto d = topo.add_domain("parallel");
+  const auto r0 = topo.add_router(d);
+  const auto r1 = topo.add_router(d);
+  topo.add_link(r0, r1, 5);
+  const auto cheap = topo.add_link(r0, r1, 1);
+  Fixture f(std::move(topo));
+  f.converge();
+  EXPECT_EQ(f.igp.distance(r0, r1), 1u);
+  const auto loopback = f.network.topology().router(r1).loopback;
+  const auto* entry = f.network.fib(r0).find(net::Prefix::host(loopback));
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->metric, 1u);
+  EXPECT_EQ(entry->out_link, cheap);
+  const auto trace = f.network.trace(r0, loopback);
+  ASSERT_TRUE(trace.delivered());
+  EXPECT_EQ(trace.cost, 1u);
 }
 
 TEST(DistanceVectorIgp, PlainModeCannotDiscoverMembers) {

@@ -11,6 +11,13 @@ using net::DomainId;
 using net::LinkId;
 using net::NodeId;
 
+/// `from`'s next hop toward `to`: its FIB entry for `to`'s loopback.
+NodeId next_hop(const net::Network& network, NodeId from, NodeId to) {
+  const auto* entry =
+      network.fib(from).find(net::Prefix::host(network.topology().router(to).loopback));
+  return entry == nullptr ? NodeId::invalid() : entry->next_hop;
+}
+
 struct Fixture {
   explicit Fixture(net::Topology topo)
       : network(std::move(topo)),
@@ -35,8 +42,8 @@ TEST(LinkStateIgp, ConvergesOnLine) {
   EXPECT_EQ(f.igp.distance(routers[3], routers[0]), 6u);
   EXPECT_EQ(f.igp.distance(routers[1], routers[1]), 0u);
   // Next hops walk the line.
-  EXPECT_EQ(f.igp.next_hop(routers[0], routers[3]), routers[1]);
-  EXPECT_EQ(f.igp.next_hop(routers[3], routers[0]), routers[2]);
+  EXPECT_EQ(next_hop(f.network, routers[0], routers[3]), routers[1]);
+  EXPECT_EQ(next_hop(f.network, routers[3], routers[0]), routers[2]);
 }
 
 TEST(LinkStateIgp, FibRoutesInstalledEverywhere) {
@@ -174,25 +181,47 @@ TEST(LinkStateIgp, MemberRemovalFailsOverToOther) {
 }
 
 TEST(LinkStateIgp, HighCostStubDoesNotChangeWinner) {
-  // Two configs with different stub costs must pick the same member.
-  for (const net::Cost stub : {net::Cost{10}, net::Cost{100000}}) {
-    sim::Simulator simulator;
-    net::Network network(net::single_domain_line(5));
-    LinkStateConfig config;
-    config.anycast_stub_cost = stub;
-    LinkStateIgp igp(simulator, network, DomainId{0}, config);
-    const auto& routers = network.topology().domain(DomainId{0}).routers;
-    const net::Ipv4Addr anycast{0, 1, 255, 1};
-    network.add_local_address(routers[0], anycast);
-    network.add_local_address(routers[3], anycast);
-    igp.add_anycast_member(routers[0], anycast);
-    igp.add_anycast_member(routers[3], anycast);
-    igp.start();
-    simulator.run();
-    const auto result = network.trace(routers[2], anycast);
-    ASSERT_TRUE(result.delivered());
-    EXPECT_EQ(result.delivered_at, routers[3]) << "stub=" << stub;
-  }
+  // The stub cost is added to every member, so the IGP-closest member
+  // still wins and the route's metric carries the stub on top.
+  sim::Simulator simulator;
+  net::Network network(net::single_domain_line(5));
+  LinkStateIgp igp(simulator, network, DomainId{0});
+  const auto& routers = network.topology().domain(DomainId{0}).routers;
+  const net::Ipv4Addr anycast{0, 1, 255, 1};
+  network.add_local_address(routers[0], anycast);
+  network.add_local_address(routers[3], anycast);
+  igp.add_anycast_member(routers[0], anycast);
+  igp.add_anycast_member(routers[3], anycast);
+  igp.start();
+  simulator.run();
+  const auto result = network.trace(routers[2], anycast);
+  ASSERT_TRUE(result.delivered());
+  EXPECT_EQ(result.delivered_at, routers[3]);
+  const auto* entry = network.fib(routers[2]).find(net::Prefix::host(anycast));
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->metric, 1 + kAnycastStubCost);
+}
+
+TEST(LinkStateIgp, ParallelLinksUseTheCheaper) {
+  // A cost-5 link, then a cost-1 link between the same two routers: the
+  // route must leave on the cost-1 link, so its trace costs 1.
+  net::Topology topo;
+  const auto d = topo.add_domain("parallel");
+  const auto r0 = topo.add_router(d);
+  const auto r1 = topo.add_router(d);
+  topo.add_link(r0, r1, 5);
+  const auto cheap = topo.add_link(r0, r1, 1);
+  Fixture f(std::move(topo));
+  f.converge();
+  EXPECT_EQ(f.igp.distance(r0, r1), 1u);
+  const auto loopback = f.network.topology().router(r1).loopback;
+  const auto* entry = f.network.fib(r0).find(net::Prefix::host(loopback));
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->metric, 1u);
+  EXPECT_EQ(entry->out_link, cheap);
+  const auto trace = f.network.trace(r0, loopback);
+  ASSERT_TRUE(trace.delivered());
+  EXPECT_EQ(trace.cost, 1u);
 }
 
 TEST(LinkStateIgp, MessageAndSpfCountsAdvance) {
@@ -220,7 +249,7 @@ TEST(LinkStateIgp, PartitionedDomainUnreachable) {
   f.converge();
   EXPECT_EQ(f.igp.distance(r0, r1), 1u);
   EXPECT_EQ(f.igp.distance(r0, r2), net::kInfiniteCost);
-  EXPECT_EQ(f.igp.next_hop(r0, r3), NodeId::invalid());
+  EXPECT_EQ(next_hop(f.network, r0, r3), NodeId::invalid());
 }
 
 }  // namespace

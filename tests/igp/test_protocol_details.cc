@@ -30,13 +30,11 @@ TEST(LinkStateDetails, FloodingSuppressesStaleDuplicates) {
 }
 
 TEST(LinkStateDetails, SpfDebounceCoalesces) {
-  // All initial LSAs arrive within the debounce window: each router runs
-  // SPF only a handful of times, not once per LSA.
+  // LSAs arriving within one kSpfDelay window share an SPF run: each
+  // router runs SPF only a handful of times, not once per LSA.
   sim::Simulator simulator;
   net::Network network(net::single_domain_grid(4, 4));
-  LinkStateConfig config;
-  config.spf_delay = sim::Duration::millis(50);  // wide window
-  LinkStateIgp igp(simulator, network, DomainId{0}, config);
+  LinkStateIgp igp(simulator, network, DomainId{0});
   igp.start();
   simulator.run();
   // 16 routers; without debouncing this would be ~16 LSAs x 16 routers.

@@ -97,6 +97,54 @@ TEST(Dijkstra, DirectedEdgesRespected) {
   EXPECT_FALSE(dijkstra(g, NodeId{1}).reachable(NodeId{0}));
 }
 
+TEST(Dijkstra, EqualCostDiamondKeepsTheFirstSettledPredecessor) {
+  // 0 reaches 3 through 1 and through 2 at cost 2. 1 and 2 settle at the
+  // same distance in id order, and a tie never relaxes, so 1 wins however
+  // the edges were added.
+  for (const bool one_first : {true, false}) {
+    Graph g(4);
+    const NodeId first = one_first ? NodeId{1} : NodeId{2};
+    const NodeId second = one_first ? NodeId{2} : NodeId{1};
+    g.add_undirected_edge(NodeId{0}, first, 1);
+    g.add_undirected_edge(NodeId{0}, second, 1);
+    g.add_undirected_edge(second, NodeId{3}, 1);
+    g.add_undirected_edge(first, NodeId{3}, 1);
+    const auto paths = dijkstra(g, NodeId{0});
+    EXPECT_EQ(paths.distance_to(NodeId{3}), 2u);
+    EXPECT_EQ(paths.predecessor[3], NodeId{1}) << "one_first " << one_first;
+  }
+}
+
+TEST(Dijkstra, ZeroCostEdgeSettlesAfterItsHigherIdNeighbour) {
+  // 1 is reached only across 2's zero-cost edge, so it settles after 2 at
+  // the same distance, and 3 (cost 2 through either) keeps 2.
+  Graph g(4);
+  g.add_undirected_edge(NodeId{0}, NodeId{2}, 1);
+  g.add_undirected_edge(NodeId{2}, NodeId{1}, 0);
+  g.add_undirected_edge(NodeId{1}, NodeId{3}, 1);
+  g.add_undirected_edge(NodeId{2}, NodeId{3}, 1);
+  std::vector<NodeId> order;
+  const auto paths = dijkstra(g, NodeId{0}, [&](NodeId node, const ShortestPaths&) {
+    order.push_back(node);
+    return true;
+  });
+  EXPECT_EQ(order, (std::vector<NodeId>{NodeId{0}, NodeId{2}, NodeId{1}, NodeId{3}}));
+  EXPECT_EQ(paths.distance_to(NodeId{1}), 1u);
+  EXPECT_EQ(paths.predecessor[1], NodeId{2});
+  EXPECT_EQ(paths.predecessor[3], NodeId{2});
+}
+
+TEST(Dijkstra, SettleCallbackStopsTheSearch) {
+  Graph g = line(5);
+  std::vector<NodeId> order;
+  const auto paths = dijkstra(g, NodeId{0}, [&](NodeId node, const ShortestPaths& p) {
+    order.push_back(node);
+    return p.distance_to(node) < 2;
+  });
+  EXPECT_EQ(order, (std::vector<NodeId>{NodeId{0}, NodeId{1}, NodeId{2}}));
+  EXPECT_FALSE(paths.reachable(NodeId{4}));
+}
+
 TEST(ConnectedComponents, SingleComponent) {
   Graph g = line(5);
   const auto comps = connected_components(g);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace evo::net {
 namespace {
 
@@ -26,6 +28,18 @@ TEST(Topology, RouterLoopbacks) {
   EXPECT_EQ(topo.router(r1).loopback.to_string(), "0.1.1.1");
   EXPECT_EQ(topo.router(r1).index_in_domain, 1u);
   EXPECT_EQ(topo.domain(d).routers.size(), 2u);
+}
+
+TEST(Topology, AddRouterThrowsPastTheAddressPlan) {
+  // Index 255's /24 holds anycast addresses, so a domain numbers 255
+  // routers; the 256th throws in every build type.
+  Topology topo;
+  const auto d = topo.add_domain("a");
+  for (std::uint32_t i = 0; i < Topology::kMaxRoutersPerDomain; ++i) topo.add_router(d);
+  const NodeId last = topo.domain(d).routers.back();
+  EXPECT_EQ(topo.router(last).loopback.to_string(), "0.1.254.1");
+  EXPECT_THROW(topo.add_router(d), std::out_of_range);
+  EXPECT_EQ(topo.domain(d).routers.size(), Topology::kMaxRoutersPerDomain);
 }
 
 TEST(Topology, IntraDomainLink) {

@@ -366,6 +366,43 @@ TEST(VnRoutingCache, EndhostRouteRegistration) {
   expect_matches_reference(f.net, f.ingress, f.to_z);
 }
 
+TEST(VnRoutingCache, TieHeavyRoutesFollowNetDijkstra) {
+  // Every physical link costs 1, so equal-cost virtual paths abound. From
+  // every active member to every active member, route()'s hops must be
+  // net::dijkstra's over virtual_graph().
+  net::TransitStubParams params{
+      .transit_domains = 3, .stubs_per_transit = 3, .seed = 5};
+  params.transit_internal = {.routers = 8, .chord_probability = 0.4, .min_cost = 1,
+                             .max_cost = 1};
+  params.stub_internal = {.routers = 4, .chord_probability = 0.3, .min_cost = 1,
+                          .max_cost = 1};
+  core::EvolvableInternet net(net::generate_transit_stub(params));
+  net.start();
+  const auto& domains = net.topology().domains();
+  for (std::size_t i = 0; i < domains.size(); i += 2) net.deploy_domain(domains[i].id);
+  net.converge();
+  const auto& bone = net.vnbone();
+  const auto graph = bone.virtual_graph();
+  const auto members = bone.active_members();
+  std::size_t ties = 0;  // members with two equal-cost predecessors
+  for (const NodeId ingress : members) {
+    const auto tree = net::dijkstra(graph, ingress);
+    for (const NodeId m : members) {
+      const auto dst = IpvNAddr::native(8, net.topology().router(m).domain.value(),
+                                        m.value(), 0);
+      EXPECT_EQ(bone.route(ingress, dst).vn_hops, tree.path_to(m))
+          << "ingress " << ingress.value() << " to " << m.value();
+      std::size_t parents = 0;
+      for (const auto& e : graph.neighbors(m)) {
+        parents += tree.reachable(e.to) &&
+                   tree.distance_to(e.to) + e.cost == tree.distance_to(m);
+      }
+      ties += parents >= 2;
+    }
+  }
+  EXPECT_GT(ties, members.size());
+}
+
 TEST(VnRouting, ModeNamesRender) {
   EXPECT_STREQ(to_string(EgressMode::kExitAtIngress), "exit-at-ingress");
   EXPECT_STREQ(to_string(EgressMode::kOwnPathKnowledge), "own-path-knowledge");
