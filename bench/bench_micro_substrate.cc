@@ -103,6 +103,37 @@ void BM_CompiledFibCompile(benchmark::State& state) {
 }
 BENCHMARK(BM_CompiledFibCompile)->Arg(64)->Arg(1024)->Arg(16384);
 
+void BM_FibFind(benchmark::State& state) {
+  // Exact-match finds, the install path's FIB access, on a table shaped
+  // like one perfbench router's: a /16 per domain, plus its own domain's
+  // /24 router subnets and /32 loopbacks.
+  net::Fib fib;
+  std::vector<net::Prefix> prefixes;
+  for (std::uint32_t d = 0; d < 208; ++d) {
+    prefixes.push_back(net::Prefix{net::Ipv4Addr{(d + 1) << 16}, 16});
+  }
+  for (std::uint32_t r = 0; r < 26; ++r) {
+    prefixes.push_back(net::Prefix{net::Ipv4Addr{(1u << 16) | (r << 8)}, 24});
+    prefixes.push_back(net::Prefix::host(net::Ipv4Addr{(1u << 16) | (r << 8) | 1}));
+  }
+  for (std::uint32_t i = 0; i < prefixes.size(); ++i) {
+    fib.insert(net::FibEntry{prefixes[i], net::NodeId{i}, net::LinkId{i}});
+  }
+  sim::Rng rng{3};
+  std::vector<net::Prefix> probes(4096);
+  for (auto& p : probes) p = rng.pick(prefixes);
+  std::uint64_t hits = 0;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    hits += fib.find(probes[i]) != nullptr;
+    i = (i + 1) & (probes.size() - 1);
+  }
+  benchmark::DoNotOptimize(hits);
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(std::to_string(fib.size()) + " entries");
+}
+BENCHMARK(BM_FibFind);
+
 void BM_FibInsert(benchmark::State& state) {
   for (auto _ : state) {
     net::Fib fib;

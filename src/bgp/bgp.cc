@@ -138,6 +138,19 @@ void BgpSystem::withdraw(NodeId node, Prefix prefix) {
   decide(node, prefix);
 }
 
+BgpSystem::PrefixId BgpSystem::prefix_id(Prefix prefix) {
+  const auto [it, inserted] =
+      prefix_ids_.try_emplace(prefix, static_cast<PrefixId>(prefixes_.size()));
+  if (inserted) {
+    prefixes_.push_back(prefix);
+    const auto at = std::upper_bound(
+        ids_by_prefix_.begin(), ids_by_prefix_.end(), prefix,
+        [&](Prefix p, PrefixId id) { return p < prefixes_[id]; });
+    ids_by_prefix_.insert(at, it->second);
+  }
+  return it->second;
+}
+
 bool BgpSystem::preferred(const Route& a, const Route& b) {
   if (a.local_pref != b.local_pref) return a.local_pref > b.local_pref;
   if (a.as_path.size() != b.as_path.size()) return a.as_path.size() < b.as_path.size();
@@ -162,17 +175,20 @@ void BgpSystem::decide(NodeId node, Prefix prefix) {
     if (best == nullptr || preferred(it->second, *best)) best = &it->second;
   }
 
-  const auto current = st.loc_rib.find(prefix);
-  const bool had = current != st.loc_rib.end();
+  const PrefixId id = prefix_id(prefix);
+  const Route* current = loc_rib_at(st, id);
   if (best == nullptr) {
-    if (!had) return;
-    st.loc_rib.erase(current);
+    if (current == nullptr) return;
+    st.loc_rib[id].reset();
+    --st.loc_rib_count;
   } else {
-    if (had && current->second == *best) return;  // no effective change
-    st.loc_rib[prefix] = *best;
+    if (current != nullptr && *current == *best) return;  // no effective change
+    if (current == nullptr) ++st.loc_rib_count;
+    if (st.loc_rib.size() <= id) st.loc_rib.resize(prefixes_.size());
+    st.loc_rib[id] = *best;
   }
   ++loc_rib_epoch_;
-  install_dirty_[st.domain.value()].insert(prefix);
+  mark_install_dirty(st.domain, id);
   st.dirty.insert(prefix);
   schedule_send(node);
 }
@@ -252,7 +268,9 @@ bool BgpSystem::sync_sessions() {
 
 void BgpSystem::readvertise(NodeId node) {
   auto& st = speaker(node);
-  for (const auto& [prefix, route] : st.loc_rib) st.dirty.insert(prefix);
+  for (const PrefixId id : ids_by_prefix_) {
+    if (loc_rib_at(st, id) != nullptr) st.dirty.insert(prefixes_[id]);
+  }
   schedule_send(node);
 }
 
@@ -265,13 +283,13 @@ void BgpSystem::flush_updates(NodeId node) {
     recorder_->instant(obs::Domain::kBgp, "bgp.flush", node.value(), dirty.size());
   }
   for (const Prefix prefix : dirty) {
-    const auto best = st.loc_rib.find(prefix);
+    const Route* best = loc_rib_at(st, prefix_id(prefix));
     for (const std::size_t si : st.sessions) {
       const Session& session = sessions_[si];
       if (!session_usable(session)) continue;
       Update update;
       update.prefix = prefix;
-      if (best == st.loc_rib.end() || !exportable(st, best->second, session)) {
+      if (best == nullptr || !exportable(st, *best, session)) {
         // Withdraw only where an advertisement actually exists.
         if (st.adj_rib_out.erase({prefix, si}) == 0) continue;
         update.withdraw = true;
@@ -279,17 +297,17 @@ void BgpSystem::flush_updates(NodeId node) {
         st.adj_rib_out.insert({prefix, si});
       }
       if (!update.withdraw) {
-        update.as_path = best->second.as_path;
+        update.as_path = best->as_path;
         if (!session.ibgp) {
           // Path was already prepended with our domain at origination time
           // (self routes carry {domain}); for learned routes prepend now.
-          if (best->second.learned != LearnedFrom::kSelf) {
+          if (best->learned != LearnedFrom::kSelf) {
             update.as_path.insert(update.as_path.begin(), st.domain);
           }
         }
-        update.no_export = best->second.no_export;
-        update.propagation_ttl = best->second.propagation_ttl;
-        update.anycast = best->second.anycast;
+        update.no_export = best->no_export;
+        update.propagation_ttl = best->propagation_ttl;
+        update.anycast = best->anycast;
       }
       send(si, std::move(update));
     }
@@ -404,12 +422,13 @@ void BgpSystem::on_node_change(NodeId node, bool up) {
     // (it is configuration, restored below on recovery).
     if (is_speaker(node)) {
       auto& st = speaker(node);
-      if (!st.loc_rib.empty()) ++loc_rib_epoch_;
-      for (const auto& [prefix, route] : st.loc_rib) {
-        install_dirty_[st.domain.value()].insert(prefix);
+      if (st.loc_rib_count > 0) ++loc_rib_epoch_;
+      for (const PrefixId id : ids_by_prefix_) {
+        if (loc_rib_at(st, id) != nullptr) mark_install_dirty(st.domain, id);
       }
       st.adj_rib_in.clear();
       st.loc_rib.clear();
+      st.loc_rib_count = 0;
       st.adj_rib_out.clear();
       st.dirty.clear();
     }
@@ -436,7 +455,7 @@ void BgpSystem::on_node_change(NodeId node, bool up) {
       const bool has_session =
           std::any_of(st.sessions.begin(), st.sessions.end(),
                       [&](std::size_t si) { return sessions_[si].remote == node; });
-      if (!has_session || st.loc_rib.empty()) continue;
+      if (!has_session || st.loc_rib_count == 0) continue;
       readvertise(peer);
     }
   }
@@ -444,31 +463,76 @@ void BgpSystem::on_node_change(NodeId node, bool up) {
 
 const Route* BgpSystem::best_route(NodeId node, Prefix prefix) const {
   if (!is_speaker(node)) return nullptr;
-  const auto& st = speaker(node);
-  const auto it = st.loc_rib.find(prefix);
-  return it == st.loc_rib.end() ? nullptr : &it->second;
+  const auto it = prefix_ids_.find(prefix);
+  return it == prefix_ids_.end() ? nullptr : loc_rib_at(speaker(node), it->second);
 }
 
 void BgpSystem::for_each_best_route(
     NodeId node, const std::function<void(const Route&)>& fn) const {
   if (!is_speaker(node)) return;
-  for (const auto& [prefix, route] : speaker(node).loc_rib) fn(route);
+  const auto& st = speaker(node);
+  for (const PrefixId id : ids_by_prefix_) {
+    if (const Route* route = loc_rib_at(st, id)) fn(*route);
+  }
 }
 
 std::size_t BgpSystem::loc_rib_size(NodeId node, bool anycast_only) const {
   if (!is_speaker(node)) return 0;
   const auto& st = speaker(node);
-  if (!anycast_only) return st.loc_rib.size();
-  std::size_t count = 0;
-  for (const auto& [prefix, route] : st.loc_rib) {
-    if (route.anycast) ++count;
-  }
-  return count;
+  if (!anycast_only) return st.loc_rib_count;
+  return static_cast<std::size_t>(
+      std::count_if(st.loc_rib.begin(), st.loc_rib.end(),
+                    [](const std::optional<Route>& slot) { return slot && slot->anycast; }));
 }
 
-std::optional<FibEntry> BgpSystem::install_entry(NodeId r, Prefix prefix) const {
+void BgpSystem::mark_install_dirty(DomainId domain, PrefixId id) {
+  auto& dirty = install_dirty_[domain.value()];
+  if (dirty.flag.size() <= id) dirty.flag.resize(prefixes_.size(), 0);
+  if (dirty.flag[id] != 0) return;
+  dirty.flag[id] = 1;
+  dirty.ids.push_back(id);
+}
+
+void BgpSystem::border_row(NodeId r, std::vector<BorderHop>& row) const {
+  const auto& topo = network_.topology();
+  const DomainId domain = topo.router(r).domain;
+  const igp::Igp* igp = igp_of_(domain);
+  const auto& fib = network_.fib(r);
+  const auto& borders = speakers_of(domain);
+  row.resize(borders.size());
+  for (std::size_t i = 0; i < borders.size(); ++i) {
+    const NodeId border = borders[i];
+    BorderHop& hop = row[i];
+    hop.distance =
+        r == border ? 0 : (igp ? igp->distance(r, border) : net::kInfiniteCost);
+    const FibEntry* toward = fib.find(Prefix::host(topo.router(border).loopback));
+    hop.via_igp = toward != nullptr && toward->origin == RouteOrigin::kIgp;
+    hop.next_hop = hop.via_igp ? toward->next_hop : NodeId::invalid();
+    hop.link = hop.via_igp ? toward->out_link : LinkId::invalid();
+  }
+}
+
+void BgpSystem::gather_egresses(DomainId domain, PrefixId id,
+                                std::vector<std::uint32_t>& egresses) const {
+  const auto& borders = speakers_of(domain);
+  for (const NodeId b : borders) {
+    const Route* route = loc_rib_at(speaker(b), id);
+    if (route == nullptr) continue;
+    // Don't egress through an iBGP-learned copy when its eBGP owner is
+    // also a candidate: route through the true egress.
+    const NodeId egress = route->via_ibgp ? route->egress_router : b;
+    const auto at = std::lower_bound(borders.begin(), borders.end(), egress);
+    assert(at != borders.end() && *at == egress);
+    egresses.push_back(static_cast<std::uint32_t>(at - borders.begin()));
+  }
+}
+
+std::optional<FibEntry> BgpSystem::install_rule(NodeId r, PrefixId id,
+                                                std::span<const std::uint32_t> egresses,
+                                                std::span<const BorderHop> row) const {
   const auto& topo = network_.topology();
   const auto& domain = topo.domain(topo.router(r).domain);
+  const Prefix prefix = prefixes_[id];
   // Never install a BGP route for our own aggregate: intra-domain routing
   // handles it.
   if (prefix == domain.prefix) return std::nullopt;
@@ -486,46 +550,47 @@ std::optional<FibEntry> BgpSystem::install_entry(NodeId r, Prefix prefix) const 
     return std::nullopt;
   }
 
-  // Hot potato: the IGP-closest border router with a best route.
-  const igp::Igp* igp = igp_of_(domain.id);
-  NodeId chosen = NodeId::invalid();
+  // Hot potato: the IGP-closest egress; positions follow NodeId order, so
+  // the lowest position breaks ties toward the lowest id.
+  constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+  std::uint32_t chosen = kNone;
   Cost chosen_cost = net::kInfiniteCost;
-  for (const NodeId b : speakers_of(domain.id)) {
-    const auto& rib = speaker(b).loc_rib;
-    const auto it = rib.find(prefix);
-    if (it == rib.end()) continue;
-    // Don't egress through an iBGP-learned copy when its eBGP owner is
-    // also a candidate: route through the true egress.
-    const NodeId egress = it->second.via_ibgp ? it->second.egress_router : b;
-    const Cost d = (r == egress) ? 0
-                                 : (igp ? igp->distance(r, egress) : net::kInfiniteCost);
+  for (const std::uint32_t egress : egresses) {
+    const Cost d = row[egress].distance;
     if (d < chosen_cost || (d == chosen_cost && egress < chosen)) {
       chosen = egress;
       chosen_cost = d;
     }
   }
-  if (!chosen.valid()) return std::nullopt;
+  if (chosen == kNone) return std::nullopt;
 
-  if (r == chosen) {
+  const NodeId egress = speakers_of(domain.id)[chosen];
+  if (r == egress) {
     // We are the egress: forward over the eBGP link. Self-originated routes
     // need no FIB entry (IGP covers the domain); via_ibgp at the egress
     // itself cannot happen (egress resolution above).
-    const auto& rib = speaker(chosen).loc_rib;
-    const auto it = rib.find(prefix);
-    if (it == rib.end()) return std::nullopt;
-    const Route& route = it->second;
-    if (route.learned == LearnedFrom::kSelf || route.via_ibgp) return std::nullopt;
-    if (!route.via_link.valid() || !topo.link_usable(route.via_link)) return std::nullopt;
-    return FibEntry{prefix, route.ebgp_next_hop, route.via_link, RouteOrigin::kBgp,
-                    static_cast<Cost>(route.as_path.size())};
+    const Route* route = loc_rib_at(speaker(egress), id);
+    if (route == nullptr) return std::nullopt;
+    if (route->learned == LearnedFrom::kSelf || route->via_ibgp) return std::nullopt;
+    if (!route->via_link.valid() || !topo.link_usable(route->via_link)) return std::nullopt;
+    return FibEntry{prefix, route->ebgp_next_hop, route->via_link, RouteOrigin::kBgp,
+                    static_cast<Cost>(route->as_path.size())};
   }
   // Toward another border: the next hop and link are the IGP's own, read
   // from its FIB entry for the egress's loopback.
-  const FibEntry* toward =
-      network_.fib(r).find(Prefix::host(topo.router(chosen).loopback));
-  if (toward == nullptr || toward->origin != RouteOrigin::kIgp) return std::nullopt;
-  return FibEntry{prefix, toward->next_hop, toward->out_link, RouteOrigin::kBgp,
-                  chosen_cost};
+  const BorderHop& toward = row[chosen];
+  if (!toward.via_igp) return std::nullopt;
+  return FibEntry{prefix, toward.next_hop, toward.link, RouteOrigin::kBgp, chosen_cost};
+}
+
+std::optional<FibEntry> BgpSystem::install_entry(NodeId r, Prefix prefix) const {
+  const auto it = prefix_ids_.find(prefix);
+  if (it == prefix_ids_.end()) return std::nullopt;  // no Loc-RIB holds it
+  std::vector<std::uint32_t> egresses;
+  std::vector<BorderHop> row;
+  gather_egresses(network_.topology().router(r).domain, it->second, egresses);
+  border_row(r, row);
+  return install_rule(r, it->second, egresses, row);
 }
 
 void BgpSystem::install_routes() {
@@ -542,17 +607,55 @@ void BgpSystem::install_routes() {
     });
   };
 
+  // One prefix of a domain's pass: its id, whether every router recomputes
+  // it, and its candidate egresses as egresses[first, last).
+  struct Work {
+    PrefixId id;
+    bool dirty;
+    std::uint32_t first, last;
+  };
+  std::vector<std::uint8_t> moved;
+  std::vector<Work> work;
+  std::vector<std::uint32_t> egresses;
+  std::vector<BorderHop> row;
   for (const auto& domain : topo.domains()) {
     auto& dirty = install_dirty_[domain.id.value()];
-    if (std::any_of(domain.routers.begin(), domain.routers.end(), inputs_moved)) {
-      for (const NodeId b : speakers_of(domain.id)) {
-        for (const auto& [prefix, route] : speaker(b).loc_rib) dirty.insert(prefix);
-      }
+    moved.assign(domain.routers.size(), 0);
+    bool any_moved = false;
+    for (std::size_t i = 0; i < domain.routers.size(); ++i) {
+      moved[i] = inputs_moved(domain.routers[i]);
+      any_moved = any_moved || moved[i];
     }
-    for (const Prefix prefix : dirty) {
-      for (const NodeId r : domain.routers) {
-        auto& fib = network_.fib(r);
-        if (const auto entry = install_entry(r, prefix)) {
+    const bool any_dirty = !dirty.ids.empty();
+    if (!any_dirty && !any_moved) continue;
+
+    // Each prefix's candidates, gathered once, in Prefix order: the dirty
+    // prefixes, and when a router moved, every prefix the borders hold.
+    work.clear();
+    egresses.clear();
+    for (const PrefixId id : ids_by_prefix_) {
+      const bool is_dirty = id < dirty.flag.size() && dirty.flag[id] != 0;
+      if (!is_dirty && !any_moved) continue;
+      const auto first = static_cast<std::uint32_t>(egresses.size());
+      gather_egresses(domain.id, id, egresses);
+      const auto last = static_cast<std::uint32_t>(egresses.size());
+      if (first == last && !is_dirty) continue;
+      work.push_back({id, is_dirty, first, last});
+    }
+    for (const PrefixId id : dirty.ids) dirty.flag[id] = 0;
+    dirty.ids.clear();
+
+    for (std::size_t i = 0; i < domain.routers.size(); ++i) {
+      if (!moved[i] && !any_dirty) continue;
+      const NodeId r = domain.routers[i];
+      border_row(r, row);
+      auto& fib = network_.fib(r);
+      for (const Work& w : work) {
+        if (!moved[i] && !w.dirty) continue;
+        const auto candidates =
+            std::span<const std::uint32_t>(egresses).subspan(w.first, w.last - w.first);
+        const Prefix prefix = prefixes_[w.id];
+        if (const auto entry = install_rule(r, w.id, candidates, row)) {
           fib.insert(*entry);  // a no-op when the entry is unchanged
         } else if (const auto* old = fib.find(prefix);
                    old != nullptr && old->origin == RouteOrigin::kBgp) {
@@ -560,7 +663,6 @@ void BgpSystem::install_routes() {
         }
       }
     }
-    dirty.clear();
   }
 
   for (const auto& router : topo.routers()) {

@@ -16,6 +16,8 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "bgp/route.h"
@@ -65,16 +67,20 @@ class BgpSystem {
   /// Push converged routes into every router's FIB (hot potato through the
   /// domain's IGP). Call after the simulator reaches quiescence.
   ///
-  /// The install is a delta. It rewrites only the (domain, prefix) pairs
-  /// whose inputs moved since the previous call, each router of the domain
-  /// getting install_entry() through Fib::insert, or losing its kBgp entry
-  /// for the prefix. A pair is dirty when the best route for the prefix
-  /// changed at any border of the domain (decide() or a crash). A domain
-  /// is fully dirty, every prefix of its borders' Loc-RIBs recomputed,
-  /// when for one of its routers a foreign input of the rule moved since
-  /// BGP's last write: the Fib epoch (IGP and anycast writes, distance and
-  /// next-hop changes), the up state, the usability of an incident link,
-  /// or the local addresses. The first call treats every domain as dirty.
+  /// The install is a delta: one pass per domain with work, writing
+  /// install_entry()'s rule through Fib::insert, or removing a kBgp entry
+  /// the rule no longer gives. A prefix is dirty in a domain when its best
+  /// route changed at one of the domain's borders (decide() or a crash);
+  /// every router recomputes it. A router whose own inputs of the rule moved
+  /// since BGP's last write recomputes every prefix its domain's borders
+  /// hold. Those inputs are its Fib epoch (IGP and anycast writes: LS and
+  /// DV install each IGP distance as a loopback entry's metric, so a moved
+  /// distance moves the epoch), its up state, the usability of its incident
+  /// links and its local addresses. Every other router keeps its entries
+  /// for the clean prefixes, which is exact because no other input of
+  /// install_entry(r, ·) belongs to a router other than r. The pass gathers
+  /// each prefix's candidate egresses once and each router's row toward the
+  /// borders once. The first call treats every router as moved.
   void install_routes();
 
   /// The one install rule: the entry BGP wants in `router`'s FIB for
@@ -82,8 +88,8 @@ class BgpSystem {
   /// link and local-address state. A router other than the egress forwards
   /// along its kIgp FIB entry for the egress's loopback. nullopt when BGP
   /// leaves the prefix to another origin or has no usable route.
-  /// install_routes() writes it for every dirty pair; the
-  /// install-equivalence oracle applies it to all.
+  /// install_routes() applies the same rule, sharing its hot-potato choice;
+  /// the install-equivalence oracle calls this for every pair.
   std::optional<net::FibEntry> install_entry(net::NodeId router,
                                              net::Prefix prefix) const;
 
@@ -147,6 +153,9 @@ class BgpSystem {
     bool anycast = false;
   };
 
+  /// Dense prefix id: an index into prefixes_ and every Loc-RIB.
+  using PrefixId = std::uint32_t;
+
   /// Sentinel "session" index for self-originated Adj-RIB-In entries.
   static constexpr std::size_t kSelfSession = static_cast<std::size_t>(-1);
 
@@ -157,8 +166,10 @@ class BgpSystem {
     /// Keying by session (not neighbor) keeps parallel sessions to the
     /// same neighbor independent.
     std::map<std::pair<net::Prefix, std::size_t>, Route> adj_rib_in;
-    /// Loc-RIB: the winning route per prefix.
-    std::map<net::Prefix, Route> loc_rib;
+    /// Loc-RIB: the winning route per prefix, indexed by PrefixId (may be
+    /// shorter than prefixes_); loc_rib_count counts the engaged slots.
+    std::vector<std::optional<Route>> loc_rib;
+    std::size_t loc_rib_count = 0;
     /// Adj-RIB-Out: (prefix, session) pairs currently advertised, so
     /// withdrawals are sent only where an advertisement exists.
     std::set<std::pair<net::Prefix, std::size_t>> adj_rib_out;
@@ -182,6 +193,38 @@ class BgpSystem {
     assert(is_speaker(node));
     return speakers_[node.value()];
   }
+
+  /// The dense id of `prefix`, assigned on first sight.
+  PrefixId prefix_id(net::Prefix prefix);
+  /// `st`'s best route for the prefix `id`, or null.
+  static const Route* loc_rib_at(const SpeakerState& st, PrefixId id) {
+    return id < st.loc_rib.size() && st.loc_rib[id] ? &*st.loc_rib[id] : nullptr;
+  }
+
+  /// Record that `id`'s best route changed at a border of `domain`.
+  void mark_install_dirty(net::DomainId domain, PrefixId id);
+
+  /// A router's view of one border of its domain: the IGP distance (0 at
+  /// the border itself) and the router's kIgp FIB entry toward the border's
+  /// loopback, copied (via_igp false without one).
+  struct BorderHop {
+    net::Cost distance = net::kInfiniteCost;
+    net::NodeId next_hop;
+    net::LinkId link;
+    bool via_igp = false;
+  };
+  /// `router`'s row toward each border of its domain, by position in
+  /// speakers_of().
+  void border_row(net::NodeId router, std::vector<BorderHop>& row) const;
+  /// Append the egress of every best route for `id` at `domain`'s borders,
+  /// as positions in speakers_of(domain), in border order.
+  void gather_egresses(net::DomainId domain, PrefixId id,
+                       std::vector<std::uint32_t>& egresses) const;
+  /// install_entry()'s rule over pre-gathered inputs: `egresses` from
+  /// gather_egresses() for `id`, `row` from border_row() for `router`.
+  std::optional<net::FibEntry> install_rule(net::NodeId router, PrefixId id,
+                                            std::span<const std::uint32_t> egresses,
+                                            std::span<const BorderHop> row) const;
 
   /// Append the pair of sessions between `a` and `b`; `relationship` is
   /// b's relationship as seen from a.
@@ -239,9 +282,20 @@ class BgpSystem {
   std::uint64_t loc_rib_epoch_ = 0;
   bool started_ = false;
 
+  /// Every prefix seen, by id; and all ids sorted by prefix, which is the
+  /// order every walk over a Loc-RIB follows.
+  std::unordered_map<net::Prefix, PrefixId> prefix_ids_;
+  std::vector<net::Prefix> prefixes_;
+  std::vector<PrefixId> ids_by_prefix_;
+
   /// install_routes() bookkeeping. Per domain: the prefixes whose best
-  /// route changed at one of its borders since the last install.
-  std::vector<std::set<net::Prefix>> install_dirty_;
+  /// route changed at one of its borders since the last install, as a list
+  /// and as a flag per id.
+  struct DirtyPrefixes {
+    std::vector<PrefixId> ids;
+    std::vector<std::uint8_t> flag;  // by id; may be shorter than prefixes_
+  };
+  std::vector<DirtyPrefixes> install_dirty_;
   /// Per router: the foreign inputs of the install rule as of BGP's last
   /// write (fib_epoch 0 never matches a Fib, so the first call is full).
   struct InstallInputs {

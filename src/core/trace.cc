@@ -131,6 +131,7 @@ void complete_from_ingress(const EvolvableInternet& internet,
   result.egress = result.vn_route.egress;
   const LegPlan plan{topo, result.vn_route, inner.legacy_dst,
                      topo.host(dst).access_router};
+  result.segments.reserve(result.segments.size() + plan.size());
   for (std::size_t i = 0; i < plan.size(); ++i) {
     const Leg leg = plan[i];
     Segment& segment = result.segments.emplace_back();

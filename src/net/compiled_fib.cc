@@ -5,14 +5,12 @@
 namespace evo::net {
 
 void CompiledFib::compile(const Fib& fib) {
-  entries_.clear();
+  entries_.assign(fib.entries().begin(), fib.entries().end());
   ranges_.clear();
-  entries_.reserve(fib.size());
-  fib.for_each([&](const FibEntry& e) { entries_.push_back(e); });
 
   // Project the prefix set onto disjoint ranges. Prefixes form a laminar
-  // family (any two are nested or disjoint) and for_each yields them sorted
-  // by start address with containers before containees, so one sweep with a
+  // family (any two are nested or disjoint) and Fib keeps them sorted by
+  // start address with containers before containees, so one sweep with a
   // stack of currently-open prefixes computes the LPM winner everywhere.
   // 64-bit cursors avoid overflow at the top of the address space.
   struct Open {

@@ -1,13 +1,14 @@
 // Compiled forwarding table: a flat, contiguous-array LPM structure built
 // from a Fib snapshot.
 //
-// The binary trie in Fib stays the mutable authoritative store the control
-// plane writes; CompiledFib is the read-optimized form the data plane
-// consults on every trace hop. Compilation projects the prefix set onto
+// Fib, a vector sorted by prefix, stays the mutable authoritative store the
+// control plane writes; CompiledFib is the read-optimized form the data
+// plane consults on every trace hop. Compilation projects the prefix set onto
 // disjoint address ranges (prefixes form a laminar family, so a single
 // interval sweep suffices), then lays a direct-indexed block table on top
 // so a lookup is one table load plus a short bounded binary search over one
-// or two cache lines — no per-node heap allocations, no pointer chasing.
+// or two cache lines, where Fib::lookup needs one binary search per prefix
+// length present.
 //
 // Staleness is detected through Fib's route epoch: compile() records the
 // source epoch, and Network recompiles a router's CompiledFib lazily when
@@ -65,7 +66,7 @@ class CompiledFib {
     std::int32_t winner;   // index into entries_; -1 = no route
   };
 
-  std::vector<FibEntry> entries_;  // table snapshot, trie order
+  std::vector<FibEntry> entries_;  // table snapshot, Prefix order
   std::vector<Range> ranges_;      // disjoint, sorted by start; [0] starts at 0
   // index_[b] = index of the last range starting at or before (b << shift_);
   // one extra slot so lookup can read index_[block + 1] unconditionally.

@@ -1,7 +1,7 @@
 #include "net/fib.h"
 
-#include <functional>
-#include <unordered_map>
+#include <algorithm>
+#include <bit>
 
 namespace evo::net {
 
@@ -16,159 +16,145 @@ const char* to_string(RouteOrigin origin) {
   return "?";
 }
 
-struct Fib::TrieNode {
-  std::unique_ptr<TrieNode> child[2];
-  std::optional<FibEntry> entry;
-};
-
-Fib::Fib() : root_(std::make_unique<TrieNode>()) {}
-Fib::~Fib() = default;
-Fib::Fib(Fib&&) noexcept = default;
-Fib& Fib::operator=(Fib&&) noexcept = default;
-
 namespace {
 
-/// Bit `i` (0 = most significant) of an address.
-inline unsigned bit_at(Ipv4Addr addr, unsigned i) {
-  return (addr.bits() >> (31 - i)) & 1u;
+/// Prefix order as one integer: address, then length.
+std::uint64_t order_key(const Prefix& p) {
+  return (std::uint64_t{p.address().bits()} << 8) | p.length();
+}
+
+/// Index of the first entry not below `prefix`. Branchless (the comparison
+/// becomes a conditional move, so random probes cost no mispredicts): base
+/// ends on the last entry below `prefix`, or on the first entry.
+std::size_t first_not_below(const std::vector<FibEntry>& entries, const Prefix& prefix) {
+  if (entries.empty()) return 0;
+  const std::uint64_t key = order_key(prefix);
+  const FibEntry* base = entries.data();
+  for (std::size_t n = entries.size(); n > 1;) {
+    const std::size_t half = n / 2;
+    base += order_key(base[half].prefix) < key ? half : 0;
+    n -= half;
+  }
+  return static_cast<std::size_t>(base - entries.data()) + (order_key(base->prefix) < key);
 }
 
 }  // namespace
 
 void Fib::insert(const FibEntry& entry) {
-  TrieNode* node = root_.get();
-  for (unsigned i = 0; i < entry.prefix.length(); ++i) {
-    const unsigned b = bit_at(entry.prefix.address(), i);
-    if (!node->child[b]) node->child[b] = std::make_unique<TrieNode>();
-    node = node->child[b].get();
+  const auto it = entries_.begin() +
+                  static_cast<std::ptrdiff_t>(first_not_below(entries_, entry.prefix));
+  if (it != entries_.end() && it->prefix == entry.prefix) {
+    if (*it == entry) return;  // no-op: keep the epoch
+    *it = entry;
+  } else {
+    entries_.insert(it, entry);
+    lengths_ |= std::uint64_t{1} << entry.prefix.length();
   }
-  if (node->entry && *node->entry == entry) return;  // no-op: keep the epoch
-  if (!node->entry) ++size_;
-  node->entry = entry;
   ++epoch_;
 }
 
 bool Fib::remove(const Prefix& prefix) {
-  TrieNode* node = root_.get();
-  for (unsigned i = 0; i < prefix.length(); ++i) {
-    const unsigned b = bit_at(prefix.address(), i);
-    if (!node->child[b]) return false;
-    node = node->child[b].get();
-  }
-  if (!node->entry) return false;
-  node->entry.reset();
-  --size_;
+  const auto it =
+      entries_.begin() + static_cast<std::ptrdiff_t>(first_not_below(entries_, prefix));
+  if (it == entries_.end() || it->prefix != prefix) return false;
+  entries_.erase(it);
   ++epoch_;
-  // Dangling interior nodes are left in place; they are reclaimed on
-  // clear(). This keeps remove() O(length) with no parent tracking.
   return true;
 }
 
 std::size_t Fib::remove_origin(RouteOrigin origin) {
-  std::size_t removed = 0;
-  std::function<void(TrieNode*)> walk = [&](TrieNode* node) {
-    if (node->entry && node->entry->origin == origin) {
-      node->entry.reset();
-      --size_;
-      ++removed;
-    }
-    for (auto& child : node->child) {
-      if (child) walk(child.get());
-    }
-  };
-  walk(root_.get());
-  if (removed > 0) ++epoch_;
+  const std::size_t removed =
+      std::erase_if(entries_, [&](const FibEntry& e) { return e.origin == origin; });
+  if (removed > 0) {
+    recount_lengths();
+    ++epoch_;
+  }
   return removed;
 }
 
 void Fib::replace_origins(std::initializer_list<RouteOrigin> origins,
                           std::span<const FibEntry> entries) {
-  const auto in_set = [&](RouteOrigin origin) {
-    for (const RouteOrigin o : origins) {
-      if (o == origin) return true;
-    }
-    return false;
+  const auto in_set = [&](const FibEntry& e) {
+    return std::find(origins.begin(), origins.end(), e.origin) != origins.end();
   };
 
-  // Desired table for these origins; a later duplicate prefix wins, exactly
-  // as repeated insert() calls would behave.
-  std::unordered_map<Prefix, const FibEntry*> desired;
-  desired.reserve(entries.size());
-  for (const FibEntry& e : entries) desired[e.prefix] = &e;
+  // Desired table for these origins, sorted by prefix; a later duplicate
+  // prefix wins, exactly as repeated insert() calls would behave.
+  std::vector<FibEntry> desired(entries.begin(), entries.end());
+  std::stable_sort(desired.begin(), desired.end(),
+                   [](const FibEntry& a, const FibEntry& b) { return a.prefix < b.prefix; });
+  const auto last_wins = std::unique(
+      desired.rbegin(), desired.rend(),
+      [](const FibEntry& a, const FibEntry& b) { return a.prefix == b.prefix; });
+  desired.erase(desired.begin(), last_wins.base());
 
-  // No-op detection: every existing entry of these origins must appear in
-  // `desired` with identical contents, and the counts must match. When so,
-  // skip the rebuild and leave the epoch — compiled state stays valid.
-  std::size_t existing = 0;
+  // No-op detection: when the entries of these origins already equal
+  // `desired`, leave the table and the epoch, so compiled state stays valid.
+  auto want = desired.begin();
   bool identical = true;
-  for_each([&](const FibEntry& e) {
-    if (!in_set(e.origin)) return;
-    ++existing;
-    const auto it = desired.find(e.prefix);
-    if (it == desired.end() || !(*it->second == e)) identical = false;
-  });
-  if (identical && existing == desired.size()) return;
+  for (const FibEntry& e : entries_) {
+    if (!in_set(e)) continue;
+    if (want == desired.end() || !(*want == e)) {
+      identical = false;
+      break;
+    }
+    ++want;
+  }
+  if (identical && want == desired.end()) return;
 
-  for (const RouteOrigin o : origins) remove_origin(o);
-  for (const FibEntry& e : entries) insert(e);
+  // Merge: keep the other origins' entries except where `desired` names the
+  // same prefix (insert() would have replaced them).
+  std::vector<FibEntry> merged;
+  merged.reserve(entries_.size() + desired.size());
+  want = desired.begin();
+  for (const FibEntry& e : entries_) {
+    if (in_set(e)) continue;
+    while (want != desired.end() && want->prefix < e.prefix) merged.push_back(*want++);
+    if (want != desired.end() && want->prefix == e.prefix) continue;
+    merged.push_back(e);
+  }
+  merged.insert(merged.end(), want, desired.end());
+  entries_ = std::move(merged);
+  recount_lengths();
+  ++epoch_;
 }
 
 const FibEntry* Fib::lookup(Ipv4Addr addr) const {
-  const TrieNode* node = root_.get();
-  const FibEntry* best = node->entry ? &*node->entry : nullptr;
-  for (unsigned i = 0; i < 32 && node; ++i) {
-    const unsigned b = bit_at(addr, i);
-    node = node->child[b].get();
-    if (node && node->entry) best = &*node->entry;
+  for (std::uint64_t lengths = lengths_; lengths != 0;) {
+    const unsigned length = 63 - static_cast<unsigned>(std::countl_zero(lengths));
+    lengths &= ~(std::uint64_t{1} << length);
+    if (const FibEntry* e = find(Prefix{addr, static_cast<std::uint8_t>(length)})) {
+      return e;
+    }
   }
-  return best;
+  return nullptr;
 }
 
 const FibEntry* Fib::find(const Prefix& prefix) const {
-  const TrieNode* node = root_.get();
-  for (unsigned i = 0; i < prefix.length(); ++i) {
-    const unsigned b = bit_at(prefix.address(), i);
-    if (!node->child[b]) return nullptr;
-    node = node->child[b].get();
-  }
-  return node->entry ? &*node->entry : nullptr;
-}
-
-void Fib::for_each(const std::function<void(const FibEntry&)>& fn) const {
-  // Pre-order DFS, child[0] before child[1]: yields entries sorted by
-  // address, with a covering (shorter) prefix before the prefixes nested
-  // inside it — the order CompiledFib's range sweep requires.
-  std::function<void(const TrieNode*)> walk = [&](const TrieNode* node) {
-    if (node->entry) fn(*node->entry);
-    for (const auto& child : node->child) {
-      if (child) walk(child.get());
-    }
-  };
-  walk(root_.get());
+  const std::size_t at = first_not_below(entries_, prefix);
+  return at < entries_.size() && entries_[at].prefix == prefix ? &entries_[at] : nullptr;
 }
 
 std::size_t Fib::size_with_origin(RouteOrigin origin) const {
-  std::size_t count = 0;
-  for_each([&](const FibEntry& e) { count += e.origin == origin; });
-  return count;
-}
-
-std::vector<FibEntry> Fib::entries() const {
-  std::vector<FibEntry> out;
-  out.reserve(size_);
-  for_each([&](const FibEntry& e) { out.push_back(e); });
-  return out;
+  return static_cast<std::size_t>(std::count_if(
+      entries_.begin(), entries_.end(),
+      [&](const FibEntry& e) { return e.origin == origin; }));
 }
 
 void Fib::clear() {
-  root_ = std::make_unique<TrieNode>();
-  if (size_ > 0) ++epoch_;
-  size_ = 0;
+  if (!entries_.empty()) ++epoch_;
+  entries_.clear();
+  recount_lengths();
+}
+
+void Fib::recount_lengths() {
+  lengths_ = 0;
+  for (const FibEntry& e : entries_) lengths_ |= std::uint64_t{1} << e.prefix.length();
 }
 
 std::string Fib::dump() const {
   std::string out;
-  for (const auto& e : entries()) {
+  for (const auto& e : entries_) {
     out += e.prefix.to_string();
     out += " -> ";
     out += e.next_hop.valid() ? ("node " + std::to_string(e.next_hop.value()))

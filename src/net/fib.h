@@ -1,4 +1,5 @@
-// Forwarding Information Base: longest-prefix-match over a binary trie.
+// Forwarding Information Base: one contiguous vector of entries sorted by
+// prefix, with exact-match and longest-prefix-match lookups.
 //
 // Each router holds one Fib for IPv(N-1) forwarding. Entries record where
 // a route came from (connected / IGP / BGP / anycast) so experiments can
@@ -10,8 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
-#include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -42,13 +41,16 @@ struct FibEntry {
   friend bool operator==(const FibEntry&, const FibEntry&) = default;
 };
 
-/// Binary-trie FIB with longest-prefix-match lookup.
+/// Flat FIB: entries sorted by Prefix, whose (masked address, length)
+/// order puts a covering prefix right before the prefixes nested inside
+/// it. find(), insert() and remove() are binary searches; lookup() probes
+/// only the prefix lengths present, longest first. The object stays small
+/// (a Network holds one per router, and the data plane reads each epoch).
 class Fib {
  public:
-  Fib();
-  ~Fib();
-  Fib(Fib&&) noexcept;
-  Fib& operator=(Fib&&) noexcept;
+  Fib() = default;
+  Fib(Fib&&) noexcept = default;
+  Fib& operator=(Fib&&) noexcept = default;
   Fib(const Fib&) = delete;
   Fib& operator=(const Fib&) = delete;
 
@@ -75,17 +77,17 @@ class Fib {
   /// Exact-prefix fetch (no LPM); nullptr if absent.
   const FibEntry* find(const Prefix& prefix) const;
 
-  std::size_t size() const { return size_; }
+  std::size_t size() const { return entries_.size(); }
   std::size_t size_with_origin(RouteOrigin origin) const;
 
-  /// Visit every entry in trie (prefix) order — sorted by address, shorter
-  /// prefixes before the longer ones they contain — without materializing a
-  /// copy of the table (unlike entries()).
-  void for_each(const std::function<void(const FibEntry&)>& fn) const;
+  /// Visit every entry in Prefix order: sorted by address, shorter
+  /// prefixes before the longer ones they contain.
+  void for_each(const std::function<void(const FibEntry&)>& fn) const {
+    for (const FibEntry& e : entries_) fn(e);
+  }
 
-  /// All entries, in trie (prefix) order. Copies the table; prefer
-  /// for_each() for counting or scanning.
-  std::vector<FibEntry> entries() const;
+  /// All entries, in Prefix order.
+  const std::vector<FibEntry>& entries() const { return entries_; }
 
   void clear();
 
@@ -100,9 +102,14 @@ class Fib {
   std::string dump() const;
 
  private:
-  struct TrieNode;
-  std::unique_ptr<TrieNode> root_;
-  std::size_t size_ = 0;
+  /// Recompute lengths_ exactly after a bulk change.
+  void recount_lengths();
+
+  std::vector<FibEntry> entries_;  // sorted by prefix, one per prefix
+  /// Bit L is set when an entry of length L may exist: insert() sets it,
+  /// remove() leaves it (lookup() then probes one length in vain), and
+  /// the bulk changes recompute it.
+  std::uint64_t lengths_ = 0;
   std::uint64_t epoch_ = 1;
 };
 

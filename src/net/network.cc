@@ -83,6 +83,11 @@ const CompiledFib& Network::compiled_fib(NodeId node) const {
   return compiled;
 }
 
+namespace {
+/// Initial hop capacity of a trace: one allocation covers the usual path.
+constexpr std::size_t kTypicalHops = 16;
+}  // namespace
+
 Network::TraceResult Network::trace(NodeId from, Ipv4Addr dst,
                                     unsigned max_hops) const {
   TraceResult result;
@@ -109,6 +114,7 @@ void Network::trace_into(NodeId from, Ipv4Addr dst, unsigned max_hops,
                          TraceResult& result) const {
   result.outcome = TraceResult::Outcome::kNoRoute;
   result.hops.clear();
+  result.hops.reserve(kTypicalHops);
   result.delivered_at = NodeId::invalid();
   result.cost = 0;
   result.latency = {};

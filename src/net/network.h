@@ -4,7 +4,7 @@
 // the simulator and *installs* routes here; tracing a packet is then a
 // synchronous FIB walk, cheap enough for millions of probes per benchmark.
 //
-// Forwarding is two-tier: each router's binary-trie Fib is the mutable
+// Forwarding is two-tier: each router's sorted-vector Fib is the mutable
 // authoritative store, and a flat CompiledFib is compiled from it lazily
 // (per router, on first use after the Fib's route epoch moves) and consulted
 // on every trace hop. IGP SPF runs, DV updates, BGP installs and anycast

@@ -228,6 +228,34 @@ class Components {
 
 }  // namespace
 
+void VnBone::PairSet::reset() {
+  std::fill(slots_.begin(), slots_.end(), kEmpty);
+  size_ = 0;
+}
+
+bool VnBone::PairSet::insert(std::uint32_t lo, std::uint32_t hi) {
+  if (2 * (size_ + 1) > slots_.size()) {
+    std::vector<std::uint64_t> old(std::max<std::size_t>(64, 2 * slots_.size()), kEmpty);
+    old.swap(slots_);
+    for (const std::uint64_t key : old) {
+      if (key != kEmpty) slot(key) = key;
+    }
+  }
+  const std::uint64_t key = (std::uint64_t{lo} << 32) | hi;
+  std::uint64_t& at = slot(key);
+  if (at == key) return false;
+  at = key;
+  ++size_;
+  return true;
+}
+
+std::uint64_t& VnBone::PairSet::slot(std::uint64_t key) {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) & mask;
+  while (slots_[i] != kEmpty && slots_[i] != key) i = (i + 1) & mask;
+  return slots_[i];
+}
+
 void VnBone::build_links() {
   links_.clear();
   partition_repairs_ = 0;
@@ -242,15 +270,15 @@ void VnBone::build_links() {
     return *physical;
   };
 
-  // Dedup helper: canonical (low, high) pairs already linked. The
+  // Dedup: the first link between a (low, high) pair wins. The
   // components of the non-interdomain links drive partition repair.
-  std::set<std::pair<std::uint32_t, std::uint32_t>> have;
+  link_pairs_.reset();
   Components intra(topo.router_count());
   auto add_link = [&](NodeId a, NodeId b, Cost cost, bool interdomain,
                       VirtualLink::Source source) {
     const std::uint32_t lo = std::min(a.value(), b.value());
     const std::uint32_t hi = std::max(a.value(), b.value());
-    if (!have.insert({lo, hi}).second) return;
+    if (!link_pairs_.insert(lo, hi)) return;
     links_.push_back(VirtualLink{a, b, cost, interdomain, source});
     if (!interdomain) intra.unite(a, b);
   };

@@ -260,6 +260,23 @@ class VnBone {
   };
   static constexpr std::uint32_t kNoMember = ~std::uint32_t{0};
 
+  /// Set of (low, high) router-id pairs: open addressing with linear
+  /// probing, at most half full. build_links() dedups links through it;
+  /// reset() keeps the slots, so they are allocated once, not per rebuild.
+  class PairSet {
+   public:
+    void reset();
+    /// Insert (lo, hi); false when it was already present.
+    bool insert(std::uint32_t lo, std::uint32_t hi);
+
+   private:
+    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+    /// The slot holding `key`, or the empty slot where it belongs.
+    std::uint64_t& slot(std::uint64_t key);
+    std::vector<std::uint64_t> slots_;  // power-of-two size
+    std::size_t size_ = 0;
+  };
+
   void ensure_group(net::DomainId first_domain);
 
   /// A router participates in the vN-Bone only while deployed AND up: a
@@ -302,6 +319,7 @@ class VnBone {
   std::set<std::pair<net::NodeId, net::NodeId>> manual_tunnels_;  // (low, high)
   std::map<net::IpvNAddr, net::NodeId> endhost_routes_;
   std::vector<VirtualLink> links_;
+  PairSet link_pairs_;  // build_links()'s dedup, kept across rebuilds
   std::size_t partition_repairs_ = 0;
   std::size_t bootstrap_tunnels_ = 0;
 

@@ -2,7 +2,9 @@
 // and install-time interactions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "bgp/bgp.h"
 #include "check/oracles.h"
@@ -457,6 +459,52 @@ TEST(DeltaInstall, IntraDomainFlapMovesHotPotatoEgress) {
   EXPECT_EQ(f.bgp->loc_rib_epoch(), epoch);
   f.expect_full_pass();
   EXPECT_EQ(t.m1_hop(), t.m0);
+}
+
+TEST(DeltaInstall, MovedRouterAloneIsRecomputed) {
+  // d announces an anycast /32; internal m1 then terminates it with no
+  // protocol told. Only m1's inputs moved: it drops its BGP entry, and no
+  // other router's FIB is written.
+  TwoEgresses t;
+  auto& f = *t.f;
+  const Ipv4Addr addr{0, 0, 9, 1};
+  const Prefix group = Prefix::host(addr);
+  OriginationPolicy policy;
+  policy.anycast = true;
+  f.bgp->originate(t.d, group, policy);
+  f.converge();
+  ASSERT_NE(f.bgp_entry(t.m1, group), nullptr);
+  std::vector<std::uint64_t> epochs;
+  for (const auto& router : f.network.topology().routers()) {
+    epochs.push_back(f.network.fib(router.id).epoch());
+  }
+
+  f.network.add_local_address(t.m1, addr);
+  f.bgp->install_routes();
+  f.expect_full_pass();
+  EXPECT_EQ(f.bgp_entry(t.m1, group), nullptr);
+  for (const auto& router : f.network.topology().routers()) {
+    if (router.id == t.m1) continue;
+    EXPECT_EQ(f.network.fib(router.id).epoch(), epochs[router.id.value()])
+        << "router " << router.id.value();
+  }
+}
+
+TEST(DeltaInstall, BestRoutesVisitInPrefixOrder) {
+  // The /32 is first seen after both domain prefixes, so its dense id is
+  // the highest while it sorts before them.
+  TwoEgresses t;
+  auto& f = *t.f;
+  const Prefix group = Prefix::host(Ipv4Addr{0, 0, 9, 1});
+  OriginationPolicy policy;
+  policy.anycast = true;
+  f.bgp->originate(t.d, group, policy);
+  f.converge();
+  std::vector<Prefix> visited;
+  f.bgp->for_each_best_route(t.m0, [&](const Route& r) { visited.push_back(r.prefix); });
+  ASSERT_EQ(visited.size(), 3u);
+  EXPECT_EQ(visited.front(), group);
+  EXPECT_TRUE(std::is_sorted(visited.begin(), visited.end()));
 }
 
 TEST(DeltaInstall, BorderCrashAndRecovery) {
