@@ -2,9 +2,9 @@
 //
 // FIB longest-prefix match, Dijkstra/SPF, trace throughput, event-queue
 // schedule/fire, vN-Bone route lookups, control plane convergence (LS
-// flooding, DV settling, BGP propagation) and the BGP-to-FIB install after
-// one flap — the costs that bound how large the scenario experiments can
-// scale.
+// flooding, DV settling, BGP propagation, a border router's crash and
+// recovery) and the BGP-to-FIB install after one flap — the costs that
+// bound how large the scenario experiments can scale.
 //
 // `--json <path>` additionally writes a flat {metric → value} artifact
 // (ns_per_op and items_per_sec per benchmark); BENCH_micro_substrate.json
@@ -466,6 +466,35 @@ void BM_InstallRoutesAfterFlap(benchmark::State& state) {
   state.SetLabel(std::to_string(net.topology().domain_count()) + " domains");
 }
 BENCHMARK(BM_InstallRoutesAfterFlap)->Unit(benchmark::kMicrosecond);
+
+void BM_BgpCrashRecover(benchmark::State& state) {
+  // One transit border router crashes and recovers on
+  // BM_InstallRoutesAfterFlap's Internet. Each iteration times the two
+  // Simulator::run() calls that reconverge (the UPDATE waves, the IGP
+  // floods and the quiescent sync); the injections are untimed.
+  auto topo = net::generate_transit_stub(
+      {.transit_domains = 4, .stubs_per_transit = 3, .seed = 13});
+  core::EvolvableInternet net(std::move(topo));
+  net.start();
+  net::NodeId victim = net::NodeId::invalid();
+  for (const auto& router : net.topology().routers()) {
+    if (router.border && !net.topology().domain(router.domain).stub) {
+      victim = router.id;
+      break;
+    }
+  }
+  for (auto _ : state) {
+    for (const bool up : {false, true}) {
+      state.PauseTiming();
+      net.set_node_up(victim, up);
+      state.ResumeTiming();
+      net.simulator().run();
+    }
+    benchmark::DoNotOptimize(net.bgp().messages_sent());
+  }
+  state.SetLabel("router " + std::to_string(victim.value()));
+}
+BENCHMARK(BM_BgpCrashRecover)->Unit(benchmark::kMicrosecond);
 
 void BM_VnBoneRebuild(benchmark::State& state) {
   auto topo = net::generate_transit_stub(

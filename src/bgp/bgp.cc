@@ -37,6 +37,32 @@ std::string Route::describe() const {
   return out;
 }
 
+/// Path storage comes in chunks of this many domains (a longer path gets a
+/// chunk of its own).
+constexpr std::size_t kPathChunk = 4096;
+
+PathTable::PathTable() { paths_.push_back(AsPath{}); }
+
+AsPath PathTable::prepend(DomainId head, const AsPath& tail) {
+  assert(tail.id() < paths_.size() && paths_[tail.id()] == tail);
+  const std::uint64_t key = (std::uint64_t{head.value()} << 32) | tail.id();
+  const auto [it, inserted] =
+      by_head_tail_.try_emplace(key, static_cast<AsPath::Id>(paths_.size()));
+  if (!inserted) return paths_[it->second];
+  const std::size_t size = tail.size() + 1;
+  if (chunk_capacity_ - chunk_used_ < size) {
+    chunk_capacity_ = std::max(kPathChunk, size);
+    chunks_.push_back(std::make_unique<DomainId[]>(chunk_capacity_));
+    chunk_used_ = 0;
+  }
+  DomainId* data = chunks_.back().get() + chunk_used_;
+  chunk_used_ += size;
+  data[0] = head;
+  std::copy(tail.begin(), tail.end(), data + 1);
+  paths_.push_back(AsPath{data, static_cast<std::uint32_t>(size), it->second});
+  return paths_.back();
+}
+
 BgpSystem::BgpSystem(sim::Simulator& simulator, net::Network& network,
                      std::function<const igp::Igp*(net::DomainId)> igp_of)
     : simulator_(simulator), network_(network), igp_of_(std::move(igp_of)) {
@@ -74,10 +100,14 @@ BgpSystem::BgpSystem(sim::Simulator& simulator, net::Network& network,
 void BgpSystem::add_session_pair(NodeId a, NodeId b, LinkId link,
                                  Relationship relationship, bool ibgp) {
   const std::size_t ab = sessions_.size();
-  sessions_.push_back(Session{a, b, link, relationship, ibgp, ab + 1});
-  sessions_.push_back(Session{b, a, link, reverse(relationship), ibgp, ab});
-  speaker(a).sessions.push_back(ab);
-  speaker(b).sessions.push_back(ab + 1);
+  auto& sa = speaker(a).sessions;
+  auto& sb = speaker(b).sessions;
+  sessions_.push_back(Session{a, b, link, relationship, ibgp, ab + 1,
+                              static_cast<std::uint32_t>(sa.size())});
+  sessions_.push_back(Session{b, a, link, reverse(relationship), ibgp, ab,
+                              static_cast<std::uint32_t>(sb.size())});
+  sa.push_back(ab);
+  sb.push_back(ab + 1);
 }
 
 void BgpSystem::start() {
@@ -106,20 +136,21 @@ void BgpSystem::originate(NodeId node, Prefix prefix, const OriginationPolicy& p
 void BgpSystem::seed_self_route(NodeId node, Prefix prefix,
                                 const OriginationPolicy& policy) {
   auto& st = speaker(node);
+  const PrefixId id = prefix_id(prefix);
   Route route;
   route.prefix = prefix;
-  route.as_path = {st.domain};
+  route.as_path = paths_.prepend(st.domain, AsPath{});
   route.egress_router = node;
   route.local_pref = local_pref_for(LearnedFrom::kSelf);
   route.learned = LearnedFrom::kSelf;
   route.no_export = policy.no_export;
   route.propagation_ttl = policy.propagation_ttl;
   route.anycast = policy.anycast;
-  st.adj_rib_in[{prefix, kSelfSession}] = std::move(route);
-  decide(node, prefix);
+  put_offer(st, id, kSelfSession, std::move(route));
+  decide(node, id);
   // A re-origination may change only export policy; the decision process
   // cannot see that, so always force a (re-)advertisement pass.
-  st.dirty.insert(prefix);
+  mark(st.dirty, id);
   schedule_send(node);
 }
 
@@ -134,8 +165,9 @@ void BgpSystem::withdraw(NodeId node, Prefix prefix) {
   }
   auto& st = speaker(node);
   st.originated.erase(prefix);
-  st.adj_rib_in.erase({prefix, kSelfSession});
-  decide(node, prefix);
+  const PrefixId id = prefix_id(prefix);
+  erase_offer(st, id, kSelfSession);
+  decide(node, id);
 }
 
 BgpSystem::PrefixId BgpSystem::prefix_id(Prefix prefix) {
@@ -165,17 +197,50 @@ bool BgpSystem::preferred(const Route& a, const Route& b) {
   return a.egress_router < b.egress_router;
 }
 
-void BgpSystem::decide(NodeId node, Prefix prefix) {
-  auto& st = speaker(node);
+const Route* BgpSystem::best_offer(std::span<const Offer> offers) {
   const Route* best = nullptr;
-  // Scan Adj-RIB-In for this prefix (keys are ordered, so the range is
-  // contiguous).
-  const auto lo = st.adj_rib_in.lower_bound({prefix, 0});
-  for (auto it = lo; it != st.adj_rib_in.end() && it->first.first == prefix; ++it) {
-    if (best == nullptr || preferred(it->second, *best)) best = &it->second;
+  for (const Offer& offer : offers) {
+    if (best == nullptr || preferred(offer.route, *best)) best = &offer.route;
   }
+  return best;
+}
 
-  const PrefixId id = prefix_id(prefix);
+void BgpSystem::mark(DirtyPrefixes& dirty, PrefixId id) const {
+  if (dirty.flag.size() <= id) dirty.flag.resize(prefixes_.size(), 0);
+  if (dirty.flag[id] != 0) return;
+  dirty.flag[id] = 1;
+  dirty.ids.push_back(id);
+}
+
+void BgpSystem::put_offer(SpeakerState& st, PrefixId id, std::uint32_t session,
+                          Route route) {
+  if (st.adj_rib_in.size() <= id) st.adj_rib_in.resize(prefixes_.size());
+  auto& offers = st.adj_rib_in[id];
+  const auto at = std::find_if(offers.begin(), offers.end(),
+                               [&](const Offer& o) { return o.session >= session; });
+  if (at != offers.end() && at->session == session) {
+    at->route = std::move(route);
+  } else {
+    offers.insert(at, Offer{session, std::move(route)});
+  }
+}
+
+bool BgpSystem::erase_offer(SpeakerState& st, PrefixId id, std::uint32_t session) {
+  if (id >= st.adj_rib_in.size()) return false;
+  return std::erase_if(st.adj_rib_in[id],
+                       [&](const Offer& o) { return o.session == session; }) > 0;
+}
+
+std::uint8_t& BgpSystem::out_flag(SpeakerState& st, PrefixId id, std::uint32_t slot) {
+  const std::size_t n = st.sessions.size();
+  if (st.adj_rib_out.size() <= id * n + slot) st.adj_rib_out.resize(prefixes_.size() * n, 0);
+  return st.adj_rib_out[id * n + slot];
+}
+
+void BgpSystem::decide(NodeId node, PrefixId id) {
+  auto& st = speaker(node);
+  const Route* best =
+      id < st.adj_rib_in.size() ? best_offer(st.adj_rib_in[id]) : nullptr;
   const Route* current = loc_rib_at(st, id);
   if (best == nullptr) {
     if (current == nullptr) return;
@@ -189,7 +254,7 @@ void BgpSystem::decide(NodeId node, Prefix prefix) {
   }
   ++loc_rib_epoch_;
   mark_install_dirty(st.domain, id);
-  st.dirty.insert(prefix);
+  mark(st.dirty, id);
   schedule_send(node);
 }
 
@@ -244,7 +309,8 @@ bool BgpSystem::session_usable(const Session& session) const {
 
 bool BgpSystem::sync_sessions() {
   bool changed = false;
-  for (Session& session : sessions_) {
+  for (std::size_t si = 0; si < sessions_.size(); ++si) {
+    Session& session = sessions_[si];
     if (!session.ibgp || session.local > session.remote) continue;  // once a pair
     const igp::Igp* igp = igp_of_(speaker(session.local).domain);
     const bool reachable =
@@ -253,13 +319,11 @@ bool BgpSystem::sync_sessions() {
     if (reachable == session.igp_reachable) continue;
     changed = true;
     session.igp_reachable = sessions_[session.reverse].igp_reachable = reachable;
-    for (const auto& [end, peer] : {std::pair{session.local, session.remote},
-                                    std::pair{session.remote, session.local}}) {
+    for (const std::size_t end : {si, session.reverse}) {
       if (reachable) {
-        readvertise(end);
+        readvertise(sessions_[end].local);
       } else {
-        drop_sessions(end,
-                      [peer](const Session& s) { return s.ibgp && s.remote == peer; });
+        drop_sessions(sessions_[end].local, {&end, 1});
       }
     }
   }
@@ -268,8 +332,8 @@ bool BgpSystem::sync_sessions() {
 
 void BgpSystem::readvertise(NodeId node) {
   auto& st = speaker(node);
-  for (const PrefixId id : ids_by_prefix_) {
-    if (loc_rib_at(st, id) != nullptr) st.dirty.insert(prefixes_[id]);
+  for (PrefixId id = 0; id < st.loc_rib.size(); ++id) {
+    if (st.loc_rib[id]) mark(st.dirty, id);
   }
   schedule_send(node);
 }
@@ -277,50 +341,55 @@ void BgpSystem::readvertise(NodeId node) {
 void BgpSystem::flush_updates(NodeId node) {
   if (!network_.topology().router(node).up) return;  // crashed: sends nothing
   auto& st = speaker(node);
-  const auto dirty = std::move(st.dirty);
-  st.dirty.clear();
-  if (recorder_ != nullptr && !dirty.empty()) {
+  auto& dirty = st.dirty.ids;
+  if (dirty.empty()) return;
+  if (recorder_ != nullptr) {
     recorder_->instant(obs::Domain::kBgp, "bgp.flush", node.value(), dirty.size());
   }
-  for (const Prefix prefix : dirty) {
-    const Route* best = loc_rib_at(st, prefix_id(prefix));
-    for (const std::size_t si : st.sessions) {
+  std::sort(dirty.begin(), dirty.end(),
+            [&](PrefixId a, PrefixId b) { return prefixes_[a] < prefixes_[b]; });
+  for (const PrefixId id : dirty) {
+    st.dirty.flag[id] = 0;
+    const Route* best = loc_rib_at(st, id);
+    // The path eBGP sessions carry: learned routes get our domain
+    // prepended (self routes were built as {domain}). One lookup per prefix.
+    std::optional<AsPath::Id> ebgp_path;
+    for (std::uint32_t slot = 0; slot < st.sessions.size(); ++slot) {
+      const std::size_t si = st.sessions[slot];
       const Session& session = sessions_[si];
       if (!session_usable(session)) continue;
       Update update;
-      update.prefix = prefix;
+      update.prefix = id;
+      std::uint8_t& advertised = out_flag(st, id, slot);
       if (best == nullptr || !exportable(st, *best, session)) {
         // Withdraw only where an advertisement actually exists.
-        if (st.adj_rib_out.erase({prefix, si}) == 0) continue;
+        if (advertised == 0) continue;
+        advertised = 0;
         update.withdraw = true;
       } else {
-        st.adj_rib_out.insert({prefix, si});
-      }
-      if (!update.withdraw) {
-        update.as_path = best->as_path;
-        if (!session.ibgp) {
-          // Path was already prepended with our domain at origination time
-          // (self routes carry {domain}); for learned routes prepend now.
-          if (best->learned != LearnedFrom::kSelf) {
-            update.as_path.insert(update.as_path.begin(), st.domain);
-          }
+        advertised = 1;
+        if (session.ibgp || best->learned == LearnedFrom::kSelf) {
+          update.as_path = best->as_path.id();
+        } else {
+          if (!ebgp_path) ebgp_path = paths_.prepend(st.domain, best->as_path).id();
+          update.as_path = *ebgp_path;
         }
         update.no_export = best->no_export;
         update.propagation_ttl = best->propagation_ttl;
         update.anycast = best->anycast;
       }
-      send(si, std::move(update));
+      send(si, update);
     }
   }
+  dirty.clear();
 }
 
-void BgpSystem::send(std::size_t session_index, Update update) {
+void BgpSystem::send(std::size_t session_index, const Update& update) {
   const Session& session = sessions_[session_index];
   const sim::Duration latency =
       session.ibgp ? kIbgpLatency : network_.topology().link(session.link).latency;
   ++messages_sent_;
-  simulator_.schedule_after(latency, [this, in = session.reverse,
-                                      update = std::move(update)] {
+  simulator_.schedule_after(latency, [this, in = session.reverse, update] {
     // Re-check at delivery: the session may have died in flight.
     if (!session_usable(sessions_[in])) return;
     receive(in, update);
@@ -330,23 +399,22 @@ void BgpSystem::send(std::size_t session_index, Update update) {
 void BgpSystem::receive(std::size_t session_index, const Update& update) {
   const Session& in = sessions_[session_index];
   auto& st = speaker(in.local);
+  const auto session = static_cast<std::uint32_t>(session_index);
 
   if (update.withdraw) {
-    if (st.adj_rib_in.erase({update.prefix, session_index}) > 0) {
-      decide(in.local, update.prefix);
-    }
+    if (erase_offer(st, update.prefix, session)) decide(in.local, update.prefix);
     return;
   }
 
   // Loop prevention (eBGP): reject paths containing our own domain.
-  if (!in.ibgp && std::find(update.as_path.begin(), update.as_path.end(),
-                            st.domain) != update.as_path.end()) {
+  const AsPath path = paths_.get(update.as_path);
+  if (!in.ibgp && std::find(path.begin(), path.end(), st.domain) != path.end()) {
     return;
   }
 
   Route route;
-  route.prefix = update.prefix;
-  route.as_path = update.as_path;
+  route.prefix = prefixes_[update.prefix];
+  route.as_path = path;
   route.no_export = update.no_export;
   route.propagation_ttl = update.propagation_ttl;
   route.anycast = update.anycast;
@@ -357,7 +425,7 @@ void BgpSystem::receive(std::size_t session_index, const Update& update) {
     route.via_ibgp = true;
     route.egress_router = in.remote;
     const auto rel = network_.topology().relationship(
-        st.domain, route.as_path.empty() ? DomainId::invalid() : route.as_path.front());
+        st.domain, path.empty() ? DomainId::invalid() : path.front());
     route.learned = rel ? learned_from(*rel) : LearnedFrom::kPeer;
   } else {
     route.learned = learned_from(in.relationship);
@@ -367,7 +435,7 @@ void BgpSystem::receive(std::size_t session_index, const Update& update) {
   }
   route.local_pref = local_pref_for(route.learned);
 
-  st.adj_rib_in[{update.prefix, session_index}] = std::move(route);
+  put_offer(st, update.prefix, session, std::move(route));
   decide(in.local, update.prefix);
 }
 
@@ -385,78 +453,85 @@ void BgpSystem::on_link_change(LinkId link_id) {
     // Sessions re-establish: both ends re-advertise their full Loc-RIBs.
     for (const NodeId end : {link.a, link.b}) readvertise(end);
   } else {
-    // Session down at both ends.
-    for (const NodeId end : {link.a, link.b}) {
-      drop_sessions(end, [&](const Session& s) { return s.link == link_id; });
-    }
+    // Session down at both ends: the pair over this link.
+    const auto& at_a = speaker(link.a).sessions;
+    const auto ab = std::find_if(at_a.begin(), at_a.end(), [&](std::size_t si) {
+      return sessions_[si].link == link_id;
+    });
+    assert(ab != at_a.end());
+    const std::size_t ba = sessions_[*ab].reverse;
+    drop_sessions(link.a, {&*ab, 1});
+    drop_sessions(link.b, {&ba, 1});
   }
 }
 
-void BgpSystem::drop_sessions(NodeId node,
-                              const std::function<bool(const Session&)>& dead) {
+void BgpSystem::drop_sessions(NodeId node, std::span<const std::size_t> dead) {
   auto& st = speaker(node);
-  std::set<std::size_t> dead_sessions;
-  for (const std::size_t si : st.sessions) {
-    if (dead(sessions_[si])) dead_sessions.insert(si);
+  const std::size_t n = st.sessions.size();
+  for (const std::size_t si : dead) {
+    assert(sessions_[si].local == node);
+    for (std::size_t at = sessions_[si].slot; at < st.adj_rib_out.size(); at += n) {
+      st.adj_rib_out[at] = 0;
+    }
   }
-  if (dead_sessions.empty()) return;
-  std::vector<Prefix> affected;
-  std::erase_if(st.adj_rib_in, [&](const auto& entry) {
-    if (!dead_sessions.contains(entry.first.second)) return false;
-    affected.push_back(entry.first.first);
-    return true;
+  for (const PrefixId id : ids_by_prefix_) {
+    if (id >= st.adj_rib_in.size()) continue;
+    const auto erased = std::erase_if(st.adj_rib_in[id], [&](const Offer& o) {
+      return std::find(dead.begin(), dead.end(), o.session) != dead.end();
+    });
+    if (erased > 0) decide(node, id);
+  }
+}
+
+std::vector<std::size_t> BgpSystem::sessions_toward(NodeId node) const {
+  std::vector<std::size_t> toward;
+  for (const std::size_t si : speaker(node).sessions) toward.push_back(sessions_[si].reverse);
+  std::sort(toward.begin(), toward.end(), [&](std::size_t a, std::size_t b) {
+    if (sessions_[a].local != sessions_[b].local) return sessions_[a].local < sessions_[b].local;
+    return a < b;
   });
-  std::erase_if(st.adj_rib_out,
-                [&](const auto& key) { return dead_sessions.contains(key.second); });
-  for (const Prefix prefix : affected) decide(node, prefix);
+  return toward;
 }
 
 void BgpSystem::on_node_change(NodeId node, bool up) {
   if (!started_) return;
-  if (recorder_ != nullptr && is_speaker(node)) {
+  if (!is_speaker(node)) return;  // no sessions, no RIBs
+  if (recorder_ != nullptr) {
     recorder_->instant(obs::Domain::kBgp,
                        up ? "bgp.speaker.up" : "bgp.speaker.down", node.value());
   }
+  const auto toward = sessions_toward(node);
   if (!up) {
     // The crashed speaker loses all volatile RIB state; `originated` stays
     // (it is configuration, restored below on recovery).
-    if (is_speaker(node)) {
-      auto& st = speaker(node);
-      if (st.loc_rib_count > 0) ++loc_rib_epoch_;
-      for (const PrefixId id : ids_by_prefix_) {
-        if (loc_rib_at(st, id) != nullptr) mark_install_dirty(st.domain, id);
-      }
-      st.adj_rib_in.clear();
-      st.loc_rib.clear();
-      st.loc_rib_count = 0;
-      st.adj_rib_out.clear();
-      st.dirty.clear();
+    auto& st = speaker(node);
+    if (st.loc_rib_count > 0) ++loc_rib_epoch_;
+    for (PrefixId id = 0; id < st.loc_rib.size(); ++id) {
+      if (st.loc_rib[id]) mark_install_dirty(st.domain, id);
     }
+    st.adj_rib_in.clear();
+    st.loc_rib.clear();
+    st.loc_rib_count = 0;
+    st.adj_rib_out.clear();
+    st.dirty = {};
     // Peers hold down every session to the dead node and withdraw what
     // they learned over those sessions.
-    for (std::uint32_t v = 0; v < speakers_.size(); ++v) {
-      const NodeId peer{v};
-      if (peer == node || !is_speaker(peer)) continue;
-      drop_sessions(peer, [&](const Session& s) { return s.remote == node; });
+    for (std::size_t i = 0, j = 0; i < toward.size(); i = j) {
+      const NodeId peer = sessions_[toward[i]].local;
+      while (j < toward.size() && sessions_[toward[j]].local == peer) ++j;
+      drop_sessions(peer, std::span(toward).subspan(i, j - i));
     }
   } else {
     // Recovery: re-seed self-originated routes from configuration...
-    if (is_speaker(node)) {
-      for (const auto& [prefix, policy] : speaker(node).originated) {
-        seed_self_route(node, prefix, policy);
-      }
+    for (const auto& [prefix, policy] : speaker(node).originated) {
+      seed_self_route(node, prefix, policy);
     }
     // ...and peers with a session to the restored speaker re-advertise
     // their full Loc-RIBs toward it (session re-establishment).
-    for (std::uint32_t v = 0; v < speakers_.size(); ++v) {
-      const NodeId peer{v};
-      if (peer == node || !is_speaker(peer)) continue;
-      auto& st = speaker(peer);
-      const bool has_session =
-          std::any_of(st.sessions.begin(), st.sessions.end(),
-                      [&](std::size_t si) { return sessions_[si].remote == node; });
-      if (!has_session || st.loc_rib_count == 0) continue;
-      readvertise(peer);
+    for (std::size_t i = 0; i < toward.size(); ++i) {
+      const NodeId peer = sessions_[toward[i]].local;
+      if (i > 0 && sessions_[toward[i - 1]].local == peer) continue;
+      if (speaker(peer).loc_rib_count > 0) readvertise(peer);
     }
   }
 }
@@ -485,12 +560,56 @@ std::size_t BgpSystem::loc_rib_size(NodeId node, bool anycast_only) const {
                     [](const std::optional<Route>& slot) { return slot && slot->anycast; }));
 }
 
-void BgpSystem::mark_install_dirty(DomainId domain, PrefixId id) {
-  auto& dirty = install_dirty_[domain.value()];
-  if (dirty.flag.size() <= id) dirty.flag.resize(prefixes_.size(), 0);
-  if (dirty.flag[id] != 0) return;
-  dirty.flag[id] = 1;
-  dirty.ids.push_back(id);
+std::optional<std::string> BgpSystem::rib_inconsistency() const {
+  for (const auto& router : network_.topology().routers()) {
+    if (!router.border) continue;
+    const auto& st = speaker(router.id);
+    const std::size_t n = st.sessions.size();
+    const auto at = [&](PrefixId id) {
+      return "speaker " + std::to_string(router.id.value()) + " prefix " +
+             prefixes_[id].to_string() + ": ";
+    };
+    std::size_t engaged = 0;
+    for (PrefixId id = 0; id < prefixes_.size(); ++id) {
+      // The preferred offer; among equally preferred ones, the lowest
+      // session index (kSelfSession is the highest).
+      const Offer* want = nullptr;
+      if (id < st.adj_rib_in.size()) {
+        for (const Offer& offer : st.adj_rib_in[id]) {
+          if (want == nullptr || preferred(offer.route, want->route) ||
+              (!preferred(want->route, offer.route) && offer.session < want->session)) {
+            want = &offer;
+          }
+        }
+      }
+      const Route* have = loc_rib_at(st, id);
+      engaged += have != nullptr;
+      if (want == nullptr ? have != nullptr : have == nullptr || *have != want->route) {
+        return at(id) + "Loc-RIB holds " + (have ? have->describe() : "nothing") +
+               ", Adj-RIB-In prefers " + (want ? want->route.describe() : "nothing");
+      }
+      if (!started_) continue;  // nothing is flushed before start()
+      for (std::uint32_t slot = 0; slot < n; ++slot) {
+        const Session& session = sessions_[st.sessions[slot]];
+        const std::size_t flag = id * n + slot;
+        const bool advertised = flag < st.adj_rib_out.size() && st.adj_rib_out[flag] != 0;
+        const bool exported =
+            have != nullptr && session_usable(session) && exportable(st, *have, session);
+        if (advertised != exported) {
+          return at(id) + "Adj-RIB-Out flag toward " +
+                 std::to_string(session.remote.value()) +
+                 (advertised ? " set, but the best route is not exported there"
+                             : " clear, but the best route is exported there");
+        }
+      }
+    }
+    if (engaged != st.loc_rib_count) {
+      return "speaker " + std::to_string(router.id.value()) + ": Loc-RIB count " +
+             std::to_string(st.loc_rib_count) + ", engaged slots " +
+             std::to_string(engaged);
+    }
+  }
+  return std::nullopt;
 }
 
 void BgpSystem::border_row(NodeId r, std::vector<BorderHop>& row) const {

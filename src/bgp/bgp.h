@@ -15,8 +15,8 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -133,6 +133,14 @@ class BgpSystem {
   /// transitions, update flushes). Null by default; records nothing unset.
   void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
 
+  /// The rib-consistency check, run against the incrementally kept state:
+  /// every speaker's Loc-RIB entry is the preferred offer in its
+  /// Adj-RIB-In, ties going to the lowest session index (the self route
+  /// last), and every Adj-RIB-Out flag is set exactly when the best route is
+  /// exportable over a usable session. Linear in RIB size. Holds at every
+  /// quiescent point after sync_sessions(). Returns the first mismatch.
+  std::optional<std::string> rib_inconsistency() const;
+
  private:
   struct Session {
     net::NodeId local;
@@ -141,43 +149,65 @@ class BgpSystem {
     net::Relationship relationship;   // of remote as seen from local (eBGP)
     bool ibgp = false;
     std::size_t reverse = 0;          // the same session seen from `remote`
+    std::uint32_t slot = 0;           // position in local's sessions
     bool igp_reachable = true;        // iBGP: as of the last sync_sessions()
   };
 
+  /// Dense prefix id: an index into prefixes_ and every per-speaker table.
+  using PrefixId = std::uint32_t;
+
+  /// One UPDATE on the wire: ids into prefixes_ and paths_, so a send
+  /// copies 12 bytes and allocates nothing.
   struct Update {
-    net::Prefix prefix;
+    PrefixId prefix = 0;
+    AsPath::Id as_path = 0;
     bool withdraw = false;
-    std::vector<net::DomainId> as_path;
     bool no_export = false;
     std::uint8_t propagation_ttl = 0;
     bool anycast = false;
   };
 
-  /// Dense prefix id: an index into prefixes_ and every Loc-RIB.
-  using PrefixId = std::uint32_t;
+  /// Sentinel session index of a self-originated offer; sorts last.
+  static constexpr std::uint32_t kSelfSession = static_cast<std::uint32_t>(-1);
 
-  /// Sentinel "session" index for self-originated Adj-RIB-In entries.
-  static constexpr std::size_t kSelfSession = static_cast<std::size_t>(-1);
+  /// One Adj-RIB-In entry: the route offered over a session.
+  struct Offer {
+    std::uint32_t session;  // receiving session, or kSelfSession
+    Route route;
+  };
 
+  /// A set of prefix ids: a list in marking order and a flag per id (the
+  /// flags may be shorter than prefixes_).
+  struct DirtyPrefixes {
+    std::vector<PrefixId> ids;
+    std::vector<std::uint8_t> flag;
+  };
+
+  /// Per-speaker state, flat by PrefixId. Each table may be shorter than
+  /// prefixes_ and grows on first write.
   struct SpeakerState {
     net::DomainId domain;
     std::vector<std::size_t> sessions;  // indices into sessions_
-    /// Adj-RIB-In: best known offer per (prefix, receiving session).
-    /// Keying by session (not neighbor) keeps parallel sessions to the
-    /// same neighbor independent.
-    std::map<std::pair<net::Prefix, std::size_t>, Route> adj_rib_in;
-    /// Loc-RIB: the winning route per prefix, indexed by PrefixId (may be
-    /// shorter than prefixes_); loc_rib_count counts the engaged slots.
+    /// Adj-RIB-In: per prefix, the offers held, sorted by receiving session
+    /// with the self route last, so decide() keeps the first of equally
+    /// preferred offers. Keying by session (not neighbor) keeps parallel
+    /// sessions to the same neighbor independent. Offers stay sparse: a
+    /// prefix holds one per session that advertised it.
+    std::vector<std::vector<Offer>> adj_rib_in;
+    /// Loc-RIB: the winning route per prefix; loc_rib_count counts the
+    /// engaged slots.
     std::vector<std::optional<Route>> loc_rib;
     std::size_t loc_rib_count = 0;
-    /// Adj-RIB-Out: (prefix, session) pairs currently advertised, so
-    /// withdrawals are sent only where an advertisement exists.
-    std::set<std::pair<net::Prefix, std::size_t>> adj_rib_out;
-    /// Prefixes originated locally (shared per domain but stored per
-    /// speaker for uniform processing).
+    /// Adj-RIB-Out: flag [id * sessions.size() + slot] set while the prefix
+    /// is advertised over that session, so withdrawals are sent only where
+    /// an advertisement exists.
+    std::vector<std::uint8_t> adj_rib_out;
+    /// Prefixes originated locally (configuration: shared per domain but
+    /// stored per speaker for uniform processing).
     std::map<net::Prefix, OriginationPolicy> originated;
-    /// Prefixes whose best changed and need (re-)advertisement.
-    std::set<net::Prefix> dirty;
+    /// Prefixes whose best changed and need (re-)advertisement; flushed in
+    /// Prefix order.
+    DirtyPrefixes dirty;
     bool send_pending = false;
   };
 
@@ -201,8 +231,19 @@ class BgpSystem {
     return id < st.loc_rib.size() && st.loc_rib[id] ? &*st.loc_rib[id] : nullptr;
   }
 
+  /// Add `id` to `dirty` unless it is there.
+  void mark(DirtyPrefixes& dirty, PrefixId id) const;
   /// Record that `id`'s best route changed at a border of `domain`.
-  void mark_install_dirty(net::DomainId domain, PrefixId id);
+  void mark_install_dirty(net::DomainId domain, PrefixId id) {
+    mark(install_dirty_[domain.value()], id);
+  }
+
+  /// Store `route` as `st`'s offer for `id` over `session`, replacing one.
+  void put_offer(SpeakerState& st, PrefixId id, std::uint32_t session, Route route);
+  /// Forget `st`'s offer for `id` over `session`; true if there was one.
+  static bool erase_offer(SpeakerState& st, PrefixId id, std::uint32_t session);
+  /// `st`'s Adj-RIB-Out flag for (`id`, `slot`), growing the table.
+  std::uint8_t& out_flag(SpeakerState& st, PrefixId id, std::uint32_t slot);
 
   /// A router's view of one border of its domain: the IGP distance (0 at
   /// the border itself) and the router's kIgp FIB entry toward the border's
@@ -232,7 +273,7 @@ class BgpSystem {
                         net::Relationship relationship, bool ibgp);
 
   /// Send `update` over `session_index`; it arrives on the reverse session.
-  void send(std::size_t session_index, Update update);
+  void send(std::size_t session_index, const Update& update);
   /// Handle `update` arriving on `session_index` (the receiver's session).
   void receive(std::size_t session_index, const Update& update);
 
@@ -241,14 +282,18 @@ class BgpSystem {
   void seed_self_route(net::NodeId node, net::Prefix prefix,
                        const OriginationPolicy& policy);
 
-  /// Tear down the sessions of `node` selected by `dead`: forget what was
-  /// learned and advertised over them and re-decide the affected prefixes.
-  void drop_sessions(net::NodeId node,
-                     const std::function<bool(const Session&)>& dead);
+  /// Tear down `dead`, sessions of `node`: forget what was learned and
+  /// advertised over them and re-decide the affected prefixes.
+  void drop_sessions(net::NodeId node, std::span<const std::size_t> dead);
 
-  /// Re-run the decision process for `prefix` at `node`; queue updates if
-  /// the best route changed.
-  void decide(net::NodeId node, net::Prefix prefix);
+  /// The sessions toward `node` held by its peers (the reverses of its
+  /// own), sorted by peer and then by index, so a crash or a recovery
+  /// visits the peers in ascending NodeId.
+  std::vector<std::size_t> sessions_toward(net::NodeId node) const;
+
+  /// Re-run the decision process for prefix `id` at `node`; queue updates
+  /// if the best route changed.
+  void decide(net::NodeId node, PrefixId id);
 
   /// True if `route` may be exported over `session` (Gao-Rexford + scope +
   /// no-export + iBGP rules).
@@ -268,6 +313,8 @@ class BgpSystem {
 
   /// Total ordering on routes: true if `a` is preferred over `b`.
   static bool preferred(const Route& a, const Route& b);
+  /// The first most preferred of `offers`, or null.
+  static const Route* best_offer(std::span<const Offer> offers);
 
   sim::Simulator& simulator_;
   net::Network& network_;
@@ -287,14 +334,11 @@ class BgpSystem {
   std::unordered_map<net::Prefix, PrefixId> prefix_ids_;
   std::vector<net::Prefix> prefixes_;
   std::vector<PrefixId> ids_by_prefix_;
+  /// Every AS path any route or UPDATE carries.
+  PathTable paths_;
 
   /// install_routes() bookkeeping. Per domain: the prefixes whose best
-  /// route changed at one of its borders since the last install, as a list
-  /// and as a flag per id.
-  struct DirtyPrefixes {
-    std::vector<PrefixId> ids;
-    std::vector<std::uint8_t> flag;  // by id; may be shorter than prefixes_
-  };
+  /// route changed at one of its borders since the last install.
   std::vector<DirtyPrefixes> install_dirty_;
   /// Per router: the foreign inputs of the install rule as of BGP's last
   /// write (fib_epoch 0 never matches a Fib, so the first call is full).

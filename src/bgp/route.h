@@ -1,10 +1,14 @@
 // BGP route representation and policy attributes.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "net/address.h"
@@ -46,10 +50,72 @@ constexpr LearnedFrom learned_from(net::Relationship rel) {
   return LearnedFrom::kProvider;
 }
 
+/// An AS path, nearest first: a read-only handle to one path interned in a
+/// PathTable, read as a contiguous range. The table is append-only and
+/// never moves a path's storage, so a handle stays valid for the table's
+/// lifetime. One table stores each distinct path once, so equal handles
+/// share storage and compare in O(1); handles of equal length that do not
+/// share it compare element by element (which also keeps handles of two
+/// tables comparable by value).
+class AsPath {
+ public:
+  /// A path's index in its table; 0 is the empty path in every table.
+  using Id = std::uint32_t;
+
+  AsPath() = default;
+
+  Id id() const { return id_; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const net::DomainId* begin() const { return data_; }
+  const net::DomainId* end() const { return data_ + size_; }
+  auto rbegin() const { return std::make_reverse_iterator(end()); }
+  auto rend() const { return std::make_reverse_iterator(begin()); }
+  net::DomainId front() const { return data_[0]; }
+  net::DomainId back() const { return data_[size_ - 1]; }
+  net::DomainId operator[](std::size_t i) const { return data_[i]; }
+
+  friend bool operator==(const AsPath& a, const AsPath& b) {
+    if (a.data_ == b.data_ || a.size_ != b.size_) return a.size_ == b.size_;
+    return std::equal(a.begin(), a.end(), b.begin());
+  }
+
+ private:
+  friend class PathTable;
+  AsPath(const net::DomainId* data, std::uint32_t size, Id id)
+      : data_(data), size_(size), id_(id) {}
+
+  const net::DomainId* data_ = nullptr;
+  std::uint32_t size_ = 0;
+  Id id_ = 0;
+};
+
+/// Append-only table of interned AS paths. Every path is built from the
+/// empty path by prepend(), which is memoized on (head, tail id), so each
+/// distinct path gets exactly one id and one contiguous copy.
+class PathTable {
+ public:
+  PathTable();
+
+  /// The path with id `id` (which this table returned).
+  AsPath get(AsPath::Id id) const { return paths_[id]; }
+  /// `head` followed by `tail`, a path of this table.
+  AsPath prepend(net::DomainId head, const AsPath& tail);
+
+ private:
+  std::vector<AsPath> paths_;  // by id
+  std::unordered_map<std::uint64_t, AsPath::Id> by_head_tail_;
+  /// Path storage, in chunks that never move; a path never straddles two.
+  std::vector<std::unique_ptr<net::DomainId[]>> chunks_;
+  std::size_t chunk_used_ = 0;
+  std::size_t chunk_capacity_ = 0;
+};
+
 struct Route {
   net::Prefix prefix;
-  /// AS path, nearest first; back() is the origin domain.
-  std::vector<net::DomainId> as_path;
+  /// AS path, nearest first; back() is the origin domain. A handle into
+  /// the owning BgpSystem's path table.
+  AsPath as_path;
   /// The local border router holding the eBGP session this route entered
   /// through (== the egress for hot-potato forwarding).
   net::NodeId egress_router;

@@ -682,6 +682,7 @@ const char* to_string(OracleKind oracle) {
     case OracleKind::kVnRouteEquivalence: return "vn-route-equivalence";
     case OracleKind::kInstallEquivalence: return "install-equivalence";
     case OracleKind::kVnBoneRebuildEquivalence: return "vnbone-rebuild-equivalence";
+    case OracleKind::kRibConsistency: return "rib-consistency";
   }
   return "?";
 }
@@ -768,6 +769,9 @@ std::vector<Violation> check_invariants(const EvolvableInternet& internet,
   check_state_bound(internet, out);
   const auto installs = check_install_equivalence(internet.network(), internet.bgp());
   out.insert(out.end(), installs.begin(), installs.end());
+  if (auto why = internet.bgp().rib_inconsistency()) {
+    out.push_back({OracleKind::kRibConsistency, 0, std::move(*why)});
+  }
   return out;
 }
 

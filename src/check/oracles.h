@@ -38,7 +38,12 @@
 //   kVnBoneRebuildEquivalence
 //                       VnBone::rebuild()'s links and repair counters
 //                       equal reference_vnbone_build recomputed from
-//                       scratch, link for link.
+//                       scratch, link for link;
+//   kRibConsistency     every BGP speaker's Loc-RIB entry is the preferred
+//                       offer of its Adj-RIB-In (ties to the lowest
+//                       session), and its Adj-RIB-Out flags are set exactly
+//                       where the best route is exported over a usable
+//                       session.
 #pragma once
 
 #include <cstdint>
@@ -68,6 +73,7 @@ enum class OracleKind : std::uint8_t {
   kVnRouteEquivalence,
   kInstallEquivalence,
   kVnBoneRebuildEquivalence,
+  kRibConsistency,
 };
 
 const char* to_string(OracleKind oracle);

@@ -16,26 +16,23 @@ using net::RouteOrigin;
 
 LinkStateIgp::LinkStateIgp(sim::Simulator& simulator, net::Network& network,
                            DomainId domain)
-    : simulator_(simulator), network_(network), domain_(domain) {
-  for (const NodeId node : network_.topology().domain(domain_).routers) {
-    states_.emplace(node.value(), RouterState{});
-  }
-}
+    : simulator_(simulator),
+      network_(network),
+      domain_(domain),
+      states_(network_.topology().domain(domain_).routers.size()) {}
 
 bool LinkStateIgp::in_domain(NodeId node) const {
   return network_.topology().router(node).domain == domain_;
 }
 
 LinkStateIgp::RouterState& LinkStateIgp::state(NodeId node) {
-  auto it = states_.find(node.value());
-  assert(it != states_.end() && "router not in this IGP's domain");
-  return it->second;
+  assert(in_domain(node) && "router not in this IGP's domain");
+  return states_[network_.topology().router(node).index_in_domain];
 }
 
 const LinkStateIgp::RouterState& LinkStateIgp::state(NodeId node) const {
-  auto it = states_.find(node.value());
-  assert(it != states_.end() && "router not in this IGP's domain");
-  return it->second;
+  assert(in_domain(node) && "router not in this IGP's domain");
+  return states_[network_.topology().router(node).index_in_domain];
 }
 
 void LinkStateIgp::start() {

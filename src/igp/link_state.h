@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "igp/igp.h"
@@ -98,7 +97,7 @@ class LinkStateIgp final : public Igp {
   sim::Simulator& simulator_;
   net::Network& network_;
   net::DomainId domain_;
-  std::unordered_map<std::uint32_t, RouterState> states_;  // by NodeId value
+  std::vector<RouterState> states_;  // by the router's index in the domain
   std::uint64_t messages_sent_ = 0;
   std::uint64_t spf_runs_ = 0;
   bool started_ = false;

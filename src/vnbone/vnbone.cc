@@ -606,7 +606,7 @@ const VnBone::LegacyRoute& VnBone::legacy_route(DomainId domain,
   }
   if (best != nullptr) {
     entry.length = best->as_path.size();
-    entry.path = best->as_path;
+    entry.path.assign(best->as_path.begin(), best->as_path.end());
   }
   return entry;
 }

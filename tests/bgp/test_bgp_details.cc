@@ -51,6 +51,12 @@ struct Fixture {
     }
   }
 
+  /// Every Loc-RIB entry is its Adj-RIB-In's preferred offer and every
+  /// Adj-RIB-Out flag matches what the best route exports.
+  void expect_consistent() const {
+    if (const auto why = bgp->rib_inconsistency()) ADD_FAILURE() << *why;
+  }
+
   /// `node`'s BGP entry for `prefix`, or null.
   const net::FibEntry* bgp_entry(NodeId node, Prefix prefix) const {
     const auto* entry = network.fib(node).find(prefix);
@@ -126,6 +132,128 @@ TEST(BgpDetails, ParallelLinksBothCarrySessions) {
   const auto trace =
       f.network.trace(ra, f.network.topology().domain(b).prefix.address());
   EXPECT_TRUE(trace.delivered());
+}
+
+TEST(BgpDetails, ParallelSessionsTieToTheLowerSession) {
+  // Two eBGP links between the same router pair carry equally preferred
+  // routes: the lower session (over the first link) wins, and wins again
+  // once that link flaps down and up.
+  Topology topo;
+  const auto a = topo.add_domain("a");
+  const auto b = topo.add_domain("b");
+  const auto ra = topo.add_router(a);
+  const auto rb = topo.add_router(b);
+  const auto l1 = topo.add_interdomain_link(ra, rb, Relationship::kPeer);
+  const auto l2 = topo.add_interdomain_link(ra, rb, Relationship::kPeer);
+  Fixture f(std::move(topo));
+  f.start_and_converge();
+  const Prefix b_prefix = f.network.topology().domain(b).prefix;
+  const auto via = [&] {
+    const Route* route = f.bgp->best_route(ra, b_prefix);
+    return route != nullptr ? route->via_link : LinkId::invalid();
+  };
+  EXPECT_EQ(via(), l1);
+  f.expect_consistent();
+
+  f.network.topology().set_link_up(l1, false);
+  f.bgp->on_link_change(l1);
+  f.converge();
+  EXPECT_EQ(via(), l2);
+  f.expect_consistent();
+
+  f.network.topology().set_link_up(l1, true);
+  f.bgp->on_link_change(l1);
+  f.converge();
+  EXPECT_EQ(via(), l1);
+  f.expect_consistent();
+}
+
+TEST(BgpDetails, DirtyPrefixesFlushInPrefixOrder) {
+  // Three prefixes are marked dirty out of Prefix order (so their dense
+  // ids are out of order too); the one flush sends them in Prefix order,
+  // and b learns them in that order.
+  Topology topo;
+  const auto a = topo.add_domain("a");
+  const auto b = topo.add_domain("b");
+  const auto ra = topo.add_router(a);
+  const auto rb = topo.add_router(b);
+  topo.add_interdomain_link(ra, rb, Relationship::kPeer);
+  Fixture f(std::move(topo));
+  f.start_and_converge();
+  const Prefix lo = Prefix::host(Ipv4Addr{0, 0, 0, 10});
+  const Prefix mid = Prefix::host(Ipv4Addr{0, 0, 0, 50});
+  const Prefix hi = Prefix::host(Ipv4Addr{0, 0, 0, 90});
+  for (const Prefix p : {hi, lo, mid}) f.bgp->originate(a, p, {});
+  ASSERT_EQ(f.simulator.pending_events(), 1u);  // a's flush
+  ASSERT_EQ(f.simulator.run_events(1), 1u);
+  ASSERT_EQ(f.simulator.pending_events(), 3u);  // one UPDATE per prefix
+  std::vector<Prefix> learned;
+  for (int delivery = 0; delivery < 3; ++delivery) {
+    ASSERT_EQ(f.simulator.run_events(1), 1u);
+    for (const Prefix p : {lo, mid, hi}) {
+      if (f.bgp->best_route(rb, p) != nullptr &&
+          std::find(learned.begin(), learned.end(), p) == learned.end()) {
+        learned.push_back(p);
+      }
+    }
+  }
+  EXPECT_EQ(learned, (std::vector<Prefix>{lo, mid, hi}));
+  f.converge();
+  f.expect_consistent();
+}
+
+TEST(BgpDetails, NeverAdvertisedPrefixSendsNoWithdrawal) {
+  // A prefix whose scope excludes b is never advertised to it, so
+  // withdrawing the prefix sends nothing over that session.
+  Topology topo;
+  const auto a = topo.add_domain("a");
+  const auto b = topo.add_domain("b");
+  const auto ra = topo.add_router(a);
+  const auto rb = topo.add_router(b);
+  topo.add_interdomain_link(ra, rb, Relationship::kPeer);
+  Fixture f(std::move(topo));
+  f.start_and_converge();
+  const Prefix p = Prefix::host(Ipv4Addr{0, 0, 0, 70});
+  OriginationPolicy scoped;
+  scoped.export_scope = std::set<DomainId>{};  // export to nobody
+  f.bgp->originate(a, p, scoped);
+  f.converge();
+  ASSERT_NE(f.bgp->best_route(ra, p), nullptr);
+  ASSERT_EQ(f.bgp->best_route(rb, p), nullptr);
+  f.expect_consistent();
+  const auto before = f.bgp->messages_sent();
+
+  f.bgp->withdraw(a, p);
+  f.converge();
+  EXPECT_EQ(f.bgp->best_route(ra, p), nullptr);
+  EXPECT_EQ(f.bgp->messages_sent(), before);
+  f.expect_consistent();
+}
+
+TEST(BgpDetails, PathTableInternsEachPathOnce) {
+  PathTable table;
+  const AsPath one = table.prepend(DomainId{7}, AsPath{});
+  EXPECT_EQ(table.prepend(DomainId{7}, AsPath{}).id(), one.id());
+  // A chain long enough to span several storage chunks: every earlier
+  // handle still reads its own path afterwards.
+  std::vector<AsPath> chain{one};
+  for (std::uint32_t d = 0; d < 200; ++d) {
+    chain.push_back(table.prepend(DomainId{d}, chain.back()));
+  }
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    ASSERT_EQ(chain[i].size(), i + 1);
+    EXPECT_EQ(chain[i].back(), DomainId{7});
+    if (i > 0) {
+      EXPECT_EQ(chain[i].front(), DomainId{static_cast<std::uint32_t>(i - 1)});
+    }
+  }
+  EXPECT_EQ(table.get(chain[50].id()), chain[50]);
+  EXPECT_NE(chain[50], chain[51]);
+  // Handles of two tables compare by value.
+  PathTable other;
+  const AsPath two = other.prepend(DomainId{3}, other.prepend(DomainId{7}, AsPath{}));
+  EXPECT_EQ(two, table.prepend(DomainId{3}, one));
+  EXPECT_NE(two, table.prepend(DomainId{4}, one));
 }
 
 TEST(BgpDetails, EbgpPreferredOverIbgpCopy) {
@@ -520,6 +648,7 @@ TEST(DeltaInstall, BorderCrashAndRecovery) {
 
   t.set_node_up(t.m0, true);
   f.expect_full_pass();
+  f.expect_consistent();
   EXPECT_NE(f.bgp->best_route(t.m0, t.d_prefix), nullptr);
   EXPECT_EQ(t.m1_hop(), t.m0);
 }
