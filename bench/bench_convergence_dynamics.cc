@@ -190,7 +190,7 @@ void sweep(const bench::Args& args) {
       "link/router/member returns; during a down window, probes whose only "
       "path crossed the victim stay dark (blackholes), but never loop. "
       "Distance-vector pays its poison/request round trips on crashes "
-      "(rc-max ~17x link-state): on a crash IGP, BGP sessions, and the "
+      "(rc-max ~8x link-state): on a crash IGP, BGP sessions, and the "
       "vN-Bone all must react.");
   if (!args.json_path.empty()) json.write(args.json_path);
 }

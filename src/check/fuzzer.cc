@@ -289,7 +289,6 @@ RunReport run_plan(const ScenarioPlan& plan, const OracleOptions& options,
         ++report.episodes;
         break;
       }
-      internet.converge();
       const bool clean = check(i + 1);
       if (recorder != nullptr) {
         recorder->close_span(episode_span, report.violations.size());

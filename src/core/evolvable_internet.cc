@@ -136,25 +136,8 @@ void EvolvableInternet::undeploy_router(NodeId router) {
 }
 
 std::uint64_t EvolvableInternet::converge() {
-  std::uint64_t events = simulator_.run();
-  // iBGP sessions and conditional anycast origination track IGP
-  // reachability; a change sends new UPDATEs, so iterate to the joint
-  // fixpoint (reachability is a function of the now-converged IGPs, so one
-  // extra round suffices; the bound is sheer paranoia).
-  for (int i = 0; i < 8 && sync_with_igp(); ++i) events += simulator_.run();
-  finish_sync();
-  return events;
-}
-
-bool EvolvableInternet::sync_with_igp() {
-  const bool sessions_changed = bgp_->sync_sessions();
-  return anycast_->sync_reachability() || sessions_changed;
-}
-
-void EvolvableInternet::finish_sync() {
-  bgp_->install_routes();
-  for (auto& vnbone : vnbones_) vnbone->rebuild();
-  close_episodes();
+  schedule_control_sync();
+  return simulator_.run();
 }
 
 void EvolvableInternet::notify_link_change(LinkId link) {
@@ -174,13 +157,16 @@ void EvolvableInternet::schedule_control_sync() {
   sync_pending_ = true;
   simulator_.notify_on_idle([this] {
     sync_pending_ = false;
-    if (sync_with_igp()) {
-      // Sessions or origination changed: UPDATEs are in flight again.
-      // Re-arm and finish the sync at the next quiescence instead.
+    // Sessions and origination track IGP reachability; a change sends
+    // UPDATEs, so finish at the next quiescence instead.
+    const bool sessions_changed = bgp_->sync_sessions();
+    if (anycast_->sync_reachability() || sessions_changed) {
       schedule_control_sync();
       return;
     }
-    finish_sync();
+    bgp_->install_routes();
+    for (auto& vnbone : vnbones_) vnbone->rebuild();
+    close_episodes();
   });
 }
 

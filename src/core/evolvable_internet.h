@@ -48,9 +48,9 @@ class EvolvableInternet {
   /// (pre-IPvN) Internet.
   void start();
 
-  /// Deploy IPvN on one router / a whole domain. Call converge()
-  /// afterwards (deployments may be batched). These operate on the
-  /// primary generation (index 0).
+  /// Deploy IPvN on one router / a whole domain. Each arms the
+  /// control-plane sync; call converge() afterwards (deployments may be
+  /// batched). These operate on the primary generation (index 0).
   void deploy_router(net::NodeId router);
   void deploy_domain(net::DomainId domain);
   void undeploy_router(net::NodeId router);
@@ -71,9 +71,14 @@ class EvolvableInternet {
     return *host_stacks_[index];
   }
 
-  /// Run the simulator to quiescence, install BGP routes into FIBs, and
-  /// rebuild the vN-Bone. Returns events processed.
+  /// Arm the control-plane sync unless a change already armed it, then
+  /// run the simulator to quiescence, where the sync fires: FIBs and every
+  /// vN-Bone then match the converged protocols. Returns events processed.
   std::uint64_t converge();
+
+  /// False while a control-plane sync is armed: a change is waiting for
+  /// quiescence and FIBs or vN-Bones may still lag the protocols.
+  bool synced() const { return !sync_pending_; }
 
   /// Inject a link state change and propagate it to every protocol (IGP or
   /// BGP as appropriate). Also arms a coalesced control-plane sync at the
@@ -135,16 +140,11 @@ class EvolvableInternet {
   void open_bgp_episode(std::uint64_t subject);
   void close_episodes();
 
-  /// Bring iBGP sessions and anycast origination in line with the
-  /// converged IGPs; true when either changed (UPDATEs are in flight).
-  bool sync_with_igp();
-
-  /// Arm a one-shot control-plane sync (BGP route installation + vN-Bone
-  /// rebuilds) at the next simulator quiescence; coalesces repeat calls.
+  /// Arm the one-shot sync at the next quiescence (coalesced), the only
+  /// place the control plane is synced: iBGP sessions and anycast
+  /// origination follow the IGPs (re-arming if either changed), then BGP
+  /// routes are installed, every vN-Bone rebuilt and the episodes closed.
   void schedule_control_sync();
-  /// The tail of every control-plane sync: install BGP routes, rebuild
-  /// every vN-Bone generation and close the episode spans.
-  void finish_sync();
 
   Options options_;
   sim::Simulator simulator_;

@@ -145,11 +145,17 @@ void FailurePlane::apply(const FailureEvent& event) {
   // Snapshot the data plane while it is (potentially) broken.
   measure("during");
 
-  // EvolvableInternet registered its control-plane sync before this
-  // callback (apply() ran first), so by the time this fires the FIBs and
-  // vN-Bones reflect the reconverged control plane.
-  const sim::TimePoint hit = internet_.simulator().now();
+  await_reconvergence(internet_.simulator().now(), span);
+}
+
+void FailurePlane::await_reconvergence(sim::TimePoint hit, obs::SpanId span) {
+  // The internet armed its sync first, so it fires first in the batch.
+  // If it re-armed (UPDATEs in flight again), wait for the next quiescence.
   internet_.simulator().notify_on_idle([this, hit, span] {
+    if (!internet_.synced()) {
+      await_reconvergence(hit, span);
+      return;
+    }
     const sim::Duration took = internet_.simulator().now() - hit;
     metrics_.observe("net.failure.reconverge_ms", took.count_millis());
     if (auto* recorder = internet_.recorder()) {

@@ -118,6 +118,8 @@ class FailurePlane {
 
   void arm_next();
   void apply(const FailureEvent& event);
+  /// Once the internet's sync has finished: reconverge_ms, "after", next.
+  void await_reconvergence(sim::TimePoint hit, obs::SpanId span);
   /// Trace every probe; record delivery rate under `phase` ("during" /
   /// "after") and classify drops into blackholes vs loops.
   void measure(const char* phase);

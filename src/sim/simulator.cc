@@ -47,11 +47,12 @@ std::uint64_t Simulator::run_until(TimePoint deadline) {
 
 std::uint64_t Simulator::run_events(std::uint64_t max_events) {
   std::uint64_t fired = 0;
-  while (fired < max_events) {
+  for (;;) {
     if (queue_.empty()) {
       if (!fire_idle_callbacks()) break;
       continue;
     }
+    if (fired == max_events) break;
     auto [when, fn] = queue_.pop();
     now_ = when;
     fn();

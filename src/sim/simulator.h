@@ -5,9 +5,10 @@
 // them in time order until quiescence, a time bound, or an event budget.
 //
 // Quiescence is itself observable: notify_on_idle() registers a one-shot
-// callback fired when the queue next drains. Failure injection uses this to
-// timestamp reconvergence and to let the control plane sync derived state
-// (FIB install, vN-Bone rebuild) exactly once per churn episode.
+// callback fired when the queue next drains. The control plane syncs
+// derived state (FIB install, vN-Bone rebuild) only from such a callback,
+// so callers just drain the simulator; failure injection registers after
+// it to timestamp reconvergence.
 #pragma once
 
 #include <cstdint>
@@ -74,7 +75,8 @@ class Simulator {
   /// `deadline` are processed). Returns events processed by this call.
   std::uint64_t run_until(TimePoint deadline);
 
-  /// Run at most `max_events` further events.
+  /// Run at most `max_events` further events. Idle callbacks are not
+  /// events: they fire whenever the queue drains, even at the budget.
   std::uint64_t run_events(std::uint64_t max_events);
 
   /// Reset clock and queue (keeps processed-event count at zero).

@@ -606,7 +606,7 @@ const VnBone::LegacyRoute& VnBone::legacy_route(DomainId domain,
   }
   if (best != nullptr) {
     entry.length = best->as_path.size();
-    entry.path.assign(best->as_path.begin(), best->as_path.end());
+    entry.path = best->as_path;
   }
   return entry;
 }
@@ -615,7 +615,7 @@ Cost VnBone::legacy_path_length(DomainId domain, DomainId target) const {
   return legacy_route(domain, target).length;
 }
 
-std::vector<DomainId> VnBone::legacy_path(DomainId domain, DomainId target) const {
+bgp::AsPath VnBone::legacy_path(DomainId domain, DomainId target) const {
   return legacy_route(domain, target).path;
 }
 

@@ -222,9 +222,9 @@ class VnBone {
   net::Cost legacy_path_length(net::DomainId domain, net::DomainId target) const;
 
   /// The BGPv(N-1) AS path from `domain` to `target` (shortest among the
-  /// domain's borders); empty when unknown.
-  std::vector<net::DomainId> legacy_path(net::DomainId domain,
-                                         net::DomainId target) const;
+  /// domain's borders); empty when unknown. A handle into BGP's path
+  /// table, which never frees a path: valid while the BgpSystem lives.
+  bgp::AsPath legacy_path(net::DomainId domain, net::DomainId target) const;
 
   // --- endhost route advertisement (§3.3.2 alternative) -------------------
   /// Register `self_addr` as advertised into BGPvN by `advertiser` (found
@@ -256,7 +256,7 @@ class VnBone {
   struct LegacyRoute {
     bool filled = false;  // computed in the current Loc-RIB epoch
     net::Cost length = net::kInfiniteCost;
-    std::vector<net::DomainId> path;
+    bgp::AsPath path;
   };
   static constexpr std::uint32_t kNoMember = ~std::uint32_t{0};
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "core/scenario.h"
 #include "core/trace.h"
 #include "net/topology_gen.h"
@@ -101,6 +103,66 @@ TEST(EvolvableInternet, InterdomainLinkFailureHandledByBgp) {
     if (topo.router(hop).domain == fig.p) crossed_p = true;
   }
   EXPECT_TRUE(crossed_p);
+}
+
+std::size_t rebuild_spans(const obs::Recorder& recorder) {
+  std::size_t count = 0;
+  for (const auto& event : recorder.log()) {
+    if (event.phase == obs::Phase::kSpanOpen &&
+        std::string_view(event.name) == "vnbone.rebuild") {
+      ++count;
+    }
+  }
+  return count;
+}
+
+// The armed idle sync is the only sync: converge() after a change that
+// armed it rebuilds the vN-Bone once, not a second time afterwards.
+TEST(EvolvableInternet, ConvergeAfterArmedChangeRebuildsOnce) {
+  EvolvableInternet net(net::single_domain_ring(6));
+  net.start();
+  obs::Recorder recorder;
+  recorder.set_capture_all(true);
+  net.set_recorder(&recorder);
+  const auto& routers = net.topology().domain(DomainId{0}).routers;
+
+  net.deploy_router(routers[0]);
+  net.deploy_router(routers[2]);
+  EXPECT_FALSE(net.synced());
+  net.converge();
+  EXPECT_TRUE(net.synced());
+  EXPECT_EQ(rebuild_spans(recorder), 1u);
+  ASSERT_EQ(net.vnbone().virtual_links().size(), 1u);
+
+  net.set_link_up(net::LinkId{1}, false);
+  net.converge();
+  EXPECT_EQ(rebuild_spans(recorder), 2u);
+  EXPECT_EQ(net.vnbone().virtual_links()[0].underlay_cost, 4u);  // 0-5-4-3-2
+}
+
+// With nothing armed, converge() arms the sync itself: a manual tunnel
+// configured without any protocol change still appears.
+TEST(EvolvableInternet, ConvergeWithNothingArmedStillSyncs) {
+  EvolvableInternet net(net::single_domain_line(6));
+  net.start();
+  const auto& routers = net.topology().domain(DomainId{0}).routers;
+  net.deploy_router(routers[0]);
+  net.deploy_router(routers[5]);
+  net.converge();
+  ASSERT_TRUE(net.synced());
+  const auto manual_links = [&] {
+    std::size_t count = 0;
+    for (const auto& l : net.vnbone().virtual_links()) {
+      if (l.source == vnbone::VirtualLink::Source::kManual) ++count;
+    }
+    return count;
+  };
+  ASSERT_EQ(manual_links(), 0u);
+
+  net.vnbone().add_manual_tunnel(routers[0], routers[5]);
+  EXPECT_TRUE(net.synced());  // configuration alone arms nothing
+  net.converge();
+  EXPECT_EQ(manual_links(), 1u);
 }
 
 TEST(EndToEndTrace, CostAndDescribe) {

@@ -5,6 +5,8 @@
 
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "anycast/resolver.h"
 #include "core/evolvable_internet.h"
@@ -156,6 +158,46 @@ TEST(FailurePlaneTest, CrashNotifiesIgpBgpAndBoneWithoutConverge) {
   const auto after = anycast::probe(net->network(),
                                     net->anycast().group(group_id), probe_src);
   EXPECT_TRUE(after.delivered());
+}
+
+// A border crash flips iBGP sessions, so the internet's idle sync re-arms
+// and UPDATEs go out again. "after" must wait for the sync that finishes,
+// not read the FIBs at the quiescence that merely re-armed it.
+TEST(FailurePlaneTest, AfterWaitsForTheSyncToFinish) {
+  auto net = std::make_unique<EvolvableInternet>(net::generate_transit_stub(
+      {.transit_domains = 3, .stubs_per_transit = 2, .seed = 5}));
+  net->start();
+  net->deploy_domain(DomainId{0});
+  net->converge();
+
+  sim::MetricRegistry metrics;
+  FailurePlane plane(*net, metrics);
+  const auto& topo = net->topology();
+  std::vector<std::pair<NodeId, net::Ipv4Addr>> probes;
+  for (const auto& router : topo.routers()) {
+    for (const auto& domain : topo.domains()) {
+      if (domain.id == router.domain) continue;
+      probes.emplace_back(router.id, topo.router(domain.routers.front()).loopback);
+      plane.add_probe(probes.back().first, probes.back().second);
+    }
+  }
+  const NodeId victim{6};
+  ASSERT_TRUE(topo.router(victim).border);
+  FailureSchedule schedule;
+  schedule.node_down(net->simulator().now(), victim);
+  plane.arm(schedule);
+  net->converge();
+  ASSERT_EQ(plane.events_applied(), 1u);
+
+  std::size_t delivered = 0;
+  for (const auto& [from, dst] : probes) {
+    if (net->network().trace(from, dst).delivered()) ++delivered;
+  }
+  const auto* after = metrics.find_summary("net.failure.after.delivery_rate");
+  ASSERT_NE(after, nullptr);
+  ASSERT_EQ(after->count(), 1u);
+  EXPECT_DOUBLE_EQ(after->mean(), 100.0 * static_cast<double>(delivered) /
+                                      static_cast<double>(probes.size()));
 }
 
 TEST(FailurePlaneTest, IdenticalSchedulesProduceIdenticalMetrics) {

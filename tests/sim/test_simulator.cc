@@ -82,6 +82,26 @@ TEST(Simulator, RunEventsBudget) {
   EXPECT_EQ(sim.pending_events(), 7u);
 }
 
+TEST(Simulator, RunEventsFiresIdleCallbacksWhenTheBudgetDrainsTheQueue) {
+  // Idle callbacks are not events: a queue that drains with the last
+  // budgeted event still fires them, and work they schedule waits for the
+  // next budget.
+  Simulator sim;
+  int idle = 0;
+  bool follow_up = false;
+  sim.schedule_after(Duration::millis(1), [] {});
+  sim.notify_on_idle([&] {
+    ++idle;
+    sim.schedule_after(Duration::millis(1), [&] { follow_up = true; });
+  });
+  EXPECT_EQ(sim.run_events(1), 1u);
+  EXPECT_EQ(idle, 1);
+  EXPECT_FALSE(follow_up);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.run_events(1), 1u);
+  EXPECT_TRUE(follow_up);
+}
+
 TEST(Simulator, CancelledEventsDontRun) {
   Simulator sim;
   bool ran = false;
