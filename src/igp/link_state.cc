@@ -194,14 +194,14 @@ void LinkStateIgp::run_spf(NodeId router) {
   // first edge to it at its distance, the one strict relaxation kept.
   const net::Graph graph = lsdb_graph(st);
   std::vector<std::pair<NodeId, LinkId>> first(graph.size());
-  const auto settle = [&](NodeId node, const net::ShortestPaths& p) {
-    const NodeId via = p.predecessor[node.value()];
+  const auto settle = [&](NodeId node, const net::ShortestPathSearch& search) {
+    const NodeId via = search.predecessor(node.value());
     if (via != router) {
       if (via.valid()) first[node.value()] = first[via.value()];
       return true;
     }
     for (const net::Graph::Edge& e : graph.neighbors(router)) {
-      if (e.to == node && e.cost == p.distance_to(node)) {
+      if (e.to == node && e.cost == search.distance(node.value())) {
         first[node.value()] = {node, e.link};
         break;
       }

@@ -5,6 +5,7 @@
 #include <functional>
 #include <limits>
 #include <numeric>
+#include <span>
 
 namespace evo::vnbone {
 
@@ -285,13 +286,19 @@ void VnBone::build_links() {
 
   // ---- operator-configured (manual) tunnels -----------------------------
   // Added first: explicit configuration takes precedence over (and is not
-  // absorbed by) the automatic rules.
+  // absorbed by) the automatic rules. The underlay cost comes from a
+  // search out of a that stops once b settles.
   for (const auto& [a, b] : manual_tunnels_) {
     if (!active(a) || !active(b)) continue;  // dormant until both deploy & up
-    const auto paths = net::dijkstra(physical_graph(), a);
-    if (!paths.reachable(b)) continue;
+    physical_search_.reset(physical_graph().size());
+    physical_search_.add_source(a.value());
+    while (!physical_search_.settled(b.value()) &&
+           physical_search_.settle_next(net::out_edges(physical_graph())) !=
+               net::kNoNode) {
+    }
+    if (!physical_search_.settled(b.value())) continue;
     const bool interdomain = topo.router(a).domain != topo.router(b).domain;
-    add_link(a, b, paths.distance_to(b), interdomain,
+    add_link(a, b, physical_search_.distance(b.value()), interdomain,
              VirtualLink::Source::kManual);
   }
 
@@ -457,17 +464,18 @@ void VnBone::build_links() {
     // link reaches it only after a higher-id one.
     NodeId target = NodeId::invalid();
     Cost target_d = net::kInfiniteCost;
-    const auto settle = [&](NodeId r, const net::ShortestPaths& p) {
-      const Cost d = p.distance_to(r);
-      if (d > target_d) return false;
+    physical_search_.reset(physical_graph().size());
+    physical_search_.add_source(stranded.value());
+    for (Cost next = physical_search_.next_distance();
+         next != net::kInfiniteCost && next <= target_d;
+         next = physical_search_.next_distance()) {
+      const NodeId r{physical_search_.settle_next(net::out_edges(physical_graph()))};
       const bool foreign = active(r) && bone.root(r) != bone.root(stranded);
-      if (foreign && (d < target_d || r < target)) {
+      if (foreign && (next < target_d || r < target)) {
         target = r;
-        target_d = d;
+        target_d = next;
       }
-      return true;
-    };
-    net::dijkstra(physical_graph(), stranded, settle);
+    }
     if (!target.valid()) {
       // Physically cut off; no overlay can help. Mark the whole component
       // hopeless and keep repairing the rest.
@@ -514,41 +522,78 @@ void VnBone::compile_bone() {
     edges_[cursor[a]++] = {b, l.underlay_cost};
     edges_[cursor[b]++] = {a, l.underlay_cost};
   }
-  trees_.assign(n, Tree{});
+  tree_slot_.assign(member_index_.size(), kNoMember);
+  trees_in_use_ = 0;
 }
 
-const VnBone::Tree* VnBone::tree_from(NodeId ingress) const {
-  if (ingress.value() >= member_index_.size()) return nullptr;
+VnBone::Tree* VnBone::tree_from(NodeId ingress) const {
+  if (ingress.value() >= tree_slot_.size()) return nullptr;
+  std::uint32_t& slot = tree_slot_[ingress.value()];
+  if (slot != kNoMember) return &trees_[slot];
   const std::uint32_t root = member_index_[ingress.value()];
   if (root == kNoMember) return nullptr;
-  Tree& tree = trees_[root];
-  if (!tree.distance.empty()) return &tree;
-
-  // net::dijkstra's loop over the CSR, whose members are numbered in
-  // NodeId order: the same predecessors as over virtual_graph().
-  const std::size_t n = member_node_.size();
-  tree.distance.assign(n, net::kInfiniteCost);
-  tree.predecessor.assign(n, kNoMember);
-  const std::uint32_t source[] = {root};
-  net::dijkstra_search(
-      source, tree.distance, tree.predecessor,
-      [&](std::uint32_t u, auto&& relax) {
-        for (std::uint32_t e = edge_begin_[u]; e < edge_begin_[u + 1]; ++e) {
-          relax(edges_[e].first, edges_[e].second);
-        }
-      },
-      [&](std::uint32_t u, Cost) {
-        tree.settled.push_back(u);
-        return true;
-      });
-  return &tree;
+  slot = trees_in_use_++;
+  if (slot == trees_.size()) trees_.emplace_back();
+  trees_[slot].reset(member_node_.size());
+  trees_[slot].add_source(root);
+  return &trees_[slot];
 }
 
-Cost VnBone::vn_distance(const Tree* tree, NodeId ingress, NodeId to) const {
+bool VnBone::settle_within(Tree& tree, Cost bound) const {
+  const Cost next = tree.next_distance();
+  if (next == net::kInfiniteCost || next > bound) return false;
+  // net::dijkstra's search over the CSR, whose members are numbered in
+  // NodeId order: the same predecessors as over virtual_graph().
+  tree.settle_next([&](std::uint32_t u, auto&& relax) {
+    for (std::uint32_t e = edge_begin_[u]; e < edge_begin_[u + 1]; ++e) {
+      relax(edges_[e].first, edges_[e].second);
+    }
+  });
+  return true;
+}
+
+void VnBone::settle_until(Tree& tree, std::uint32_t m) const {
+  while (!tree.settled(m) && settle_within(tree, net::kInfiniteCost)) {
+  }
+}
+
+void VnBone::settle_to_domain(Tree& tree, DomainId domain) const {
+  const auto& topo = network_.topology();
+  Cost nearest = net::kInfiniteCost;
+  for (const NodeId r : deployed_routers_in(domain)) {
+    const std::uint32_t m = member_index_[r.value()];
+    if (m != kNoMember && tree.settled(m) && topo.router(r).up) {
+      nearest = std::min(nearest, tree.distance(m));
+    }
+  }
+  // No member has settled yet, so the first to settle is the nearest.
+  while (nearest == net::kInfiniteCost && settle_within(tree, net::kInfiniteCost)) {
+    const std::uint32_t m = tree.order().back();
+    const NodeId r = member_node_[m];
+    if (topo.router(r).domain == domain && active(r)) nearest = tree.distance(m);
+  }
+  while (settle_within(tree, nearest)) {
+  }
+}
+
+Cost VnBone::vn_distance(Tree* tree, NodeId ingress, NodeId to) const {
   if (to == ingress) return 0;
   if (tree == nullptr || to.value() >= member_index_.size()) return net::kInfiniteCost;
   const std::uint32_t index = member_index_[to.value()];
-  return index == kNoMember ? net::kInfiniteCost : tree->distance[index];
+  if (index == kNoMember) return net::kInfiniteCost;
+  if (!tree->settled(index)) settle_until(*tree, index);
+  return tree->distance(index);  // kInfiniteCost when unreachable
+}
+
+std::pair<NodeId, Cost> VnBone::closest_on_bone(Tree* tree, NodeId ingress,
+                                                DomainId domain) const {
+  if (tree != nullptr) settle_to_domain(*tree, domain);
+  return closest_active(domain, [&](NodeId r) {
+    if (r == ingress) return Cost{0};
+    if (tree == nullptr) return net::kInfiniteCost;
+    const std::uint32_t m = member_index_[r.value()];
+    return m != kNoMember && tree->settled(m) ? tree->distance(m) : net::kInfiniteCost;
+  });
 }
 
 void VnBone::register_endhost_route(IpvNAddr self_addr, NodeId advertiser) {
@@ -625,7 +670,7 @@ VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
   if (!active(ingress)) return result;
   const auto& topo = network_.topology();
   const EgressMode mode = mode_override.value_or(config_.egress_mode);
-  const Tree* tree = tree_from(ingress);
+  Tree* tree = tree_from(ingress);
 
   auto finish_at = [&](NodeId egress, bool legacy) {
     const Cost cost = vn_distance(tree, ingress, egress);
@@ -636,14 +681,13 @@ VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
     result.vn_cost = cost;
     result.vn_hops = {egress};
     if (egress != ingress) {
-      for (std::uint32_t at = tree->predecessor[member_index_[egress.value()]];
-           at != kNoMember; at = tree->predecessor[at]) {
+      for (std::uint32_t at = tree->predecessor(member_index_[egress.value()]);
+           at != kNoMember; at = tree->predecessor(at)) {
         result.vn_hops.push_back(member_node_[at]);
       }
       std::reverse(result.vn_hops.begin(), result.vn_hops.end());
     }
   };
-  auto vn_cost_to = [&](NodeId r) { return vn_distance(tree, ingress, r); };
 
   if (!dst.is_self_address()) {
     // Native destination: its home domain "advertises this address into
@@ -690,7 +734,7 @@ VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
         const auto chosen = std::find_if(path.rbegin(), path.rend(),
                                          [&](DomainId d) { return domain_active(d); });
         if (chosen != path.rend()) {
-          const auto [closest, cost] = closest_active(*chosen, vn_cost_to);
+          const auto [closest, cost] = closest_on_bone(tree, ingress, *chosen);
           if (cost != net::kInfiniteCost) egress = closest;
         }
       }
@@ -710,7 +754,8 @@ VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
       // target into BGPvN (Figure 4); pick the globally cheapest
       // (vN underlay + weighted AS hops) egress, ties to the lowest NodeId.
       // A score is never below its vN cost, so the walk over members by
-      // ascending vN cost stops once that cost alone exceeds the best.
+      // ascending vN cost stops once that cost alone exceeds the best; the
+      // tree settles only as far as the walk goes.
       NodeId egress = NodeId::invalid();
       Cost best_score = net::kInfiniteCost;
       auto consider = [&](NodeId r, Cost vn_cost) {
@@ -726,9 +771,15 @@ VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
       if (tree == nullptr) {
         consider(ingress, 0);  // a member without links reaches only itself
       } else {
-        for (const std::uint32_t m : tree->settled) {
-          if (tree->distance[m] > best_score) break;
-          consider(member_node_[m], tree->distance[m]);
+        std::span<const std::uint32_t> settled = tree->order();
+        for (std::size_t i = 0;; ++i) {
+          if (i == settled.size()) {
+            if (!settle_within(*tree, best_score)) break;
+            settled = tree->order();
+          }
+          const Cost vn_cost = tree->distance(settled[i]);
+          if (vn_cost > best_score) break;
+          consider(member_node_[settled[i]], vn_cost);
         }
       }
       finish_at(egress.valid() ? egress : ingress, /*legacy=*/true);

@@ -210,8 +210,11 @@ class VnBone {
   /// shortest-path tree from `ingress` (valid until a rebuild() changes a
   /// link), the per-domain member lists (updated by deploy/undeploy) and
   /// the BGPv(N-1) legacy table (valid while the BGP Loc-RIB epoch holds).
-  /// Router up/down state is read live. route() is const but fills these
-  /// caches lazily, so a VnBone must not be shared across threads.
+  /// Router up/down state is read live. The tree settles only as far as
+  /// the query reads: to the egress, through the best proxy score, or
+  /// through the nearest member of the own-path domain. route() is const
+  /// but fills these caches lazily, so a VnBone must not be shared across
+  /// threads.
   VnRoute route(net::NodeId ingress, net::IpvNAddr dst,
                 std::optional<EgressMode> mode = std::nullopt) const;
 
@@ -244,13 +247,10 @@ class VnBone {
 
  private:
   /// Shortest-path tree over the compiled bone from one member, indexed by
-  /// member index. Empty until first used in a bone epoch.
-  struct Tree {
-    std::vector<net::Cost> distance;
-    std::vector<std::uint32_t> predecessor;  // kNoMember at the root
-    /// Reachable members in settling order (nondecreasing distance).
-    std::vector<std::uint32_t> settled;
-  };
+  /// member index (predecessor kNoMember at the root). A resumable search:
+  /// route() settles it only as far as a query reads, and a settled
+  /// member's distance and predecessor are what a full search gives.
+  using Tree = net::DijkstraFrontier<std::uint32_t>;
   /// The BGPv(N-1) route from one domain to another, as the domain's
   /// borders see it: legacy_path_length() and legacy_path().
   struct LegacyRoute {
@@ -294,13 +294,30 @@ class VnBone {
 
   /// rebuild()'s construction rules: fill links_ from the substrate.
   void build_links();
-  /// Start a bone epoch: compile links_ into the CSR adjacency and drop
+  /// Start a bone epoch: compile links_ into the CSR adjacency and retire
   /// every shortest-path tree. rebuild() skips it when no link changed.
   void compile_bone();
   /// The tree from `ingress`; null when `ingress` has no virtual link.
-  const Tree* tree_from(net::NodeId ingress) const;
-  /// vN-Bone distance from the root of `tree` (which is `ingress`) to `to`.
-  net::Cost vn_distance(const Tree* tree, net::NodeId ingress, net::NodeId to) const;
+  Tree* tree_from(net::NodeId ingress) const;
+  /// vN-Bone distance from the root of `tree` (which is `ingress`) to `to`,
+  /// settling `tree` until `to` settles.
+  net::Cost vn_distance(Tree* tree, net::NodeId ingress, net::NodeId to) const;
+  /// The active member of `domain` nearest `ingress` on the bone, ties to
+  /// the lowest NodeId, with its vN cost (kInfiniteCost when none is
+  /// reachable). Settles `tree` until one of them settles, then through
+  /// its distance: every member that close has then settled.
+  std::pair<net::NodeId, net::Cost> closest_on_bone(Tree* tree, net::NodeId ingress,
+                                                    net::DomainId domain) const;
+  // Tree extension, kept out of line: a warm query only checks what has
+  // settled.
+  /// Settle `tree` until member `m` settles or the search is exhausted.
+  [[gnu::noinline]] void settle_until(Tree& tree, std::uint32_t m) const;
+  /// Settle `tree`'s next member if its distance is at most `bound`; false
+  /// when none is left within it.
+  [[gnu::noinline]] bool settle_within(Tree& tree, net::Cost bound) const;
+  /// Settle `tree` until an active member of `domain` settles, then through
+  /// that member's distance.
+  [[gnu::noinline]] void settle_to_domain(Tree& tree, net::DomainId domain) const;
   const LegacyRoute& legacy_route(net::DomainId domain, net::DomainId target) const;
 
   net::Network& network_;
@@ -320,6 +337,8 @@ class VnBone {
   std::map<net::IpvNAddr, net::NodeId> endhost_routes_;
   std::vector<VirtualLink> links_;
   PairSet link_pairs_;  // build_links()'s dedup, kept across rebuilds
+  // build_links()'s searches over the physical graph, kept across rebuilds.
+  net::DijkstraFrontier<std::uint32_t> physical_search_;
   std::size_t partition_repairs_ = 0;
   std::size_t bootstrap_tunnels_ = 0;
 
@@ -330,7 +349,12 @@ class VnBone {
   std::vector<std::uint32_t> member_index_;         // NodeId -> member index
   std::vector<std::uint32_t> edge_begin_;           // CSR row offsets
   std::vector<std::pair<std::uint32_t, net::Cost>> edges_;  // (to, cost)
-  mutable std::vector<Tree> trees_;                 // by member index
+  // The bone epoch's trees: tree_slot_[root NodeId] indexes trees_, or is
+  // kNoMember until the root's first route(). trees_ is a pool that
+  // compile_bone() empties without freeing, so trees reuse its storage.
+  mutable std::vector<std::uint32_t> tree_slot_;
+  mutable std::vector<Tree> trees_;
+  mutable std::uint32_t trees_in_use_ = 0;
 
   // Legacy routes by [domain][target], keyed on bgp_->loc_rib_epoch(); a
   // domain's row is allocated on its first query in an epoch.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 namespace evo::net {
 namespace {
 
@@ -124,10 +127,11 @@ TEST(Dijkstra, ZeroCostEdgeSettlesAfterItsHigherIdNeighbour) {
   g.add_undirected_edge(NodeId{1}, NodeId{3}, 1);
   g.add_undirected_edge(NodeId{2}, NodeId{3}, 1);
   std::vector<NodeId> order;
-  const auto paths = dijkstra(g, NodeId{0}, [&](NodeId node, const ShortestPaths&) {
-    order.push_back(node);
-    return true;
-  });
+  const auto paths =
+      dijkstra(g, NodeId{0}, [&](NodeId node, const ShortestPathSearch&) {
+        order.push_back(node);
+        return true;
+      });
   EXPECT_EQ(order, (std::vector<NodeId>{NodeId{0}, NodeId{2}, NodeId{1}, NodeId{3}}));
   EXPECT_EQ(paths.distance_to(NodeId{1}), 1u);
   EXPECT_EQ(paths.predecessor[1], NodeId{2});
@@ -137,12 +141,130 @@ TEST(Dijkstra, ZeroCostEdgeSettlesAfterItsHigherIdNeighbour) {
 TEST(Dijkstra, SettleCallbackStopsTheSearch) {
   Graph g = line(5);
   std::vector<NodeId> order;
-  const auto paths = dijkstra(g, NodeId{0}, [&](NodeId node, const ShortestPaths& p) {
-    order.push_back(node);
-    return p.distance_to(node) < 2;
-  });
+  const auto paths = dijkstra(
+      g, NodeId{0}, [&](NodeId node, const ShortestPathSearch& search) {
+        order.push_back(node);
+        return search.distance(node.value()) < 2;
+      });
   EXPECT_EQ(order, (std::vector<NodeId>{NodeId{0}, NodeId{1}, NodeId{2}}));
   EXPECT_FALSE(paths.reachable(NodeId{4}));
+}
+
+/// A random graph with many ties: costs 0, 1 or 2, a third of the edges
+/// one-way, and some nodes unreachable from node 0.
+Graph random_graph(std::uint32_t nodes, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<std::uint32_t> node(0, nodes - 1);
+  std::uniform_int_distribution<Cost> cost(0, 2);
+  Graph g(nodes);
+  for (std::uint32_t i = 0; i < 2 * nodes; ++i) {
+    const NodeId a{node(rng)};
+    const NodeId b{node(rng)};
+    if (a == b) continue;
+    if (i % 3 == 0) {
+      g.add_edge(a, b, cost(rng));
+    } else {
+      g.add_undirected_edge(a, b, cost(rng));
+    }
+  }
+  return g;
+}
+
+/// `search`'s settled nodes carry the entries and the order `full` (a
+/// run to completion) gives them.
+void expect_settled_prefix(const DijkstraFrontier<NodeId>& search,
+                           const ShortestPaths& full,
+                           const std::vector<std::uint32_t>& full_order) {
+  const auto& order = search.order();
+  ASSERT_LE(order.size(), full_order.size());
+  EXPECT_TRUE(std::equal(order.begin(), order.end(), full_order.begin()));
+  for (const std::uint32_t u : order) {
+    EXPECT_TRUE(search.settled(u));
+    EXPECT_EQ(search.distance(u), full.distance[u]) << "node " << u;
+    EXPECT_EQ(search.predecessor(u), full.predecessor[u]) << "node " << u;
+  }
+}
+
+TEST(DijkstraFrontier, ResumedSearchMatchesDijkstra) {
+  constexpr std::uint32_t kNodes = 40;
+  for (std::uint32_t seed = 1; seed <= 40; ++seed) {
+    const Graph g = random_graph(kNodes, seed);
+    std::vector<std::uint32_t> full_order;
+    const auto full =
+        dijkstra(g, NodeId{0}, [&](NodeId node, const ShortestPathSearch&) {
+          full_order.push_back(node.value());
+          return true;
+        });
+    // Stop every `step` settles, checking the settled prefix at each stop.
+    for (const std::size_t step : {1, 2, 3, 7}) {
+      DijkstraFrontier<NodeId> search;
+      search.reset(kNodes);
+      search.add_source(0);
+      while (search.next_distance() != kInfiniteCost) {
+        for (std::size_t i = 0; i < step && search.next_distance() != kInfiniteCost;
+             ++i) {
+          search.settle_next(out_edges(g));
+        }
+        expect_settled_prefix(search, full, full_order);
+      }
+      EXPECT_EQ(search.order(), full_order) << "seed " << seed << " step " << step;
+      for (std::uint32_t u = 0; u < kNodes; ++u) {
+        EXPECT_EQ(search.settled(u), full.reachable(NodeId{u}));
+        EXPECT_EQ(search.distance(u), full.distance[u]);
+        EXPECT_EQ(search.predecessor(u), full.predecessor[u]);
+      }
+    }
+  }
+}
+
+TEST(DijkstraFrontier, SettlingThroughADistanceSettlesEveryTie) {
+  constexpr std::uint32_t kNodes = 40;
+  for (std::uint32_t seed = 1; seed <= 40; ++seed) {
+    const Graph g = random_graph(kNodes, seed);
+    std::vector<std::uint32_t> full_order;
+    const auto full =
+        dijkstra(g, NodeId{0}, [&](NodeId node, const ShortestPathSearch&) {
+          full_order.push_back(node.value());
+          return true;
+        });
+    DijkstraFrontier<NodeId> search;
+    search.reset(kNodes);
+    search.add_source(0);
+    for (Cost bound = 0; search.next_distance() != kInfiniteCost; ++bound) {
+      while (search.next_distance() <= bound) search.settle_next(out_edges(g));
+      expect_settled_prefix(search, full, full_order);
+      for (std::uint32_t u = 0; u < kNodes; ++u) {
+        EXPECT_EQ(search.settled(u), full.distance[u] <= bound)
+            << "seed " << seed << " node " << u << " bound " << bound;
+      }
+    }
+  }
+}
+
+TEST(DijkstraFrontier, ResetAfterAPartialSearchMatchesAFreshOne) {
+  // One frontier reused: a partial search from one source, then a reset
+  // that unreaches only what it touched, then a full search from another.
+  constexpr std::uint32_t kNodes = 40;
+  DijkstraFrontier<NodeId> search;
+  for (std::uint32_t seed = 1; seed <= 40; ++seed) {
+    const Graph g = random_graph(kNodes, seed);
+    search.reset(kNodes);
+    search.add_source(seed % kNodes);
+    for (std::uint32_t i = 0; i < seed % 7 && search.next_distance() != kInfiniteCost;
+         ++i) {
+      search.settle_next(out_edges(g));
+    }
+    const NodeId source{(seed * 7) % kNodes};
+    search.reset(kNodes);
+    search.add_source(source.value());
+    while (search.next_distance() != kInfiniteCost) search.settle_next(out_edges(g));
+    const auto full = dijkstra(g, source);
+    for (std::uint32_t u = 0; u < kNodes; ++u) {
+      EXPECT_EQ(search.settled(u), full.reachable(NodeId{u})) << "seed " << seed;
+      EXPECT_EQ(search.distance(u), full.distance[u]) << "seed " << seed;
+      EXPECT_EQ(search.predecessor(u), full.predecessor[u]) << "seed " << seed;
+    }
+  }
 }
 
 TEST(ConnectedComponents, SingleComponent) {

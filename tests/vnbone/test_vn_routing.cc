@@ -3,6 +3,8 @@
 // knowledge import.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "check/oracles.h"
 #include "core/evolvable_internet.h"
 #include "core/scenario.h"
@@ -401,6 +403,166 @@ TEST(VnRoutingCache, TieHeavyRoutesFollowNetDijkstra) {
     }
   }
   EXPECT_GT(ties, members.size());
+}
+
+/// A transit-stub Internet whose bone is read at mixed depths: every
+/// other domain deployed, domain 1 only at its first router (its other
+/// routers are inactive native homes), and the last domain deployed but
+/// physically cut off, so its members are on the bone yet unreachable.
+struct MixedDepthInternet {
+  MixedDepthInternet()
+      : net(net::generate_transit_stub(
+            {.transit_domains = 3, .stubs_per_transit = 3, .seed = 11})) {
+    net.start();
+    const auto& topo = net.topology();
+    const auto& domains = topo.domains();
+    for (std::size_t i = 0; i < domains.size(); i += 2) {
+      net.deploy_domain(domains[i].id);
+    }
+    net.deploy_router(domains[1].routers.front());
+    cut_off = domains.back().id;
+    net.deploy_domain(cut_off);
+    for (const auto& link : topo.links()) {
+      if (link.interdomain && (topo.router(link.a).domain == cut_off ||
+                               topo.router(link.b).domain == cut_off)) {
+        net.set_link_up(link.id, false);
+      }
+    }
+    net.converge();
+  }
+
+  core::EvolvableInternet net;
+  DomainId cut_off;
+};
+
+struct MixedQuery {
+  NodeId ingress;
+  IpvNAddr dst;
+  EgressMode mode;
+  VnBone::VnRoute expected;  // the reference over a full tree
+};
+
+/// Every query kind from `ingress`: a native destination at each domain's
+/// last router, and a self-addressed one at each domain's first router
+/// under every mode, two of them advertised by endhosts at far members.
+std::vector<MixedQuery> mixed_queries(const MixedDepthInternet& m, NodeId ingress) {
+  const auto& topo = m.net.topology();
+  const check::VnBoneSnapshot snapshot(m.net, m.net.vnbone());
+  const auto tree = net::dijkstra(snapshot.virtual_graph, ingress);
+  std::vector<MixedQuery> out;
+  for (const auto& domain : topo.domains()) {
+    const NodeId home = domain.routers.back();
+    const auto native = IpvNAddr::native(8, domain.id.value(), home.value(), 0);
+    out.push_back({ingress, native, EgressMode::kProxyAdvertising, {}});
+    const auto self = IpvNAddr::self(8, topo.router(domain.routers.front()).loopback);
+    for (const EgressMode mode : kAllModes) out.push_back({ingress, self, mode, {}});
+  }
+  for (auto& q : out) {
+    q.expected = check::reference_vn_route(snapshot, tree, ingress, q.dst, q.mode);
+  }
+  return out;
+}
+
+/// How far into the tree a query reads, as the reference answers it.
+net::Cost depth(const MixedQuery& q) {
+  return q.expected.ok ? q.expected.vn_cost : net::kInfiniteCost;
+}
+
+/// Runs `order(queries)` on a fresh Internet, so every tree starts cold,
+/// and checks each answer against the reference.
+template <typename Order>
+void expect_mixed_depths_match(Order order) {
+  MixedDepthInternet m;
+  const auto& bone = m.net.vnbone();
+  const auto& topo = m.net.topology();
+  const auto members = bone.active_members();
+  const NodeId first = members.front();
+  // Endhost routes advertised by the member farthest from `first`.
+  const auto from_first = net::dijkstra(bone.virtual_graph(), first);
+  NodeId far = first;
+  for (const NodeId r : members) {
+    if (from_first.reachable(r) &&
+        from_first.distance_to(r) > from_first.distance_to(far)) {
+      far = r;
+    }
+  }
+  const auto& domains = topo.domains();
+  for (const std::size_t i : {std::size_t{1}, domains.size() / 2}) {
+    m.net.vnbone().register_endhost_route(
+        IpvNAddr::self(8, topo.router(domains[i].routers.front()).loopback), far);
+  }
+  const auto queries = order(mixed_queries(m, first), mixed_queries(m, far));
+
+  std::size_t unreachable_home = 0;  // native queries that drain the tree
+  for (const auto& q : queries) {
+    const auto got = bone.route(q.ingress, q.dst, q.mode);
+    EXPECT_TRUE(got == q.expected)
+        << "ingress " << q.ingress.value() << " under " << to_string(q.mode)
+        << ": egress " << got.egress.value() << " cost " << got.vn_cost
+        << ", reference egress " << q.expected.egress.value() << " cost "
+        << q.expected.vn_cost;
+    unreachable_home += !q.dst.is_self_address() &&
+                        q.dst.native_domain() == m.cut_off.value() && !got.ok;
+  }
+  EXPECT_GT(unreachable_home, 0u);
+}
+
+TEST(VnRoutingCache, ResumedTreesAnswerMixedDepthsInAnyOrder) {
+  const auto by_depth = [](std::vector<MixedQuery> queries, bool deep_first) {
+    std::stable_sort(queries.begin(), queries.end(), [&](const auto& a, const auto& b) {
+      return deep_first ? depth(a) > depth(b) : depth(a) < depth(b);
+    });
+    return queries;
+  };
+  // Shallow first, then deep first, from one ingress.
+  expect_mixed_depths_match([&](auto first, auto) { return by_depth(first, false); });
+  expect_mixed_depths_match([&](auto first, auto) { return by_depth(first, true); });
+  // Interleaved across two ingresses: one shallow first, the other deep first.
+  expect_mixed_depths_match([&](auto first, auto far) {
+    const auto a = by_depth(first, false);
+    const auto b = by_depth(far, true);
+    std::vector<MixedQuery> out;
+    for (std::size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+      if (i < a.size()) out.push_back(a[i]);
+      if (i < b.size()) out.push_back(b[i]);
+    }
+    return out;
+  });
+}
+
+TEST(VnRoutingCache, OwnPathSettlesEveryMemberTiedWithTheFirst) {
+  // M reaches C through legacy P and deployed O. O's two routers are joined
+  // by a zero-cost link, and only a manual tunnel to the higher id links O
+  // into the bone: the lower id ties with it but settles after it.
+  net::Topology topo;
+  const DomainId m = topo.add_domain("M");
+  const DomainId p = topo.add_domain("P");
+  const DomainId o = topo.add_domain("O");
+  const DomainId c = topo.add_domain("C", /*stub=*/true);
+  const NodeId m0 = topo.add_router(m);
+  const NodeId m1 = topo.add_router(m);
+  const NodeId p0 = topo.add_router(p);
+  const NodeId o_low = topo.add_router(o);
+  const NodeId o_high = topo.add_router(o);
+  const NodeId c0 = topo.add_router(c);
+  topo.add_link(m0, m1, 1);
+  topo.add_link(o_low, o_high, 0);
+  topo.add_interdomain_link(p0, m1, net::Relationship::kCustomer, 1);
+  topo.add_interdomain_link(p0, o_high, net::Relationship::kCustomer, 1);
+  topo.add_interdomain_link(o_low, c0, net::Relationship::kCustomer, 1);
+  core::EvolvableInternet net(std::move(topo));
+  net.start();
+  net.deploy_domain(m);
+  net.deploy_domain(o);
+  net.vnbone().add_manual_tunnel(m1, o_high);
+  net.converge();
+
+  const auto to_c = IpvNAddr::self(8, net.topology().router(c0).loopback);
+  const auto route = net.vnbone().route(m0, to_c, EgressMode::kOwnPathKnowledge);
+  ASSERT_TRUE(route.ok);
+  EXPECT_EQ(route.egress, o_low);
+  EXPECT_EQ(route.vn_hops, (std::vector<NodeId>{m0, m1, o_high, o_low}));
+  expect_matches_reference(net, m0, to_c);
 }
 
 TEST(VnRouting, ModeNamesRender) {
