@@ -242,31 +242,6 @@ void BM_RefHeapScheduleFire(benchmark::State& state) {
 }
 BENCHMARK(BM_RefHeapScheduleFire)->Arg(64)->Arg(1024)->Arg(16384);
 
-void BM_EventQueueCancel(benchmark::State& state) {
-  // Generation-compare cancellation: schedule + cancel + (dead) skim. The
-  // hold keeps the calendar populated so cancels hit realistic buckets.
-  sim::EventQueue q;
-  const auto delays = make_delays();
-  sim::TimePoint now = sim::TimePoint::origin();
-  std::size_t i = 0;
-  std::uint64_t fired = 0;
-  for (std::size_t k = 0; k < 1024; ++k) {
-    q.schedule(now + delays[i++ & (delays.size() - 1)], [&fired] { ++fired; });
-  }
-  for (auto _ : state) {
-    auto handle =
-        q.schedule(now + delays[i++ & (delays.size() - 1)], [&fired] { ++fired; });
-    handle.cancel();
-    auto popped = q.pop();
-    now = popped.when;
-    popped.fn();
-    q.schedule(now + delays[i++ & (delays.size() - 1)], [&fired] { ++fired; });
-  }
-  benchmark::DoNotOptimize(fired);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EventQueueCancel);
-
 // ---------------------------------------------------------------------------
 // Callback type erasure: InplaceFn vs std::function for a capture that is
 // representative of protocol events (40 bytes: this-style pointer + ids).

@@ -68,10 +68,4 @@ void CompiledFib::compile(const Fib& fib) {
   epoch_ = fib.epoch();
 }
 
-std::size_t CompiledFib::memory_bytes() const {
-  return entries_.capacity() * sizeof(FibEntry) +
-         ranges_.capacity() * sizeof(Range) +
-         index_.capacity() * sizeof(std::uint32_t);
-}
-
 }  // namespace evo::net

@@ -57,8 +57,6 @@ class CompiledFib {
   std::size_t entry_count() const { return entries_.size(); }
   /// Number of disjoint address ranges the prefix set projected onto.
   std::size_t range_count() const { return ranges_.size(); }
-  /// Bytes of flat storage currently held (entries + ranges + index).
-  std::size_t memory_bytes() const;
 
  private:
   struct Range {

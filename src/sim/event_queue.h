@@ -1,24 +1,21 @@
-// Cancellable calendar queue of timed events.
+// Calendar queue of timed, fire-and-forget events.
 //
-// Events live in bucketed slot vectors (a calendar/ladder queue) instead of
-// a binary heap: the ring covers a sliding horizon of kBuckets fixed-width
+// Events live in bucketed vectors (a calendar/ladder queue) instead of a
+// binary heap: the ring covers a sliding horizon of kBuckets fixed-width
 // time buckets, events beyond the horizon wait in an overflow vector that
 // is redistributed when the cursor reaches them. Equal-time events fire in
 // schedule order (FIFO), which keeps protocol simulations deterministic.
 //
-// Cancellation is a generation compare: every event borrows a slot in a
-// queue-wide slot table; its handle remembers (slot, generation) and an
-// event is live exactly while the table still holds its generation. No
-// per-event heap allocation anywhere — the slot table and buckets are
-// reused flat vectors, and EventFn stores typical closures inline (see
-// inplace_fn.h). size() is maintained as an exact live-event counter.
+// A scheduled event always fires: there is no handle and no cancellation,
+// so every queued entry is live and size() is one counter. No per-event
+// heap allocation anywhere — the buckets are reused flat vectors, and
+// EventFn stores typical closures inline (see inplace_fn.h).
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "obs/recorder.h"
@@ -32,79 +29,10 @@ namespace evo::sim {
 /// in delivery.cc); everything the control plane schedules fits comfortably.
 using EventFn = InplaceFn<128>;
 
-namespace detail {
-
-/// Queue-wide slot table shared (via shared_ptr) with outstanding handles,
-/// so handles stay safe to query even after the queue is destroyed.
-struct SlotTable {
-  std::vector<std::uint64_t> gens;
-  std::vector<std::uint32_t> free_slots;
-  std::size_t live = 0;
-
-  /// Borrow a slot and advance its generation; the returned generation
-  /// identifies exactly one scheduled event for the slot's current tenancy.
-  std::uint32_t acquire() {
-    if (!free_slots.empty()) {
-      const std::uint32_t slot = free_slots.back();
-      free_slots.pop_back();
-      ++gens[slot];
-      return slot;
-    }
-    gens.push_back(1);
-    return static_cast<std::uint32_t>(gens.size() - 1);
-  }
-
-  /// Invalidate the slot's current generation and make it reusable.
-  void release(std::uint32_t slot) {
-    ++gens[slot];
-    free_slots.push_back(slot);
-  }
-
-  bool is_live(std::uint32_t slot, std::uint64_t gen) const {
-    return gens[slot] == gen;
-  }
-};
-
-}  // namespace detail
-
-/// Handle to a scheduled event; allows cancellation. Copyable; all copies
-/// refer to the same event. Remains safe (reporting not-pending) after the
-/// event fires, is cancelled, the queue is cleared, or the queue dies.
-class EventHandle {
- public:
-  EventHandle() = default;
-
-  /// Cancel the event if it has not fired yet. Idempotent.
-  void cancel() {
-    if (auto table = table_.lock()) {
-      if (table->is_live(slot_, gen_)) {
-        table->release(slot_);
-        --table->live;
-      }
-    }
-  }
-
-  /// True if this handle refers to an event that is still pending.
-  bool pending() const {
-    auto table = table_.lock();
-    return table && table->is_live(slot_, gen_);
-  }
-
- private:
-  friend class EventQueue;
-  EventHandle(std::weak_ptr<detail::SlotTable> table, std::uint32_t slot,
-              std::uint64_t gen)
-      : table_(std::move(table)), slot_(slot), gen_(gen) {}
-
-  std::weak_ptr<detail::SlotTable> table_;
-  std::uint32_t slot_ = 0;
-  std::uint64_t gen_ = 0;  // generation 0 never matches a live slot
-};
-
 class EventQueue {
  public:
-  /// Health counters, cumulative over the queue's lifetime (clear() keeps
-  /// them). Read through Simulator::queue_stats().
+  /// Health counters, cumulative over the queue's lifetime. Read through
+  /// Simulator::queue_stats().
   struct Stats {
     std::size_t live_high_water = 0;        // max simultaneous live events
     std::uint64_t overflow_scheduled = 0;   // events that landed past the horizon
@@ -116,24 +44,17 @@ class EventQueue {
     std::size_t ring_capacity = 0;
   };
 
-  EventQueue() : table_(std::make_shared<detail::SlotTable>()), ring_(kBuckets) {}
+  EventQueue() : ring_(kBuckets) {}
 
-  EventHandle schedule(TimePoint when, EventFn fn) {
-    const std::uint32_t slot = table_->acquire();
-    const std::uint64_t gen = table_->gens[slot];
-    if (++table_->live > stats_.live_high_water) {
-      stats_.live_high_water = table_->live;
-    }
-    insert(Entry{when, next_seq_++, gen, slot, std::move(fn)});
-    return EventHandle{table_, slot, gen};
+  void schedule(TimePoint when, EventFn fn) {
+    if (++size_ > stats_.live_high_water) stats_.live_high_water = size_;
+    insert(Entry{when, next_seq_++, std::move(fn)});
   }
 
-  /// True if no live (non-cancelled) events remain.
-  bool empty() const { return table_->live == 0; }
+  bool empty() const { return size_ == 0; }
 
-  /// Exact number of live events. O(1): the counter is decremented on both
-  /// cancel and fire, so cancelled entries never inflate it.
-  std::size_t size() const { return table_->live; }
+  /// Number of scheduled events that have not fired yet.
+  std::size_t size() const { return size_; }
 
   const Stats& stats() const {
     stats_.ring_capacity = 0;
@@ -145,12 +66,13 @@ class EventQueue {
   /// default; never consulted on the schedule/pop fast path.
   void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
 
-  /// Time of the earliest live event; TimePoint::max() if none.
-  TimePoint next_time() const {
+  /// Time of the earliest event; TimePoint::max() if none. Not const: it
+  /// may load the next bucket (or rebase the horizon) to find it.
+  TimePoint next_time() {
     return ensure_front() ? active_[active_idx_].when : TimePoint::max();
   }
 
-  /// Remove and return the earliest live event. Requires !empty().
+  /// Remove and return the earliest event. Requires !empty().
   struct Popped {
     TimePoint when;
     EventFn fn;
@@ -160,30 +82,8 @@ class EventQueue {
     assert(have && "pop() on an empty EventQueue");
     (void)have;
     Entry& entry = active_[active_idx_++];
-    table_->release(entry.slot);  // fired events are no longer "pending"
-    --table_->live;
+    --size_;
     return Popped{entry.when, std::move(entry.fn)};
-  }
-
-  /// Drop every scheduled event. Outstanding EventHandles observe the
-  /// cancellation: pending() reports false afterwards, exactly as if each
-  /// event had been cancelled individually.
-  void clear() {
-    auto drop_all = [&](std::vector<Entry>& entries, std::size_t from) {
-      for (std::size_t i = from; i < entries.size(); ++i) {
-        if (table_->is_live(entries[i].slot, entries[i].gen)) {
-          table_->release(entries[i].slot);
-          --table_->live;
-        }
-      }
-      entries.clear();
-    };
-    drop_all(active_, active_idx_);
-    active_idx_ = 0;
-    for (auto& bucket : ring_) drop_all(bucket, 0);
-    drop_all(overflow_, 0);
-    base_abs_ = 0;
-    overflow_min_ab_ = kNoOverflow;
   }
 
  private:
@@ -203,8 +103,6 @@ class EventQueue {
   struct Entry {
     TimePoint when;
     std::uint64_t seq = 0;
-    std::uint64_t gen = 0;
-    std::uint32_t slot = 0;
     EventFn fn;
   };
 
@@ -236,27 +134,21 @@ class EventQueue {
     }
   }
 
-  /// Position the cursor on the earliest live entry; false if none exist.
-  /// Lazily drops cancelled entries and loads/sorts the next bucket (or
-  /// redistributes the overflow into a new horizon) as needed.
-  bool ensure_front() const {
+  /// Position the cursor on the earliest entry; false if none exist.
+  /// Loads and sorts the next bucket (or redistributes the overflow into a
+  /// new horizon) once the cursor bucket is consumed.
+  bool ensure_front() {
     for (;;) {
-      while (active_idx_ < active_.size()) {
-        Entry& entry = active_[active_idx_];
-        if (table_->is_live(entry.slot, entry.gen)) return true;
-        entry.fn.reset();  // cancelled: free the closure promptly
-        ++active_idx_;
-      }
+      if (active_idx_ < active_.size()) return true;
       active_.clear();
       active_idx_ = 0;
-      if (table_->live == 0) return false;
+      if (size_ == 0) return false;
 
       // Advance to the next non-empty ring bucket. The scan is capped at
       // the earliest overflow bucket: an overflow event may sit *inside*
       // the advanced horizon (it was beyond the horizon when scheduled),
       // and ring buckets past it must not fire before it is pulled in.
       const std::int64_t limit = std::min(base_abs_ + kBuckets, overflow_min_ab_);
-      bool loaded = false;
       for (std::int64_t ab = base_abs_; ab < limit; ++ab) {
         auto& bucket = ring_[static_cast<std::size_t>(ab % kBuckets)];
         if (bucket.empty()) continue;
@@ -264,17 +156,15 @@ class EventQueue {
         active_.swap(bucket);
         if (bucket.capacity() > kParkedCapacity) std::vector<Entry>().swap(bucket);
         std::sort(active_.begin(), active_.end(), entry_less);
-        loaded = true;
-        break;
+        return true;
       }
-      if (loaded) continue;
 
       // Nothing fires before the overflow: rebase the horizon at its
       // earliest bucket and pull every overflow event inside the new
       // horizon into the ring. Remaining ring entries all have buckets in
       // [old limit, old base + kBuckets) ⊂ [new base, new base + kBuckets),
       // so their ring positions stay valid.
-      assert(overflow_min_ab_ != kNoOverflow && "live counter says events remain");
+      assert(overflow_min_ab_ != kNoOverflow && "size counter says events remain");
       base_abs_ = overflow_min_ab_;
       std::int64_t new_min = kNoOverflow;
       std::size_t keep = 0;
@@ -301,16 +191,14 @@ class EventQueue {
     }
   }
 
-  std::shared_ptr<detail::SlotTable> table_;
-  // Lazily maintained by const queries (next_time/empty-adjacent paths),
-  // exactly like the old heap's skim(); hence mutable.
-  mutable std::vector<std::vector<Entry>> ring_;
-  mutable std::vector<Entry> active_;  // cursor bucket, sorted by (when, seq)
-  mutable std::size_t active_idx_ = 0;
-  mutable std::int64_t base_abs_ = 0;  // absolute bucket index of active_
-  mutable std::vector<Entry> overflow_;
-  mutable std::int64_t overflow_min_ab_ = kNoOverflow;
-  mutable Stats stats_;  // rebase counters advance inside const queries
+  std::vector<std::vector<Entry>> ring_;
+  std::vector<Entry> active_;  // cursor bucket, sorted by (when, seq)
+  std::size_t active_idx_ = 0;
+  std::int64_t base_abs_ = 0;  // absolute bucket index of active_
+  std::vector<Entry> overflow_;
+  std::int64_t overflow_min_ab_ = kNoOverflow;
+  std::size_t size_ = 0;
+  mutable Stats stats_;  // stats() refreshes the ring_capacity snapshot
   obs::Recorder* recorder_ = nullptr;
   std::uint64_t next_seq_ = 0;
 };

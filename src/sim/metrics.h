@@ -81,7 +81,6 @@ class MetricRegistry {
   }
 
   const std::map<std::string, std::int64_t>& counters() const { return counters_; }
-  const std::map<std::string, Summary>& summaries() const { return summaries_; }
 
   /// Fold `other` into this registry: counters are summed, summary samples
   /// appended. Used to merge per-cell registries of a parallel sweep.

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "obs/recorder.h"
@@ -33,12 +34,12 @@ class Simulator {
   TimePoint now() const { return now_; }
 
   /// Schedule `fn` to run `delay` after the current time.
-  EventHandle schedule_after(Duration delay, EventFn fn) {
-    return queue_.schedule(now_ + delay, std::move(fn));
+  void schedule_after(Duration delay, EventFn fn) {
+    queue_.schedule(now_ + delay, std::move(fn));
   }
 
   /// Schedule `fn` at an absolute time (must not be in the past).
-  EventHandle schedule_at(TimePoint when, EventFn fn);
+  void schedule_at(TimePoint when, EventFn fn);
 
   bool idle() const { return queue_.empty(); }
   std::size_t pending_events() const { return queue_.size(); }
@@ -69,20 +70,28 @@ class Simulator {
   void notify_on_idle(EventFn fn) { idle_callbacks_.push_back(std::move(fn)); }
 
   /// Run until no events remain. Returns the number of events processed.
-  std::uint64_t run();
+  std::uint64_t run() { return drain(TimePoint::max(), kNoBudget); }
 
   /// Run until the clock would pass `deadline` (events at exactly
-  /// `deadline` are processed). Returns events processed by this call.
+  /// `deadline` are processed), then leave the clock at `deadline`.
+  /// Returns events processed by this call.
   std::uint64_t run_until(TimePoint deadline);
 
-  /// Run at most `max_events` further events. Idle callbacks are not
-  /// events: they fire whenever the queue drains, even at the budget.
-  std::uint64_t run_events(std::uint64_t max_events);
-
-  /// Reset clock and queue (keeps processed-event count at zero).
-  void reset();
+  /// Run at most `max_events` further events.
+  std::uint64_t run_events(std::uint64_t max_events) {
+    return drain(TimePoint::max(), max_events);
+  }
 
  private:
+  static constexpr std::uint64_t kNoBudget =
+      std::numeric_limits<std::uint64_t>::max();
+
+  /// The one run loop: fire events in time order while they are due by
+  /// `deadline` and fewer than `budget` have fired. Idle callbacks are not
+  /// events: they fire whenever the queue drains, whatever the deadline
+  /// or the budget, and the loop goes on with any work they schedule.
+  std::uint64_t drain(TimePoint deadline, std::uint64_t budget);
+
   /// Fire pending idle callbacks; returns true if any ran (they may have
   /// scheduled new events).
   bool fire_idle_callbacks();

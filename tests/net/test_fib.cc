@@ -94,7 +94,7 @@ TEST(Fib, EntriesEnumeration) {
   EXPECT_EQ(all.size(), 3u);
 }
 
-TEST(Fib, ClearEmptiesTrie) {
+TEST(Fib, ClearEmptiesTable) {
   Fib fib;
   fib.insert(entry("10.0.0.0/8", 1));
   fib.clear();

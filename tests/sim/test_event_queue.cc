@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 namespace evo::sim {
@@ -35,129 +36,36 @@ TEST(EventQueue, EqualTimesFifo) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(EventQueue, CancelPreventsExecution) {
+TEST(EventQueue, SizeAndHighWaterAreExactAcrossARebase) {
+  // size() is one counter and live_high_water its running maximum; both
+  // must match a hand count after every schedule and pop, including the
+  // pops that drain the ring and rebase the horizon onto the overflow.
   EventQueue q;
-  bool ran = false;
-  auto handle = q.schedule(at(10), [&] { ran = true; });
-  EXPECT_TRUE(handle.pending());
-  handle.cancel();
-  EXPECT_FALSE(handle.pending());
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(ran);
-}
-
-TEST(EventQueue, CancelMiddleEventSkipped) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(at(10), [&] { order.push_back(1); });
-  auto mid = q.schedule(at(20), [&] { order.push_back(2); });
-  q.schedule(at(30), [&] { order.push_back(3); });
-  mid.cancel();
-  while (!q.empty()) q.pop().fn();
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
-}
-
-TEST(EventQueue, CancelIsIdempotent) {
-  EventQueue q;
-  auto handle = q.schedule(at(10), [] {});
-  handle.cancel();
-  handle.cancel();
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, FiredEventNoLongerPending) {
-  EventQueue q;
-  auto handle = q.schedule(at(10), [] {});
-  q.pop().fn();
-  EXPECT_FALSE(handle.pending());
-}
-
-TEST(EventQueue, NextTimeSkipsCancelled) {
-  EventQueue q;
-  auto early = q.schedule(at(5), [] {});
-  q.schedule(at(50), [] {});
-  early.cancel();
-  EXPECT_EQ(q.next_time(), at(50));
-}
-
-TEST(EventQueue, ClearEmptiesQueue) {
-  EventQueue q;
-  q.schedule(at(1), [] {});
-  q.schedule(at(2), [] {});
-  q.clear();
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, ClearCancelsOutstandingHandles) {
-  // Regression: clear() used to discard the heap without marking entries
-  // cancelled, so handles kept reporting pending() == true forever.
-  EventQueue q;
-  auto first = q.schedule(at(1), [] {});
-  auto second = q.schedule(at(2), [] {});
-  ASSERT_TRUE(first.pending());
-  ASSERT_TRUE(second.pending());
-  q.clear();
-  EXPECT_FALSE(first.pending());
-  EXPECT_FALSE(second.pending());
-  first.cancel();  // still idempotent after clear()
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.next_time(), TimePoint::max());
-}
-
-TEST(EventQueue, DefaultHandleNotPending) {
-  EventHandle handle;
-  EXPECT_FALSE(handle.pending());
-  handle.cancel();  // must not crash
-}
-
-TEST(EventQueue, SizeIsExactUnderCancellation) {
-  // size() must report the live count immediately — cancellation may not be
-  // deferred to pop-time skimming (idle heuristics read this).
-  EventQueue q;
-  std::vector<EventHandle> handles;
-  for (int i = 0; i < 10; ++i) {
-    handles.push_back(q.schedule(at(i), [] {}));
+  std::size_t live = 0, high_water = 0;
+  auto check = [&] {
+    ASSERT_EQ(q.size(), live);
+    ASSERT_EQ(q.empty(), live == 0);
+    ASSERT_EQ(q.stats().live_high_water, high_water);
+  };
+  auto schedule = [&](std::int64_t ms) {
+    q.schedule(at(ms), [] {});
+    high_water = std::max(high_water, ++live);
+    check();
+  };
+  for (std::int64_t ms : {1, 5, 5, 40, 300, 900, 90'000}) schedule(ms);
+  q.pop();  // 1ms
+  --live;
+  check();
+  schedule(2);
+  schedule(600);
+  while (!q.empty()) {
+    q.pop();
+    --live;
+    check();
   }
-  EXPECT_EQ(q.size(), 10u);
-  handles[3].cancel();
-  handles[7].cancel();
-  EXPECT_EQ(q.size(), 8u);
-  handles[3].cancel();  // idempotent: no double-decrement
-  EXPECT_EQ(q.size(), 8u);
-  q.pop();
-  EXPECT_EQ(q.size(), 7u);
-  q.clear();
-  EXPECT_EQ(q.size(), 0u);
+  EXPECT_GE(q.stats().rebases, 2u);  // 300ms and 90s both lie past a horizon
+  EXPECT_EQ(q.stats().live_high_water, 8u);
 }
-
-TEST(EventQueue, SlotReuseDoesNotResurrectOldHandle) {
-  // After an event fires, its slot may be recycled for a new event. The
-  // generation counter must keep the old handle dead: cancelling it must
-  // not touch the new occupant.
-  EventQueue q;
-  auto old_handle = q.schedule(at(1), [] {});
-  q.pop().fn();
-  bool ran = false;
-  auto fresh = q.schedule(at(2), [&] { ran = true; });
-  EXPECT_FALSE(old_handle.pending());
-  old_handle.cancel();  // stale generation: must be a no-op
-  EXPECT_TRUE(fresh.pending());
-  EXPECT_EQ(q.size(), 1u);
-  q.pop().fn();
-  EXPECT_TRUE(ran);
-}
-
-TEST(EventQueue, HandleOutlivesQueue) {
-  EventHandle handle;
-  {
-    EventQueue q;
-    handle = q.schedule(at(1), [] {});
-    EXPECT_TRUE(handle.pending());
-  }
-  EXPECT_FALSE(handle.pending());
-  handle.cancel();  // must not crash after the queue is gone
-}
-
 TEST(EventQueue, FarFutureEventsPopInOrderAcrossHorizon) {
   // Events beyond the calendar's bucket horizon take the overflow path and
   // are redistributed as the queue advances; order must be unaffected.
@@ -187,18 +95,6 @@ TEST(EventQueue, OverflowEventInsideAdvancedHorizonNotBypassed) {
   q.schedule(at(310), [&] { order.push_back(310); });
   while (!q.empty()) q.pop().fn();
   EXPECT_EQ(order, (std::vector<int>{250, 300, 310}));
-}
-
-TEST(EventQueue, ClearThenReuse) {
-  EventQueue q;
-  q.schedule(at(1'000), [] {});
-  q.schedule(at(500'000), [] {});  // populate overflow too
-  q.clear();
-  std::vector<int> order;
-  q.schedule(at(2), [&] { order.push_back(2); });
-  q.schedule(at(1), [&] { order.push_back(1); });
-  while (!q.empty()) q.pop().fn();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 TEST(EventQueue, ManyEventsStressOrder) {

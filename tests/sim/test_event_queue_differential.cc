@@ -1,8 +1,8 @@
 // Differential test: the calendar EventQueue against a straightforward
-// reference heap, over randomized schedule/cancel/clear/pop traces. The
-// reference implements the queue's contract directly — (when, seq) FIFO
-// order, lazy cancellation — so any divergence is a calendar bug (bucket
-// rotation, overflow redistribution, generation handling, ...).
+// reference heap, over randomized schedule/pop traces. The reference
+// implements the queue's contract directly — (when, seq) FIFO order — so
+// any divergence is a calendar bug (bucket rotation, overflow
+// redistribution, ...).
 #include "sim/event_queue.h"
 
 #include <gtest/gtest.h>
@@ -17,33 +17,13 @@
 namespace evo::sim {
 namespace {
 
-/// Reference model: binary heap of (when, seq, id) with a cancelled set.
+/// Reference model: binary heap of (when, seq, id).
 class ReferenceQueue {
  public:
-  void schedule(TimePoint when, int id) {
-    heap_.push(Entry{when, next_seq_++, id});
-    cancelled_.push_back(false);
-  }
-  void cancel(std::size_t schedule_index) {
-    cancelled_[schedule_index] = true;
-  }
-  void clear() {
-    while (!heap_.empty()) {
-      cancelled_[heap_.top().seq] = true;
-      heap_.pop();
-    }
-  }
-  bool empty() const {
-    skim();
-    return heap_.empty();
-  }
-  std::size_t size() const {
-    std::size_t live = 0;
-    for (auto held : held_seqs()) live += !cancelled_[held];
-    return live;
-  }
+  void schedule(TimePoint when, int id) { heap_.push(Entry{when, next_seq_++, id}); }
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
   TimePoint next_time() const {
-    skim();
     return heap_.empty() ? TimePoint::max() : heap_.top().when;
   }
   struct Popped {
@@ -51,10 +31,8 @@ class ReferenceQueue {
     int id;
   };
   Popped pop() {
-    skim();
     const Entry top = heap_.top();
     heap_.pop();
-    cancelled_[top.seq] = true;
     return Popped{top.when, top.id};
   }
 
@@ -68,21 +46,7 @@ class ReferenceQueue {
       return a.seq > b.seq;
     }
   };
-  std::vector<std::uint64_t> held_seqs() const {
-    // Only used by size(): copy the heap and drain it.
-    std::vector<std::uint64_t> seqs;
-    auto copy = heap_;
-    while (!copy.empty()) {
-      seqs.push_back(copy.top().seq);
-      copy.pop();
-    }
-    return seqs;
-  }
-  void skim() const {
-    while (!heap_.empty() && cancelled_[heap_.top().seq]) heap_.pop();
-  }
-  mutable std::priority_queue<Entry> heap_;
-  std::vector<bool> cancelled_;
+  std::priority_queue<Entry> heap_;
   std::uint64_t next_seq_ = 0;
 };
 
@@ -103,7 +67,6 @@ TEST(EventQueueDifferential, RandomTracesMatchReferenceHeap) {
     Rng rng{seed};
     EventQueue queue;
     ReferenceQueue reference;
-    std::vector<EventHandle> handles;
     std::vector<int> fired;  // ids in calendar pop order
     TimePoint now = TimePoint::origin();
     std::optional<TimePoint> previous;
@@ -115,21 +78,8 @@ TEST(EventQueueDifferential, RandomTracesMatchReferenceHeap) {
         const TimePoint when = draw_when(rng, now, previous);
         previous = when;
         const int id = next_id++;
-        handles.push_back(queue.schedule(when, [id, &fired] { fired.push_back(id); }));
+        queue.schedule(when, [id, &fired] { fired.push_back(id); });
         reference.schedule(when, id);
-      } else if (roll < 0.60 && !handles.empty()) {
-        // Cancel a random earlier schedule (idempotent on repeats and on
-        // already-fired events in both implementations).
-        const auto pick = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(handles.size()) - 1));
-        handles[pick].cancel();
-        reference.cancel(pick);
-      } else if (roll < 0.61) {
-        queue.clear();
-        reference.clear();
-        for (const auto& handle : handles) {
-          EXPECT_FALSE(handle.pending());  // clear() observes every handle
-        }
       } else if (!queue.empty()) {
         ASSERT_FALSE(reference.empty());
         ASSERT_EQ(queue.next_time(), reference.next_time());
@@ -191,24 +141,17 @@ TEST(EventQueueDifferential, HealthCountersStaySane) {
 
 TEST(EventQueueDifferential, HealthCountersSurviveRandomTraces) {
   // Same randomized trace shape as the reference-heap test: whatever the
-  // mix of schedules, cancels, clears, and pops, the counters stay
-  // internally consistent (they count schedules, not surviving events).
+  // mix of schedules and pops, the counters stay internally consistent
+  // (they count schedules, not surviving events).
   Rng rng{4242};
   EventQueue queue;
-  std::vector<EventHandle> handles;
   std::size_t scheduled = 0;
   TimePoint now = TimePoint::origin();
   for (int op = 0; op < 3000; ++op) {
     const double roll = rng.uniform();
     if (roll < 0.5) {
-      handles.push_back(queue.schedule(draw_when(rng, now, {}), [] {}));
+      queue.schedule(draw_when(rng, now, {}), [] {});
       ++scheduled;
-    } else if (roll < 0.6 && !handles.empty()) {
-      handles[static_cast<std::size_t>(rng.uniform_int(
-                  0, static_cast<std::int64_t>(handles.size()) - 1))]
-          .cancel();
-    } else if (roll < 0.61) {
-      queue.clear();
     } else if (!queue.empty()) {
       now = std::max(now, queue.pop().when);
     }
