@@ -77,6 +77,11 @@ BgpSystem::BgpSystem(sim::Simulator& simulator, net::Network& network,
     speakers_[router.id.value()].domain = router.domain;
     if (router.border) speakers_of_[router.domain.value()].push_back(router.id);
   }
+  install_rows_.resize(topo.domain_count());
+  for (const auto& domain : topo.domains()) {
+    install_rows_[domain.id.value()].resize(domain.routers.size() *
+                                            speakers_of_[domain.id.value()].size());
+  }
   // eBGP sessions over inter-domain links.
   for (const auto& link : topo.links()) {
     if (!link.interdomain) continue;
@@ -612,13 +617,13 @@ std::optional<std::string> BgpSystem::rib_inconsistency() const {
   return std::nullopt;
 }
 
-void BgpSystem::border_row(NodeId r, std::vector<BorderHop>& row) const {
+void BgpSystem::border_row(NodeId r, std::span<BorderHop> row) const {
   const auto& topo = network_.topology();
   const DomainId domain = topo.router(r).domain;
   const igp::Igp* igp = igp_of_(domain);
   const auto& fib = network_.fib(r);
   const auto& borders = speakers_of(domain);
-  row.resize(borders.size());
+  assert(row.size() == borders.size());
   for (std::size_t i = 0; i < borders.size(); ++i) {
     const NodeId border = borders[i];
     BorderHop& hop = row[i];
@@ -648,7 +653,8 @@ void BgpSystem::gather_egresses(DomainId domain, PrefixId id,
 
 std::optional<FibEntry> BgpSystem::install_rule(NodeId r, PrefixId id,
                                                 std::span<const std::uint32_t> egresses,
-                                                std::span<const BorderHop> row) const {
+                                                std::span<const BorderHop> row,
+                                                const FibEntry* existing) const {
   const auto& topo = network_.topology();
   const auto& domain = topo.domain(topo.router(r).domain);
   const Prefix prefix = prefixes_[id];
@@ -664,10 +670,7 @@ std::optional<FibEntry> BgpSystem::install_rule(NodeId r, PrefixId id,
   // "IGP-preferred" admin-distance rule; see DESIGN.md): a member domain's
   // own anycast members must keep capturing local traffic even when a
   // remote member peer-advertises the same /32 to us.
-  if (const auto* existing = network_.fib(r).find(prefix);
-      existing != nullptr && existing->origin != RouteOrigin::kBgp) {
-    return std::nullopt;
-  }
+  if (existing != nullptr && existing->origin != RouteOrigin::kBgp) return std::nullopt;
 
   // Hot potato: the IGP-closest egress; positions follow NodeId order, so
   // the lowest position breaks ties toward the lowest id.
@@ -705,12 +708,39 @@ std::optional<FibEntry> BgpSystem::install_rule(NodeId r, PrefixId id,
 std::optional<FibEntry> BgpSystem::install_entry(NodeId r, Prefix prefix) const {
   const auto it = prefix_ids_.find(prefix);
   if (it == prefix_ids_.end()) return std::nullopt;  // no Loc-RIB holds it
+  const DomainId domain = network_.topology().router(r).domain;
   std::vector<std::uint32_t> egresses;
-  std::vector<BorderHop> row;
-  gather_egresses(network_.topology().router(r).domain, it->second, egresses);
+  std::vector<BorderHop> row(speakers_of(domain).size());
+  gather_egresses(domain, it->second, egresses);
   border_row(r, row);
-  return install_rule(r, it->second, egresses, row);
+  return install_rule(r, it->second, egresses, row, network_.fib(r).find(prefix));
 }
+
+namespace {
+
+/// The index of the first of `entries` (in Prefix order) not below
+/// `prefix`, when every entry before `from` is below it: gallop forward
+/// from `from`, then bisect the last step. A walk over a sorted list of
+/// prefixes costs one step per entry passed when the list is dense and a
+/// logarithmic search when it is sparse.
+std::size_t seek(const std::vector<FibEntry>& entries, std::size_t from,
+                 const Prefix& prefix) {
+  std::size_t lo = from;
+  std::size_t hi = from;
+  for (std::size_t step = 1; hi < entries.size() && entries[hi].prefix < prefix;
+       step *= 2) {
+    lo = hi + 1;
+    hi += step;
+  }
+  hi = std::min(hi, entries.size());
+  const auto at = std::lower_bound(
+      entries.begin() + static_cast<std::ptrdiff_t>(lo),
+      entries.begin() + static_cast<std::ptrdiff_t>(hi), prefix,
+      [](const FibEntry& e, const Prefix& p) { return e.prefix < p; });
+  return static_cast<std::size_t>(at - entries.begin());
+}
+
+}  // namespace
 
 void BgpSystem::install_routes() {
   const auto& topo = network_.topology();
@@ -736,7 +766,12 @@ void BgpSystem::install_routes() {
   std::vector<std::uint8_t> moved;
   std::vector<Work> work;
   std::vector<std::uint32_t> egresses;
-  std::vector<BorderHop> row;
+  const auto add_work = [&](DomainId domain, PrefixId id, bool is_dirty) {
+    const auto first = static_cast<std::uint32_t>(egresses.size());
+    gather_egresses(domain, id, egresses);
+    const auto last = static_cast<std::uint32_t>(egresses.size());
+    if (first != last || is_dirty) work.push_back({id, is_dirty, first, last});
+  };
   for (const auto& domain : topo.domains()) {
     auto& dirty = install_dirty_[domain.id.value()];
     moved.assign(domain.routers.size(), 0);
@@ -752,32 +787,42 @@ void BgpSystem::install_routes() {
     // prefixes, and when a router moved, every prefix the borders hold.
     work.clear();
     egresses.clear();
-    for (const PrefixId id : ids_by_prefix_) {
-      const bool is_dirty = id < dirty.flag.size() && dirty.flag[id] != 0;
-      if (!is_dirty && !any_moved) continue;
-      const auto first = static_cast<std::uint32_t>(egresses.size());
-      gather_egresses(domain.id, id, egresses);
-      const auto last = static_cast<std::uint32_t>(egresses.size());
-      if (first == last && !is_dirty) continue;
-      work.push_back({id, is_dirty, first, last});
+    if (any_moved) {
+      for (const PrefixId id : ids_by_prefix_) {
+        add_work(domain.id, id, id < dirty.flag.size() && dirty.flag[id] != 0);
+      }
+    } else {
+      std::sort(dirty.ids.begin(), dirty.ids.end(),
+                [&](PrefixId a, PrefixId b) { return prefixes_[a] < prefixes_[b]; });
+      for (const PrefixId id : dirty.ids) add_work(domain.id, id, true);
     }
     for (const PrefixId id : dirty.ids) dirty.flag[id] = 0;
     dirty.ids.clear();
 
+    const std::size_t borders = speakers_of(domain.id).size();
     for (std::size_t i = 0; i < domain.routers.size(); ++i) {
       if (!moved[i] && !any_dirty) continue;
       const NodeId r = domain.routers[i];
-      border_row(r, row);
+      const auto row =
+          std::span<BorderHop>(install_rows_[domain.id.value()]).subspan(i * borders, borders);
+      if (moved[i]) border_row(r, row);
+      // The work list and the Fib are both in Prefix order: one cursor
+      // finds each prefix's existing entry. A write lands at the cursor, so
+      // the entries before it never shift.
       auto& fib = network_.fib(r);
+      std::size_t at = 0;
       for (const Work& w : work) {
         if (!moved[i] && !w.dirty) continue;
+        const Prefix prefix = prefixes_[w.id];
+        const auto& entries = fib.entries();
+        at = seek(entries, at, prefix);
+        const FibEntry* existing =
+            at < entries.size() && entries[at].prefix == prefix ? &entries[at] : nullptr;
         const auto candidates =
             std::span<const std::uint32_t>(egresses).subspan(w.first, w.last - w.first);
-        const Prefix prefix = prefixes_[w.id];
-        if (const auto entry = install_rule(r, w.id, candidates, row)) {
-          fib.insert(*entry);  // a no-op when the entry is unchanged
-        } else if (const auto* old = fib.find(prefix);
-                   old != nullptr && old->origin == RouteOrigin::kBgp) {
+        if (const auto entry = install_rule(r, w.id, candidates, row, existing)) {
+          if (existing == nullptr || !(*existing == *entry)) fib.insert(*entry);
+        } else if (existing != nullptr && existing->origin == RouteOrigin::kBgp) {
           fib.remove(prefix);
         }
       }

@@ -79,8 +79,11 @@ class BgpSystem {
   /// links and its local addresses. Every other router keeps its entries
   /// for the clean prefixes, which is exact because no other input of
   /// install_entry(r, ·) belongs to a router other than r. The pass gathers
-  /// each prefix's candidate egresses once and each router's row toward the
-  /// borders once. The first call treats every router as moved.
+  /// each prefix's candidate egresses once; a domain with no moved router
+  /// visits only its dirty prefixes. Each router's row toward the borders is
+  /// kept across calls and recomputed only when its inputs moved, and one
+  /// cursor over its sorted Fib finds the existing entry of each prefix in
+  /// turn. The first call treats every router as moved.
   void install_routes();
 
   /// The one install rule: the entry BGP wants in `router`'s FIB for
@@ -254,18 +257,20 @@ class BgpSystem {
     net::LinkId link;
     bool via_igp = false;
   };
-  /// `router`'s row toward each border of its domain, by position in
-  /// speakers_of().
-  void border_row(net::NodeId router, std::vector<BorderHop>& row) const;
+  /// Fill `row` with `router`'s hop toward each border of its domain, by
+  /// position in speakers_of().
+  void border_row(net::NodeId router, std::span<BorderHop> row) const;
   /// Append the egress of every best route for `id` at `domain`'s borders,
   /// as positions in speakers_of(domain), in border order.
   void gather_egresses(net::DomainId domain, PrefixId id,
                        std::vector<std::uint32_t>& egresses) const;
   /// install_entry()'s rule over pre-gathered inputs: `egresses` from
-  /// gather_egresses() for `id`, `row` from border_row() for `router`.
+  /// gather_egresses() for `id`, `row` from border_row() for `router`, and
+  /// `existing`, the router's Fib entry for the prefix (null without one).
   std::optional<net::FibEntry> install_rule(net::NodeId router, PrefixId id,
                                             std::span<const std::uint32_t> egresses,
-                                            std::span<const BorderHop> row) const;
+                                            std::span<const BorderHop> row,
+                                            const net::FibEntry* existing) const;
 
   /// Append the pair of sessions between `a` and `b`; `relationship` is
   /// b's relationship as seen from a.
@@ -348,6 +353,11 @@ class BgpSystem {
     bool up = false;
   };
   std::vector<InstallInputs> install_inputs_;
+  /// Per domain: each router's border_row(), by position in the domain's
+  /// router list, as of the last call in which its inputs moved. A row
+  /// reads only IGP distances and the router's own kIgp loopback entries,
+  /// and both move its Fib epoch.
+  std::vector<std::vector<BorderHop>> install_rows_;
   /// Per link: link_usable() as of BGP's last write.
   std::vector<bool> install_link_usable_;
 };

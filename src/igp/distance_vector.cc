@@ -137,6 +137,7 @@ void DistanceVectorIgp::on_link_change(LinkId link_id) {
           route.metric = config_.infinity;
           route.changed = true;
           lost_any = true;
+          if (!route.anycast) ++epoch_;
         }
       }
       if (lost_any) {
@@ -227,6 +228,7 @@ void DistanceVectorIgp::receive_update(NodeId router, NodeId from, LinkId link_i
       route.changed = true;
       st.table.emplace(adv.prefix, route);
       changed_any = true;
+      if (!adv.anycast) ++epoch_;
       continue;
     }
 
@@ -244,6 +246,7 @@ void DistanceVectorIgp::receive_update(NodeId router, NodeId from, LinkId link_i
       // Must accept whatever the current route's link now says (incl. poison).
       if (current.metric != offered || current.tags != adv.tags) {
         const bool worsened = offered > current.metric;
+        if (current.metric != offered && !current.anycast) ++epoch_;
         current.metric = offered;
         current.tags = adv.tags;
         current.changed = true;
@@ -258,6 +261,7 @@ void DistanceVectorIgp::receive_update(NodeId router, NodeId from, LinkId link_i
         }
       }
     } else if (better) {
+      if (!current.anycast) ++epoch_;
       current.metric = offered;
       current.next_hop = from;
       current.out_link = link_id;

@@ -61,6 +61,7 @@ class DistanceVectorIgp final : public Igp {
   std::vector<net::NodeId> discovered_members(net::NodeId viewpoint,
                                               net::Ipv4Addr anycast) const override;
   net::Cost distance(net::NodeId from, net::NodeId to) const override;
+  std::uint64_t epoch() const override { return epoch_; }
   void on_link_change(net::LinkId link) override;
   std::uint64_t messages_sent() const override { return messages_sent_; }
 
@@ -124,6 +125,8 @@ class DistanceVectorIgp final : public Igp {
   DistanceVectorConfig config_;
   std::unordered_map<std::uint32_t, RouterState> states_;
   std::uint64_t messages_sent_ = 0;
+  /// Moved by every change to a unicast route's metric, next hop or link.
+  std::uint64_t epoch_ = 0;
   bool started_ = false;
 };
 

@@ -53,6 +53,13 @@ class Igp {
   /// link toward `to` are `from`'s kIgp FIB entry for `to`'s loopback.
   virtual net::Cost distance(net::NodeId from, net::NodeId to) const = 0;
 
+  /// Routing epoch: moves whenever distance() could answer differently for
+  /// some pair of this domain's routers, or a router's next hop toward
+  /// another router changes; constant otherwise (anycast routes, member
+  /// tags and flooding do not move it). State derived from distance() is
+  /// valid for as long as this value is unchanged.
+  virtual std::uint64_t epoch() const = 0;
+
   /// Notify the protocol that a link's up/down state changed.
   virtual void on_link_change(net::LinkId link) = 0;
 

@@ -254,6 +254,16 @@ void LinkStateIgp::run_spf(NodeId router) {
 
   network_.fib(router).replace_origins({RouteOrigin::kIgp, RouteOrigin::kAnycast},
                                        routes);
+  bool moved = spf.distance != st.distance;
+  const auto& routers = topo.domain(domain_).routers;
+  st.first_hop.resize(routers.size());
+  for (std::size_t i = 0; i < routers.size(); ++i) {
+    if (st.first_hop[i] != first[routers[i].value()]) {
+      st.first_hop[i] = first[routers[i].value()];
+      moved = true;
+    }
+  }
+  if (moved) ++epoch_;
   st.distance = std::move(spf.distance);
 }
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "igp/igp.h"
@@ -40,6 +41,7 @@ class LinkStateIgp final : public Igp {
   std::vector<net::NodeId> discovered_members(net::NodeId viewpoint,
                                               net::Ipv4Addr anycast) const override;
   net::Cost distance(net::NodeId from, net::NodeId to) const override;
+  std::uint64_t epoch() const override { return epoch_; }
   void on_link_change(net::LinkId link) override;
   std::uint64_t messages_sent() const override { return messages_sent_; }
 
@@ -68,6 +70,9 @@ class LinkStateIgp final : public Igp {
     // Distances from the last SPF run (empty before the first), for
     // distance() queries.
     std::vector<net::Cost> distance;
+    // The first hop and link toward each router of the domain, by index in
+    // the domain, as of the last SPF run (invalid when unreachable).
+    std::vector<std::pair<net::NodeId, net::LinkId>> first_hop;
   };
 
   bool in_domain(net::NodeId node) const;
@@ -100,6 +105,7 @@ class LinkStateIgp final : public Igp {
   std::vector<RouterState> states_;  // by the router's index in the domain
   std::uint64_t messages_sent_ = 0;
   std::uint64_t spf_runs_ = 0;
+  std::uint64_t epoch_ = 0;
   bool started_ = false;
 };
 

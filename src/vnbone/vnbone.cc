@@ -5,6 +5,7 @@
 #include <functional>
 #include <limits>
 #include <numeric>
+#include <ranges>
 #include <span>
 
 namespace evo::vnbone {
@@ -265,11 +266,37 @@ void VnBone::build_links() {
 
   const auto& topo = network_.topology();
   const auto domains = deployed_domains();
-  std::optional<Graph> physical;  // built on first use
-  auto physical_graph = [&]() -> const Graph& {
-    if (!physical) physical = topo.physical_graph();
-    return *physical;
+  // The usable physical links, read straight from the topology. The
+  // searches below read distances and the pop order alone, which do not
+  // depend on the order edges relax in.
+  const auto physical_edges = [&topo](std::uint32_t u, auto&& relax) {
+    for (const net::LinkId id : topo.router(NodeId{u}).links) {
+      if (!topo.link_usable(id)) continue;
+      const auto& link = topo.link(id);
+      relax(link.other_end(NodeId{u}).value(), link.cost);
+    }
   };
+
+  // Each deployed domain's view: a fresh stamp when its IGP epoch or its
+  // active members moved since the last rebuild.
+  domain_links_.resize(topo.domain_count());
+  seeds_.resize(topo.domain_count());
+  endpoints_.resize(topo.router_count());
+  for (const DomainId domain : domains) {
+    DomainLinks& cached = domain_links_[domain.value()];
+    const igp::Igp* igp = igp_of_(domain);
+    const std::uint64_t epoch = igp != nullptr ? igp->epoch() : 0;
+    auto members = deployed_routers_in(domain) |
+                   std::views::filter([&](NodeId r) { return topo.router(r).up; });
+    if (cached.view == 0 || cached.igp_epoch != epoch ||
+        !std::ranges::equal(members, cached.members)) {
+      cached.view = ++views_;
+      cached.igp_epoch = epoch;
+      cached.members.assign(members.begin(), members.end());
+      cached.filled = false;
+    }
+    seeds_[domain.value()].clear();
+  }
 
   // Dedup: the first link between a (low, high) pair wins. The
   // components of the non-interdomain links drive partition repair.
@@ -283,6 +310,12 @@ void VnBone::build_links() {
     links_.push_back(VirtualLink{a, b, cost, interdomain, source});
     if (!interdomain) intra.unite(a, b);
   };
+  // An intra-domain link of the manual or congruent pass, recorded as a
+  // seed of its domain's partition repair.
+  auto add_seed = [&](NodeId a, NodeId b, Cost cost, VirtualLink::Source source) {
+    seeds_[topo.router(a).domain.value()].push_back({a, b});
+    add_link(a, b, cost, false, source);
+  };
 
   // ---- operator-configured (manual) tunnels -----------------------------
   // Added first: explicit configuration takes precedence over (and is not
@@ -290,16 +323,18 @@ void VnBone::build_links() {
   // search out of a that stops once b settles.
   for (const auto& [a, b] : manual_tunnels_) {
     if (!active(a) || !active(b)) continue;  // dormant until both deploy & up
-    physical_search_.reset(physical_graph().size());
+    physical_search_.reset(topo.router_count());
     physical_search_.add_source(a.value());
     while (!physical_search_.settled(b.value()) &&
-           physical_search_.settle_next(net::out_edges(physical_graph())) !=
-               net::kNoNode) {
+           physical_search_.settle_next(physical_edges) != net::kNoNode) {
     }
     if (!physical_search_.settled(b.value())) continue;
-    const bool interdomain = topo.router(a).domain != topo.router(b).domain;
-    add_link(a, b, physical_search_.distance(b.value()), interdomain,
-             VirtualLink::Source::kManual);
+    const Cost cost = physical_search_.distance(b.value());
+    if (topo.router(a).domain != topo.router(b).domain) {
+      add_link(a, b, cost, true, VirtualLink::Source::kManual);
+    } else {
+      add_seed(a, b, cost, VirtualLink::Source::kManual);
+    }
   }
 
   // ---- congruence evolution: adopt physical links between members ------
@@ -307,15 +342,35 @@ void VnBone::build_links() {
     for (const auto& link : topo.links()) {
       if (link.interdomain || !topo.link_usable(link.id)) continue;
       if (active(link.a) && active(link.b)) {
-        add_link(link.a, link.b, link.cost, false,
-                 VirtualLink::Source::kCongruent);
+        add_seed(link.a, link.b, link.cost, VirtualLink::Source::kCongruent);
       }
     }
   }
 
   // ---- intra-domain: k closest neighbors, then partition repair --------
+  // A domain whose view and seeds are unchanged replays its links through
+  // add_link in their order, so the dedup and links_ come out as derived.
+  auto take = [&](const VirtualLink& l) {
+    add_link(l.a, l.b, l.underlay_cost, false, l.source);
+    if (l.source == VirtualLink::Source::kPartitionRepair) ++partition_repairs_;
+    if (l.source == VirtualLink::Source::kAnycastBootstrap) ++bootstrap_tunnels_;
+  };
   for (const DomainId domain : domains) {
-    const auto members = active_routers_in(domain);
+    DomainLinks& cached = domain_links_[domain.value()];
+    auto& seeds = seeds_[domain.value()];
+    if (cached.filled && cached.seeds == seeds) {
+      for (const VirtualLink& l : cached.links) take(l);
+      continue;
+    }
+    cached.filled = true;
+    cached.seeds.swap(seeds);
+    cached.links.clear();
+    auto propose = [&](NodeId a, NodeId b, Cost cost, VirtualLink::Source source) {
+      cached.links.push_back(VirtualLink{a, b, cost, false, source});
+      take(cached.links.back());
+    };
+
+    const auto& members = cached.members;
     igp::Igp* igp = igp_of_(domain);
     if (members.size() < 2 || igp == nullptr) continue;
 
@@ -337,9 +392,7 @@ void VnBone::build_links() {
           }
         }
         if (nearest.valid() && nearest_d != net::kInfiniteCost) {
-          add_link(members[i], nearest, nearest_d, false,
-                   VirtualLink::Source::kAnycastBootstrap);
-          ++bootstrap_tunnels_;
+          propose(members[i], nearest, nearest_d, VirtualLink::Source::kAnycastBootstrap);
         }
       }
       continue;
@@ -357,8 +410,7 @@ void VnBone::build_links() {
       std::sort(ranked.begin(), ranked.end());
       const std::size_t k = std::min<std::size_t>(config_.k_neighbors, ranked.size());
       for (std::size_t i = 0; i < k; ++i) {
-        add_link(r, ranked[i].second, ranked[i].first, false,
-                 VirtualLink::Source::kIntraK);
+        propose(r, ranked[i].second, ranked[i].first, VirtualLink::Source::kIntraK);
       }
     }
 
@@ -394,13 +446,24 @@ void VnBone::build_links() {
         }
       }
       if (!best_a.valid() || best_cost == net::kInfiniteCost) break;  // physically split
-      add_link(best_a, best_b, best_cost, false,
-               VirtualLink::Source::kPartitionRepair);
-      ++partition_repairs_;
+      propose(best_a, best_b, best_cost, VirtualLink::Source::kPartitionRepair);
     }
   }
 
   // ---- inter-domain: tunnels along peerings ------------------------------
+  // Tunnel endpoints: each side's IPvN router closest (by IGP) to its end
+  // of the physical peering link, kept while that domain's view holds.
+  const auto closest_member = [&](DomainId domain, NodeId to) -> const Endpoint& {
+    Endpoint& end = endpoints_[to.value()];
+    const std::uint64_t view = domain_links_[domain.value()].view;
+    if (end.view == view) return end;
+    igp::Igp* igp = igp_of_(domain);
+    const auto [member, cost] = closest_active(domain, [&](NodeId m) {
+      return (m == to) ? 0 : (igp ? igp->distance(m, to) : net::kInfiniteCost);
+    });
+    end = Endpoint{view, member, cost};
+    return end;
+  };
   for (const DomainId da : domains) {
     for (const auto& peering : topo.domain(da).peerings) {
       const DomainId db = peering.neighbor;
@@ -408,22 +471,14 @@ void VnBone::build_links() {
       if (!domain_active(db)) continue;
       const auto& link = topo.link(peering.link);
       if (!topo.link_usable(peering.link)) continue;
-      // Tunnel endpoints: each side's IPvN router closest (by IGP) to its
-      // end of the physical peering link.
       const NodeId end_a =
           topo.router(link.a).domain == da ? link.a : link.b;
       const NodeId end_b = link.other_end(end_a);
-      auto closest_member = [&](DomainId domain, NodeId to) {
-        igp::Igp* igp = igp_of_(domain);
-        return closest_active(domain, [&](NodeId m) {
-          return (m == to) ? 0 : (igp ? igp->distance(m, to) : net::kInfiniteCost);
-        });
-      };
-      const auto [ra, da_cost] = closest_member(da, end_a);
-      const auto [rb, db_cost] = closest_member(db, end_b);
-      if (!ra.valid() || !rb.valid()) continue;
-      if (da_cost == net::kInfiniteCost || db_cost == net::kInfiniteCost) continue;
-      add_link(ra, rb, da_cost + link.cost + db_cost, true,
+      const Endpoint& ea = closest_member(da, end_a);
+      const Endpoint& eb = closest_member(db, end_b);
+      if (!ea.member.valid() || !eb.member.valid()) continue;
+      if (ea.cost == net::kInfiniteCost || eb.cost == net::kInfiniteCost) continue;
+      add_link(ea.member, eb.member, ea.cost + link.cost + eb.cost, true,
                VirtualLink::Source::kPeeringTunnel);
     }
   }
@@ -464,12 +519,12 @@ void VnBone::build_links() {
     // link reaches it only after a higher-id one.
     NodeId target = NodeId::invalid();
     Cost target_d = net::kInfiniteCost;
-    physical_search_.reset(physical_graph().size());
+    physical_search_.reset(topo.router_count());
     physical_search_.add_source(stranded.value());
     for (Cost next = physical_search_.next_distance();
          next != net::kInfiniteCost && next <= target_d;
          next = physical_search_.next_distance()) {
-      const NodeId r{physical_search_.settle_next(net::out_edges(physical_graph()))};
+      const NodeId r{physical_search_.settle_next(physical_edges)};
       const bool foreign = active(r) && bone.root(r) != bone.root(stranded);
       if (foreign && (next < target_d || r < target)) {
         target = r;

@@ -337,7 +337,8 @@ class VnBone {
   std::map<net::IpvNAddr, net::NodeId> endhost_routes_;
   std::vector<VirtualLink> links_;
   PairSet link_pairs_;  // build_links()'s dedup, kept across rebuilds
-  // build_links()'s searches over the physical graph, kept across rebuilds.
+  // build_links()'s searches over the physical topology, kept across
+  // rebuilds.
   net::DijkstraFrontier<std::uint32_t> physical_search_;
   std::size_t partition_repairs_ = 0;
   std::size_t bootstrap_tunnels_ = 0;
@@ -360,6 +361,34 @@ class VnBone {
   // domain's row is allocated on its first query in an epoch.
   mutable std::vector<std::vector<LegacyRoute>> legacy_routes_;
   mutable std::uint64_t legacy_epoch_ = 0;
+
+  /// A deployed domain's view as of the last rebuild: its IGP epoch and its
+  /// active members, stamped with a value that changes when either moves,
+  /// and the intra-domain links build_links() derived from them (k
+  /// closest, partition repair or the discovery-limited bootstrap) in the
+  /// order it added them. Partition repair also reads the intra-domain
+  /// links the manual and congruent passes added first (`seeds`), so the
+  /// links are reused only while those are unchanged too.
+  struct DomainLinks {
+    std::uint64_t view = 0;  // 0 until the first rebuild that deploys it
+    std::uint64_t igp_epoch = 0;
+    std::vector<net::NodeId> members;
+    bool filled = false;  // `links` derive from this view and `seeds`
+    std::vector<std::pair<net::NodeId, net::NodeId>> seeds;
+    std::vector<VirtualLink> links;
+  };
+  /// A peering tunnel's endpoint in one domain: the active member nearest a
+  /// router by IGP distance, as of that domain's `view`.
+  struct Endpoint {
+    std::uint64_t view = 0;
+    net::NodeId member;
+    net::Cost cost = net::kInfiniteCost;
+  };
+  std::vector<DomainLinks> domain_links_;  // by DomainId
+  std::vector<Endpoint> endpoints_;        // by the router approached
+  std::uint64_t views_ = 0;                // the last view stamp issued
+  // The seeds of the rebuild in progress, by DomainId.
+  std::vector<std::vector<std::pair<net::NodeId, net::NodeId>>> seeds_;
 };
 
 }  // namespace evo::vnbone

@@ -589,6 +589,33 @@ TEST(DeltaInstall, IntraDomainFlapMovesHotPotatoEgress) {
   EXPECT_EQ(t.m1_hop(), t.m0);
 }
 
+TEST(DeltaInstall, CachedRowServesALaterDirtyPrefix) {
+  // The IGP-only flap moves m1's hot-potato egress to m2 with no prefix
+  // dirty in m. A prefix d then announces is dirty in m with no router
+  // moved: m1 installs it from its row of the flap, which must be the
+  // refreshed one.
+  TwoEgresses t;
+  auto& f = *t.f;
+  ASSERT_EQ(t.m1_hop(), t.m0);
+  const auto epoch = f.bgp->loc_rib_epoch();
+  f.network.topology().set_link_up(t.near, false);
+  f.igps[t.m.value()]->on_link_change(t.near);
+  f.converge();
+  EXPECT_EQ(f.bgp->loc_rib_epoch(), epoch);
+  f.expect_full_pass();
+  EXPECT_EQ(t.m1_hop(), t.m2);
+
+  const Prefix group = Prefix::host(Ipv4Addr{0, 0, 9, 1});
+  OriginationPolicy policy;
+  policy.anycast = true;
+  f.bgp->originate(t.d, group, policy);
+  f.converge();
+  f.expect_full_pass();
+  const auto* entry = f.bgp_entry(t.m1, group);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->next_hop, t.m2);
+}
+
 TEST(DeltaInstall, MovedRouterAloneIsRecomputed) {
   // d announces an anycast /32; internal m1 then terminates it with no
   // protocol told. Only m1's inputs moved: it drops its BGP entry, and no

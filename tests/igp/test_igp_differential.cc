@@ -97,5 +97,56 @@ TEST_P(IgpDifferentialTest, AgreementSurvivesRandomFailures) {
 INSTANTIATE_TEST_SUITE_P(Seeds, IgpDifferentialTest,
                          testing::Values(11u, 22u, 33u, 44u, 55u, 66u));
 
+/// r0 - r1 - r2 over cost-1 links, and a cost-5 link parallel to r0 - r1
+/// that no shortest path uses. The epoch holds while that link flaps or an
+/// anycast member joins, and moves when a distance does.
+template <typename Protocol>
+void expect_epoch_moves_with_distances() {
+  net::Topology topo;
+  const auto d = topo.add_domain("line");
+  const auto r0 = topo.add_router(d);
+  const auto r1 = topo.add_router(d);
+  const auto r2 = topo.add_router(d);
+  const auto cheap = topo.add_link(r0, r1, 1);
+  const auto costly = topo.add_link(r0, r1, 5);
+  topo.add_link(r1, r2, 1);
+  sim::Simulator simulator;
+  net::Network network(std::move(topo));
+  Protocol igp(simulator, network, d);
+  igp.start();
+  simulator.run();
+  const auto flap = [&](LinkId link, bool up) {
+    network.topology().set_link_up(link, up);
+    igp.on_link_change(link);
+    simulator.run();
+  };
+  const std::uint64_t settled = igp.epoch();
+
+  flap(costly, false);
+  EXPECT_EQ(igp.epoch(), settled);
+  flap(costly, true);
+  EXPECT_EQ(igp.epoch(), settled);
+  igp.add_anycast_member(r2, net::Ipv4Addr{0, 0, 255, 1});
+  simulator.run();
+  EXPECT_EQ(igp.epoch(), settled);
+  EXPECT_EQ(igp.distance(r0, r2), 2u);
+
+  flap(cheap, false);
+  EXPECT_EQ(igp.distance(r0, r1), 5u);
+  const std::uint64_t failed = igp.epoch();
+  EXPECT_NE(failed, settled);
+  flap(cheap, true);
+  EXPECT_EQ(igp.distance(r0, r1), 1u);
+  EXPECT_NE(igp.epoch(), failed);
+}
+
+TEST(IgpEpoch, LinkStateMovesOnlyWithADistance) {
+  expect_epoch_moves_with_distances<LinkStateIgp>();
+}
+
+TEST(IgpEpoch, DistanceVectorMovesOnlyWithADistance) {
+  expect_epoch_moves_with_distances<DistanceVectorIgp>();
+}
+
 }  // namespace
 }  // namespace evo::igp

@@ -326,5 +326,96 @@ TEST(VnBoneConstruction, RebuildIsDeterministic) {
   }
 }
 
+/// The bone equals the from-scratch reference build, counters included.
+void expect_rebuild_equivalent(const core::EvolvableInternet& net) {
+  const auto& bone = net.vnbone();
+  for (const auto& v : check::check_vnbone_rebuild_equivalence(
+           net, {bone.virtual_links(), bone.partition_repairs(),
+                 bone.bootstrap_tunnels()})) {
+    ADD_FAILURE() << v.describe();
+  }
+}
+
+TEST(VnBoneConstruction, KClosestCostsFollowAnIgpChangeOffTheBone) {
+  // Members 0, 1 and 2; router 3 is not deployed, so the flap of 0 - 3
+  // moves only domain 0's IGP epoch: no member, no congruent link and no
+  // manual tunnel changes. The k-closest link 0 - 2 costs d(0, 2).
+  //
+  //   0 -1- 3 -1- 1 -1- 2,  and 0 -5- 1
+  net::Topology topo;
+  const DomainId d = topo.add_domain("D");
+  for (int i = 0; i < 4; ++i) topo.add_router(d);
+  const auto detour = topo.add_link(NodeId{0}, NodeId{3}, 1);
+  topo.add_link(NodeId{3}, NodeId{1}, 1);
+  topo.add_link(NodeId{1}, NodeId{2}, 1);
+  topo.add_link(NodeId{0}, NodeId{1}, 5);
+  core::EvolvableInternet net(std::move(topo));
+  net.start();
+  for (const std::uint32_t r : {0u, 1u, 2u}) net.deploy_router(NodeId{r});
+  net.converge();
+  const auto cost_0_2 = [&] {
+    for (const auto& l : net.vnbone().virtual_links()) {
+      if (l.a == NodeId{0} && l.b == NodeId{2}) return l.underlay_cost;
+    }
+    return net::kInfiniteCost;
+  };
+  EXPECT_EQ(cost_0_2(), 3u);
+  expect_rebuild_equivalent(net);
+
+  net.set_link_up(detour, false);
+  net.converge();
+  EXPECT_EQ(cost_0_2(), 6u);
+  expect_rebuild_equivalent(net);
+
+  net.set_link_up(detour, true);
+  net.converge();
+  EXPECT_EQ(cost_0_2(), 3u);
+  expect_rebuild_equivalent(net);
+}
+
+TEST(VnBoneConstruction, PeeringEndpointFollowsAnIgpChangeOffTheBone) {
+  // A's border a0 is not deployed; members a1 and a2 sit 1 and 2 away from
+  // it. Once a0 - a1 fails, a2 (3 away) is the closest member to the
+  // peering and the tunnel to B's b0 moves there, with no member or
+  // congruent link of A changed.
+  //
+  //   a1 -1- a0 -3- a2,  a1 -1- a2,  a0 -2- b0 (peering)
+  net::Topology topo;
+  const DomainId a = topo.add_domain("A");
+  const DomainId b = topo.add_domain("B");
+  const NodeId a0 = topo.add_router(a);
+  const NodeId a1 = topo.add_router(a);
+  const NodeId a2 = topo.add_router(a);
+  const NodeId b0 = topo.add_router(b);
+  const auto near = topo.add_link(a0, a1, 1);
+  topo.add_link(a0, a2, 3);
+  topo.add_link(a1, a2, 1);
+  topo.add_interdomain_link(a0, b0, net::Relationship::kPeer, 2);
+  core::EvolvableInternet net(std::move(topo));
+  net.start();
+  net.deploy_router(a1);
+  net.deploy_router(a2);
+  net.deploy_router(b0);
+  net.converge();
+  const auto tunnel = [&] {
+    for (const auto& l : net.vnbone().virtual_links()) {
+      if (l.source == Source::kPeeringTunnel) return l;
+    }
+    return VirtualLink{};
+  };
+  EXPECT_EQ(tunnel(), link(a1.value(), b0.value(), 1 + 2, true, Source::kPeeringTunnel));
+  expect_rebuild_equivalent(net);
+
+  net.set_link_up(near, false);
+  net.converge();
+  EXPECT_EQ(tunnel(), link(a2.value(), b0.value(), 3 + 2, true, Source::kPeeringTunnel));
+  expect_rebuild_equivalent(net);
+
+  net.set_link_up(near, true);
+  net.converge();
+  EXPECT_EQ(tunnel(), link(a1.value(), b0.value(), 1 + 2, true, Source::kPeeringTunnel));
+  expect_rebuild_equivalent(net);
+}
+
 }  // namespace
 }  // namespace evo::vnbone

@@ -6,17 +6,19 @@ emitted by the bench binaries' --json flag (and committed as
 BENCH_micro_substrate.json).
 
 Direction-aware: `.ns_per_op` regresses when it goes UP, `.items_per_sec`
-when it goes DOWN. Improvements and unknown metrics never fail. Counters
-that exist only on one side are reported but do not fail the gate (new
-benchmarks land with a baseline refresh; machines legitimately differ in
-which counters appear).
+when it goes DOWN. Improvements and unknown metrics never fail. A baseline
+metric that no run produced fails the gate and is listed: a renamed or
+deleted benchmark must leave the baseline with it, or it would drop out of
+the gate unnoticed. A metric only the runs produce is reported but does not
+fail (new benchmarks land with a baseline refresh).
 
 Pass several current files (repeated runs) and each metric is aggregated
 to its best observation — min for ns_per_op, max for items_per_sec. A
 genuine regression is slow on EVERY run; scheduler noise is not, so
 best-of-N is the noise-robust statistic for a one-sided gate.
 
-Exit status: 0 when no metric regresses past the threshold, 1 otherwise.
+Exit status: 0 when every baseline metric was produced and none regresses
+past the threshold, 1 otherwise.
 """
 
 import argparse
@@ -70,14 +72,16 @@ def main():
                 current[name] = max(current[name], value)
 
     regressions = []
+    absent = []
     compared = 0
     for name in sorted(baseline):
         if not isinstance(baseline[name], (int, float)):
             continue
+        if name not in current:
+            absent.append(name)
+            continue
         direction = classify(name)
-        if direction == 0 or name not in current:
-            if name not in current:
-                print(f"  [absent]   {name} (in baseline only)")
+        if direction == 0:
             continue
         base, now = float(baseline[name]), float(current[name])
         if base <= 0:
@@ -99,16 +103,21 @@ def main():
 
     print(
         f"bench_compare: {compared} metrics compared over {len(runs)} run(s), "
-        f"{len(regressions)} regressed past {args.threshold:.0%}"
+        f"{len(regressions)} regressed past {args.threshold:.0%}, "
+        f"{len(absent)} absent"
     )
+    if absent:
+        print(
+            "Baseline metrics produced by no run (a renamed or deleted "
+            "benchmark must leave the baseline too):\n  " + "\n  ".join(absent)
+        )
     if regressions:
         print(
             "If the slowdown is intended, refresh the baseline:\n"
             "  ./bench/bench_micro_substrate --benchmark_min_time=0.05 "
             "--json BENCH_micro_substrate.json"
         )
-        return 1
-    return 0
+    return 1 if regressions or absent else 0
 
 
 if __name__ == "__main__":
