@@ -3,8 +3,9 @@
 // FIB longest-prefix match, Dijkstra/SPF, trace throughput, event-queue
 // schedule/fire, vN-Bone route lookups, control plane convergence (LS
 // flooding, DV settling, BGP propagation, a border router's crash and
-// recovery) and the BGP-to-FIB install after one flap — the costs that
-// bound how large the scenario experiments can scale.
+// recovery), the BGP-to-FIB install after one flap and one run of the
+// invariant oracles — the costs that bound how large the scenario
+// experiments and the fuzzer can scale.
 //
 // `--json <path>` additionally writes a flat {metric → value} artifact
 // (ns_per_op and items_per_sec per benchmark); BENCH_micro_substrate.json
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "check/fuzzer.h"
 #include "core/evolvable_internet.h"
 #include "core/trace.h"
 #include "igp/distance_vector.h"
@@ -305,7 +307,14 @@ void BM_ParallelSweepCells(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 8 * 64 * 64);
 }
-BENCHMARK(BM_ParallelSweepCells)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+// Wall time: the cells run on pool threads, so the main thread's CPU time
+// says nothing about throughput.
+BENCHMARK(BM_ParallelSweepCells)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Dijkstra(benchmark::State& state) {
   // An n x n unit-cost grid with edges in single_domain_grid's order, built
@@ -441,6 +450,23 @@ void BM_InstallRoutesAfterFlap(benchmark::State& state) {
   state.SetLabel(std::to_string(net.topology().domain_count()) + " domains");
 }
 BENCHMARK(BM_InstallRoutesAfterFlap)->Unit(benchmark::kMicrosecond);
+
+void BM_CheckInvariants(benchmark::State& state) {
+  // Every oracle, as run_plan runs them at each quiescent point, on fuzz
+  // seed 1's converged Internet before its churn.
+  const auto plan = check::generate_plan(1);
+  core::EvolvableInternet net(net::generate_transit_stub(plan.topology),
+                              check::options_for(plan));
+  net.start();
+  for (const net::NodeId router : plan.initial_deployment) net.deploy_router(router);
+  net.converge();
+  for (auto _ : state) {
+    const auto violations = check::check_invariants(net);
+    benchmark::DoNotOptimize(violations.size());
+  }
+  state.SetLabel(std::to_string(net.topology().router_count()) + " routers");
+}
+BENCHMARK(BM_CheckInvariants)->Unit(benchmark::kMicrosecond);
 
 void BM_BgpCrashRecover(benchmark::State& state) {
   // One transit border router crashes and recovers on

@@ -705,17 +705,6 @@ std::optional<FibEntry> BgpSystem::install_rule(NodeId r, PrefixId id,
   return FibEntry{prefix, toward.next_hop, toward.link, RouteOrigin::kBgp, chosen_cost};
 }
 
-std::optional<FibEntry> BgpSystem::install_entry(NodeId r, Prefix prefix) const {
-  const auto it = prefix_ids_.find(prefix);
-  if (it == prefix_ids_.end()) return std::nullopt;  // no Loc-RIB holds it
-  const DomainId domain = network_.topology().router(r).domain;
-  std::vector<std::uint32_t> egresses;
-  std::vector<BorderHop> row(speakers_of(domain).size());
-  gather_egresses(domain, it->second, egresses);
-  border_row(r, row);
-  return install_rule(r, it->second, egresses, row, network_.fib(r).find(prefix));
-}
-
 namespace {
 
 /// The index of the first of `entries` (in Prefix order) not below
@@ -836,6 +825,46 @@ void BgpSystem::install_routes() {
   }
   for (const auto& link : topo.links()) {
     install_link_usable_[link.id.value()] = topo.link_usable(link.id);
+  }
+}
+
+void BgpSystem::full_install_pass(
+    const std::function<bool(NodeId, std::span<const InstallWant>)>& fn) const {
+  // One held prefix: its id and its candidate egresses as egresses[first, last).
+  struct Held {
+    PrefixId id;
+    std::uint32_t first, last;
+  };
+  std::vector<Held> held;
+  std::vector<std::uint32_t> egresses;
+  std::vector<BorderHop> row;
+  std::vector<InstallWant> wants;
+  for (const auto& domain : network_.topology().domains()) {
+    held.clear();
+    egresses.clear();
+    for (const PrefixId id : ids_by_prefix_) {
+      const auto first = static_cast<std::uint32_t>(egresses.size());
+      gather_egresses(domain.id, id, egresses);
+      const auto last = static_cast<std::uint32_t>(egresses.size());
+      if (first != last) held.push_back({id, first, last});
+    }
+    row.resize(speakers_of(domain.id).size());
+    for (const NodeId r : domain.routers) {
+      border_row(r, row);
+      const auto& entries = network_.fib(r).entries();
+      wants.clear();
+      std::size_t at = 0;
+      for (const Held& h : held) {
+        const Prefix prefix = prefixes_[h.id];
+        at = seek(entries, at, prefix);
+        const FibEntry* existing =
+            at < entries.size() && entries[at].prefix == prefix ? &entries[at] : nullptr;
+        const auto candidates =
+            std::span<const std::uint32_t>(egresses).subspan(h.first, h.last - h.first);
+        wants.push_back({prefix, install_rule(r, h.id, candidates, row, existing), existing});
+      }
+      if (!fn(r, wants)) return;
+    }
   }
 }
 

@@ -32,6 +32,15 @@ inline constexpr sim::Duration kIbgpLatency = sim::Duration::millis(2);
 /// Debounce between a Loc-RIB change and the UPDATEs it triggers.
 inline constexpr sim::Duration kUpdateDelay = sim::Duration::millis(5);
 
+/// One (router, prefix) of BgpSystem::full_install_pass(): the entry the
+/// install rule gives (nullopt: none) and the router's Fib entry for the
+/// prefix, of any origin (null: none).
+struct InstallWant {
+  net::Prefix prefix;
+  std::optional<net::FibEntry> want;
+  const net::FibEntry* existing = nullptr;
+};
+
 class BgpSystem {
  public:
   /// `network`, `simulator` and the IGP map must outlive this object.
@@ -67,9 +76,16 @@ class BgpSystem {
   /// Push converged routes into every router's FIB (hot potato through the
   /// domain's IGP). Call after the simulator reaches quiescence.
   ///
-  /// The install is a delta: one pass per domain with work, writing
-  /// install_entry()'s rule through Fib::insert, or removing a kBgp entry
-  /// the rule no longer gives. A prefix is dirty in a domain when its best
+  /// The one install rule gives the entry BGP wants in a router's FIB for a
+  /// prefix, from its domain's border Loc-RIBs and the live IGP, FIB, link
+  /// and local-address state: toward the IGP-closest egress holding a best
+  /// route, along the router's kIgp FIB entry for the egress's loopback.
+  /// It gives none when BGP leaves the prefix to another origin or has no
+  /// usable route.
+  ///
+  /// The install is a delta: one pass per domain with work, writing the
+  /// rule's entry through Fib::insert, or removing a kBgp entry the rule no
+  /// longer gives. A prefix is dirty in a domain when its best
   /// route changed at one of the domain's borders (decide() or a crash);
   /// every router recomputes it. A router whose own inputs of the rule moved
   /// since BGP's last write recomputes every prefix its domain's borders
@@ -77,8 +93,8 @@ class BgpSystem {
   /// DV install each IGP distance as a loopback entry's metric, so a moved
   /// distance moves the epoch), its up state, the usability of its incident
   /// links and its local addresses. Every other router keeps its entries
-  /// for the clean prefixes, which is exact because no other input of
-  /// install_entry(r, ·) belongs to a router other than r. The pass gathers
+  /// for the clean prefixes, which is exact because no other input of a
+  /// router's rule belongs to another router. The pass gathers
   /// each prefix's candidate egresses once; a domain with no moved router
   /// visits only its dirty prefixes. Each router's row toward the borders is
   /// kept across calls and recomputed only when its inputs moved, and one
@@ -86,15 +102,16 @@ class BgpSystem {
   /// turn. The first call treats every router as moved.
   void install_routes();
 
-  /// The one install rule: the entry BGP wants in `router`'s FIB for
-  /// `prefix`, given its domain's border Loc-RIBs and the live IGP, FIB,
-  /// link and local-address state. A router other than the egress forwards
-  /// along its kIgp FIB entry for the egress's loopback. nullopt when BGP
-  /// leaves the prefix to another origin or has no usable route.
-  /// install_routes() applies the same rule, sharing its hot-potato choice;
-  /// the install-equivalence oracle calls this for every pair.
-  std::optional<net::FibEntry> install_entry(net::NodeId router,
-                                             net::Prefix prefix) const;
+  /// The install rule applied by a full pass from scratch, reading none of
+  /// install_routes()' bookkeeping: for every router, domain by domain,
+  /// `fn(router, wants)` with one InstallWant per prefix its domain's
+  /// borders hold, in Prefix order. The pass gathers each domain's prefixes
+  /// and their egresses once, computes each router's row toward the borders
+  /// once, and walks each router's Fib with one cursor. `fn` returns false
+  /// to stop the pass. The install-equivalence oracle compares every
+  /// router's Fib against it.
+  void full_install_pass(
+      const std::function<bool(net::NodeId, std::span<const InstallWant>)>& fn) const;
 
   /// Best route for `prefix` at `speaker`'s Loc-RIB, if any.
   const Route* best_route(net::NodeId speaker, net::Prefix prefix) const;
@@ -264,7 +281,7 @@ class BgpSystem {
   /// as positions in speakers_of(domain), in border order.
   void gather_egresses(net::DomainId domain, PrefixId id,
                        std::vector<std::uint32_t>& egresses) const;
-  /// install_entry()'s rule over pre-gathered inputs: `egresses` from
+  /// The install rule over pre-gathered inputs: `egresses` from
   /// gather_egresses() for `id`, `row` from border_row() for `router`, and
   /// `existing`, the router's Fib entry for the prefix (null without one).
   std::optional<net::FibEntry> install_rule(net::NodeId router, PrefixId id,

@@ -32,27 +32,6 @@ struct Fnv1a {
   }
 };
 
-core::Options options_for(const ScenarioPlan& plan) {
-  core::Options options;
-  options.igp = plan.igp;
-  if (plan.breakage == Breakage::kSplitHorizon) {
-    // The fault only exists in distance-vector; force that family.
-    if (options.igp == core::IgpKind::kLinkState) {
-      options.igp = core::IgpKind::kDistanceVector;
-    }
-    options.distance_vector.split_horizon = false;
-    // With a RIP-sized infinity the count terminates within a few thousand
-    // events and quiesces in a *correct* state; a large infinity makes the
-    // pathology what it is on real metrics — effectively unbounded churn —
-    // which the convergence-budget oracle then flags.
-    options.distance_vector.infinity = 1 << 20;
-  }
-  options.vnbone.k_neighbors = plan.k_neighbors;
-  options.vnbone.egress_mode = plan.egress_mode;
-  options.vnbone.anycast_mode = plan.anycast_mode;
-  return options;
-}
-
 /// kDropRoute fault injection: delete one IGP route from one router's FIB
 /// (deterministically chosen per episode) — a lost route-installation
 /// write the no-blackhole oracle must notice.
@@ -132,6 +111,27 @@ std::uint64_t state_digest(EvolvableInternet& internet) {
 }
 
 }  // namespace
+
+core::Options options_for(const ScenarioPlan& plan) {
+  core::Options options;
+  options.igp = plan.igp;
+  if (plan.breakage == Breakage::kSplitHorizon) {
+    // The fault only exists in distance-vector; force that family.
+    if (options.igp == core::IgpKind::kLinkState) {
+      options.igp = core::IgpKind::kDistanceVector;
+    }
+    options.distance_vector.split_horizon = false;
+    // With a RIP-sized infinity the count terminates within a few thousand
+    // events and quiesces in a *correct* state; a large infinity makes the
+    // pathology what it is on real metrics — effectively unbounded churn —
+    // which the convergence-budget oracle then flags.
+    options.distance_vector.infinity = 1 << 20;
+  }
+  options.vnbone.k_neighbors = plan.k_neighbors;
+  options.vnbone.egress_mode = plan.egress_mode;
+  options.vnbone.anycast_mode = plan.anycast_mode;
+  return options;
+}
 
 ScenarioPlan generate_plan(std::uint64_t seed) {
   ScenarioPlan plan;

@@ -26,6 +26,10 @@ namespace evo::check {
 /// their ground-truth precondition.
 ScenarioPlan generate_plan(std::uint64_t seed);
 
+/// The EvolvableInternet options `plan` runs under: its IGP and vN-Bone
+/// knobs, and the protocol settings its breakage needs.
+core::Options options_for(const ScenarioPlan& plan);
+
 struct RunReport {
   /// Violations found, stamped with the episode they surfaced in
   /// (0 = after initial deployment, i >= 1 = after churn event i-1). The

@@ -1,7 +1,10 @@
 #include "check/oracles.h"
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "anycast/anycast.h"
@@ -175,6 +178,22 @@ void check_anycast(const EvolvableInternet& internet, bool healthy,
   const auto oracle = active.empty()
                           ? net::ShortestPaths{}
                           : net::dijkstra(phys, std::span<const NodeId>(active));
+  // Per router, the intra-domain distance to the closest live member of its
+  // own domain: one multi-source search per member domain (links are
+  // undirected, so the distance from the nearest member is the distance to
+  // it).
+  std::vector<Cost> local_closest(topo.router_count(), kInfiniteCost);
+  std::vector<NodeId> local_members;
+  for (const auto& domain : topo.domains()) {
+    local_members.clear();
+    for (const NodeId m : active) {
+      if (topo.router(m).domain == domain.id) local_members.push_back(m);
+    }
+    if (local_members.empty()) continue;
+    const auto intra = net::dijkstra(topo.domain_graph(domain.id),
+                                     std::span<const NodeId>(local_members));
+    for (const NodeId r : domain.routers) local_closest[r.value()] = intra.distance_to(r);
+  }
 
   for (const auto& router : topo.routers()) {
     if (!router.up) continue;
@@ -203,19 +222,8 @@ void check_anycast(const EvolvableInternet& internet, bool healthy,
 
     // §3.2 intra-domain capture: a live member of the source's own domain
     // that the source can reach intra-domain must win, at exact IGP cost.
-    const auto& domain = topo.domain(router.domain);
-    std::vector<NodeId> local_members;
-    for (const NodeId m : active) {
-      if (topo.router(m).domain == router.domain) local_members.push_back(m);
-    }
-    if (local_members.empty()) continue;
-    const Graph dg = topo.domain_graph(domain.id);
-    const auto intra = net::dijkstra(dg, s);
-    Cost best = kInfiniteCost;
-    for (const NodeId m : local_members) {
-      best = std::min(best, intra.distance_to(m));
-    }
-    if (best == kInfiniteCost) continue;  // intra-partitioned from all members
+    const Cost best = local_closest[s.value()];
+    if (best == kInfiniteCost) continue;  // no member, or intra-partitioned from all
     if (!trace.delivered()) {
       out.push_back({OracleKind::kIntraDomainClosest, 0,
                      "anycast from " + node_str(s) +
@@ -237,9 +245,12 @@ void check_anycast(const EvolvableInternet& internet, bool healthy,
 
 /// ---- FIB vs CompiledFib differential ------------------------------------
 
-void check_fib_equivalence(const EvolvableInternet& internet,
-                           const OracleOptions& options,
-                           std::vector<Violation>& out) {
+bool same_entry(const net::FibEntry* a, const net::FibEntry* b) {
+  return a == nullptr ? b == nullptr : b != nullptr && *a == *b;
+}
+
+void check_fibs(const EvolvableInternet& internet, const OracleOptions& options,
+                std::vector<Violation>& out) {
   const auto& topo = internet.topology();
   const auto& network = internet.network();
 
@@ -259,29 +270,12 @@ void check_fib_equivalence(const EvolvableInternet& internet,
   for (std::uint32_t i = 0; i < kRandomAddresses; ++i) {
     probes.push_back(Ipv4Addr{static_cast<std::uint32_t>(rng.next_u64())});
   }
+  std::sort(probes.begin(), probes.end());
 
   for (const auto& router : topo.routers()) {
-    const auto& fib = network.fib(router.id);
-    const auto& compiled = network.compiled_fib(router.id);
-    if (compiled.epoch() != fib.epoch()) {
-      out.push_back({OracleKind::kFibEquivalence, 0,
-                     "router " + node_str(router.id) +
-                         ": compiled epoch lags the Fib after refresh"});
-      continue;
-    }
-    for (const Ipv4Addr addr : probes) {
-      const auto* truth = fib.lookup(addr);
-      const auto* fast = compiled.lookup(addr);
-      const bool same = (truth == nullptr && fast == nullptr) ||
-                        (truth != nullptr && fast != nullptr && *truth == *fast);
-      if (!same) {
-        out.push_back({OracleKind::kFibEquivalence, 0,
-                       "router " + node_str(router.id) + " addr " +
-                           std::to_string(addr.bits()) +
-                           ": Fib and compiled LPM disagree"});
-        break;  // one differential failure per router is enough signal
-      }
-    }
+    const auto found = check_fib_equivalence(router.id, network.fib(router.id),
+                                             network.compiled_fib(router.id), probes);
+    out.insert(out.end(), found.begin(), found.end());
   }
 }
 
@@ -314,12 +308,10 @@ void check_gao_rexford(const EvolvableInternet& internet,
         }
         if (route.learned == bgp::LearnedFrom::kSelf) return;
         // Full forwarding path: this domain, then the received AS path.
-        std::vector<DomainId> path;
-        path.push_back(domain.id);
-        path.insert(path.end(), route.as_path.begin(), route.as_path.end());
-        std::set<std::uint32_t> seen;
-        for (const DomainId d : path) {
-          if (!seen.insert(d.value()).second) {
+        const auto& path = route.as_path;
+        for (std::size_t i = 0; i < path.size(); ++i) {
+          if (path[i] == domain.id ||
+              std::find(path.begin(), path.begin() + i, path[i]) != path.begin() + i) {
             fail("AS path contains a loop");
             return;
           }
@@ -327,8 +319,8 @@ void check_gao_rexford(const EvolvableInternet& internet,
         // Valley-free walk: climb provider links, cross at most one
         // peering, then only descend to customers.
         bool descending = false;
-        for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-          const auto rel = topo.relationship(path[i], path[i + 1]);
+        for (std::size_t i = 0; i < path.size(); ++i) {
+          const auto rel = topo.relationship(i == 0 ? domain.id : path[i - 1], path[i]);
           if (!rel.has_value()) {
             fail("adjacent AS-path domains have no peering");
             return;
@@ -698,35 +690,113 @@ std::string Violation::describe() const {
 std::vector<Violation> check_install_equivalence(const net::Network& network,
                                                  const bgp::BgpSystem& bgp) {
   std::vector<Violation> out;
-  for (const auto& domain : network.topology().domains()) {
-    std::set<net::Prefix> prefixes;
-    for (const NodeId b : bgp.speakers_of(domain.id)) {
-      bgp.for_each_best_route(b, [&](const bgp::Route& r) { prefixes.insert(r.prefix); });
+  bgp.full_install_pass([&](NodeId r, std::span<const bgp::InstallWant> wants) {
+    std::size_t expected = 0;
+    for (const auto& [prefix, want, existing] : wants) {
+      const net::FibEntry* have =
+          existing != nullptr && existing->origin == net::RouteOrigin::kBgp ? existing
+                                                                            : nullptr;
+      expected += want.has_value();
+      if (want ? have != nullptr && *have == *want : have == nullptr) continue;
+      out.push_back({OracleKind::kInstallEquivalence, 0,
+                     "router " + node_str(r) + " prefix " + prefix.to_string() +
+                         ": installed " + entry_str(have) + ", full pass gives " +
+                         entry_str(want ? &*want : nullptr)});
+      return false;  // one differential failure is enough signal
     }
-    for (const NodeId r : domain.routers) {
-      const auto& fib = network.fib(r);
-      std::size_t expected = 0;
-      for (const net::Prefix prefix : prefixes) {
-        const auto want = bgp.install_entry(r, prefix);
-        const auto* have = fib.find(prefix);
-        if (have != nullptr && have->origin != net::RouteOrigin::kBgp) have = nullptr;
-        expected += want.has_value();
-        if (want ? have != nullptr && *have == *want : have == nullptr) continue;
-        out.push_back({OracleKind::kInstallEquivalence, 0,
-                       "router " + node_str(r) + " prefix " + prefix.to_string() +
-                           ": installed " + entry_str(have) + ", full pass gives " +
-                           entry_str(want ? &*want : nullptr)});
-        return out;  // one differential failure is enough signal
-      }
-      if (fib.size_with_origin(net::RouteOrigin::kBgp) != expected) {
-        out.push_back({OracleKind::kInstallEquivalence, 0,
-                       "router " + node_str(r) +
-                           ": a BGP entry for a prefix no border of its domain holds"});
-        return out;
-      }
+    if (network.fib(r).size_with_origin(net::RouteOrigin::kBgp) != expected) {
+      out.push_back({OracleKind::kInstallEquivalence, 0,
+                     "router " + node_str(r) +
+                         ": a BGP entry for a prefix no border of its domain holds"});
+      return false;
     }
-  }
+    return true;
+  });
   return out;
+}
+
+void for_each_lpm_piece(const net::Fib& fib,
+                        const std::function<bool(const LpmPiece&)>& fn) {
+  // Prefixes nest or are disjoint, and Prefix order puts a prefix before
+  // the ones nested in it, so a stack of the open prefixes holds the winner
+  // (its top) at every address the sweep passes. Each nested prefix is
+  // longer, so at most 33 are open. 64-bit cursors avoid overflow at the
+  // top of the address space.
+  struct Open {
+    std::uint64_t last;
+    const net::FibEntry* entry;
+  };
+  std::array<Open, 33> open;
+  std::size_t depth = 0;
+  LpmPiece piece;  // in progress: `last` is set when it ends
+  bool more = true;
+  // The winner is `winner` from address `at` on.
+  const auto change = [&](std::uint64_t at, const net::FibEntry* winner) {
+    if (!more) return;
+    if (at == piece.first) {
+      piece.winner = winner;  // the previous winner covers no address
+    } else if (winner != piece.winner) {
+      piece.last = static_cast<std::uint32_t>(at - 1);
+      more = fn(piece);
+      piece = {static_cast<std::uint32_t>(at), 0, winner};
+    }
+  };
+  const auto close = [&] {
+    --depth;
+    if (open[depth].last < 0xFFFFFFFFu) {
+      change(open[depth].last + 1, depth > 0 ? open[depth - 1].entry : nullptr);
+    }
+  };
+  for (const net::FibEntry& entry : fib.entries()) {
+    const std::uint64_t first = entry.prefix.address().bits();
+    while (depth > 0 && open[depth - 1].last < first) close();
+    change(first, &entry);
+    assert(depth < open.size());
+    open[depth++] = {first + ((std::uint64_t{1} << (32 - entry.prefix.length())) - 1),
+                     &entry};
+  }
+  while (depth > 0) close();
+  if (!more) return;
+  piece.last = 0xFFFFFFFFu;
+  fn(piece);
+}
+
+std::vector<Violation> check_fib_equivalence(NodeId router, const net::Fib& fib,
+                                             const net::CompiledFib& compiled,
+                                             std::span<const Ipv4Addr> probes) {
+  const auto fail = [&](const std::string& why) {
+    return std::vector<Violation>{
+        {OracleKind::kFibEquivalence, 0, "router " + node_str(router) + why}};
+  };
+  if (compiled.epoch() != fib.epoch()) {
+    return fail(": compiled epoch lags the Fib after refresh");
+  }
+  std::size_t pieces = 0;
+  std::optional<std::uint32_t> disagrees;
+  auto probe = probes.begin();
+  for_each_lpm_piece(fib, [&](const LpmPiece& piece) {
+    ++pieces;
+    const auto agrees = [&](std::uint32_t addr) {
+      if (same_entry(compiled.lookup(Ipv4Addr{addr}), piece.winner)) return true;
+      disagrees = addr;
+      return false;
+    };
+    if (!agrees(piece.first)) return false;
+    for (; probe != probes.end() && probe->bits() <= piece.last; ++probe) {
+      if (!agrees(probe->bits())) return false;
+    }
+    return agrees(piece.last);
+  });
+  if (disagrees) {
+    return fail(" addr " + std::to_string(*disagrees) +
+                ": Fib and compiled LPM disagree");
+  }
+  if (pieces != compiled.range_count()) {
+    return fail(": compiled table has " + std::to_string(compiled.range_count()) +
+                " ranges, the Fib's longest-prefix partition " +
+                std::to_string(pieces) + " pieces");
+  }
+  return {};
 }
 
 std::vector<Violation> check_vnbone_rebuild_equivalence(const EvolvableInternet& internet,
@@ -761,7 +831,7 @@ std::vector<Violation> check_invariants(const EvolvableInternet& internet,
   check_igp_and_intradomain(internet, out);
   check_interdomain_unicast(internet, healthy, options, out);
   check_anycast(internet, healthy, out);
-  check_fib_equivalence(internet, options, out);
+  check_fibs(internet, options, out);
   check_gao_rexford(internet, out);
   check_vnbone(internet, healthy, out);
   check_vn_routes(internet, out);

@@ -17,8 +17,10 @@
 //                       member with exact IGP cost (§3.2);
 //   kIgpGroundTruth     LS/DV distances equal Dijkstra on the usable
 //                       domain graph;
-//   kFibEquivalence     CompiledFib lookups match the authoritative Fib
-//                       for every probe address;
+//   kFibEquivalence     every router's CompiledFib forms the longest-prefix
+//                       partition of its authoritative Fib: one range per
+//                       piece and the piece's winner at both ends of every
+//                       piece, which pins every address;
 //   kGaoRexford         every Loc-RIB AS path is loop-free, valley-free,
 //                       and consistent with its learned-from class;
 //   kVnBoneConnectivity the virtual topology connects active members
@@ -34,7 +36,7 @@
 //   kInstallEquivalence every router's BGP FIB entries, written by the
 //                       delta install, equal the install rule applied to
 //                       all of its domain's border Loc-RIB prefixes (the
-//                       full pass).
+//                       full pass, recomputed from scratch).
 //   kVnBoneRebuildEquivalence
 //                       VnBone::rebuild()'s links and repair counters
 //                       equal reference_vnbone_build recomputed from
@@ -47,7 +49,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -138,10 +142,35 @@ std::vector<Violation> check_vnbone_rebuild_equivalence(
     const core::EvolvableInternet& internet, const VnBoneBuild& built);
 
 /// The install-equivalence oracle on its own: every router's kBgp FIB
-/// entries against bgp.install_entry() applied to every prefix in its
-/// domain's border Loc-RIBs (what a full install pass would write).
+/// entries against bgp.full_install_pass(), the install rule applied to
+/// every prefix in its domain's border Loc-RIBs from scratch.
 std::vector<Violation> check_install_equivalence(const net::Network& network,
                                                  const bgp::BgpSystem& bgp);
+
+/// One piece of a Fib's longest-prefix-match partition: every address in
+/// [first, last] matches `winner`, null where no route covers it.
+struct LpmPiece {
+  std::uint32_t first = 0;
+  std::uint32_t last = 0;
+  const net::FibEntry* winner = nullptr;
+};
+
+/// Visit `fib`'s longest-prefix-match partition of the whole address
+/// space in address order, from one stack sweep of Fib::entries(): the
+/// pieces are maximal, so neighbouring pieces have different winners.
+/// `fn` returns false to stop the sweep.
+void for_each_lpm_piece(const net::Fib& fib,
+                        const std::function<bool(const LpmPiece&)>& fn);
+
+/// The fib-equivalence oracle for one router: `compiled` must carry
+/// `fib`'s epoch, have one range per piece of its longest-prefix
+/// partition, and give the piece's winner at the first and the last
+/// address of every piece and at each of `probes` (ascending). The range
+/// count and both ends of every piece pin the table at every address. At
+/// most one violation.
+std::vector<Violation> check_fib_equivalence(net::NodeId router, const net::Fib& fib,
+                                             const net::CompiledFib& compiled,
+                                             std::span<const net::Ipv4Addr> probes = {});
 
 /// Run every oracle against the (quiescent, synced) internet. Violations
 /// carry episode 0; the caller stamps the real episode index.

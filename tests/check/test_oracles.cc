@@ -9,7 +9,9 @@
 
 #include "check/fuzzer.h"
 #include "core/evolvable_internet.h"
+#include "net/compiled_fib.h"
 #include "net/topology_gen.h"
+#include "sim/random.h"
 
 namespace evo::check {
 namespace {
@@ -178,6 +180,131 @@ TEST(Oracles, MutatedVirtualLinkTripsVnBoneRebuildEquivalenceOnly) {
   }
   ASSERT_NE(moved, *tunnel);
   expect_only_rebuild_violation(retargeted);
+}
+
+bool same_entry(const net::FibEntry* a, const net::FibEntry* b) {
+  return a == nullptr ? b == nullptr : b != nullptr && *a == *b;
+}
+
+net::FibEntry route_via(net::Prefix prefix, std::uint32_t next_hop) {
+  net::FibEntry entry;
+  entry.prefix = prefix;
+  entry.next_hop = net::NodeId{next_hop};
+  return entry;
+}
+
+TEST(Oracles, FibEquivalenceCatchesADifferenceNoProbeHits) {
+  auto internet = healthy_internet();
+  const auto& topo = internet->topology();
+  const net::NodeId router{0};
+  // A /29 deep inside another domain's /16: past every loopback and away
+  // from both ends of the /16.
+  const auto& far = topo.domains().back();
+  ASSERT_NE(far.id, topo.router(router).domain);
+  const net::Prefix deep{net::Ipv4Addr{far.prefix.address().bits() | 0x7A40u}, 29};
+
+  // Router 0's table twice over, plus the /29 with a different next hop in
+  // each: two Fibs of one epoch that differ only inside the /29.
+  net::Fib fib;
+  net::Fib other;
+  for (const auto& entry : internet->network().fib(router).entries()) {
+    fib.insert(entry);
+    other.insert(entry);
+  }
+  fib.insert(route_via(deep, 1));
+  other.insert(route_via(deep, 2));
+  ASSERT_EQ(fib.epoch(), other.epoch());
+  net::CompiledFib compiled;
+  compiled.compile(other);
+
+  // The fixed probes: both ends of the address space and of every domain's
+  // /16, and every loopback. None reaches the /29, so probing alone passes.
+  std::vector<net::Ipv4Addr> probes{net::Ipv4Addr{0}, net::Ipv4Addr{0xFFFFFFFFu}};
+  for (const auto& r : topo.routers()) probes.push_back(r.loopback);
+  for (const auto& domain : topo.domains()) {
+    probes.push_back(domain.prefix.address());
+    probes.push_back(net::Ipv4Addr{domain.prefix.address().bits() | 0xFFFFu});
+  }
+  std::sort(probes.begin(), probes.end());
+  for (const net::Ipv4Addr probe : probes) {
+    ASSERT_FALSE(deep.contains(probe));
+    EXPECT_TRUE(same_entry(fib.lookup(probe), compiled.lookup(probe)));
+  }
+
+  const auto violations = check_fib_equivalence(router, fib, compiled, probes);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations.front().oracle, OracleKind::kFibEquivalence);
+  EXPECT_NE(violations.front().detail.find(std::to_string(deep.address().bits())),
+            std::string::npos)
+      << violations.front().describe();
+
+  net::CompiledFib own;
+  own.compile(fib);
+  EXPECT_TRUE(check_fib_equivalence(router, fib, own, probes).empty());
+}
+
+TEST(Oracles, FibEquivalenceReportsALaggingCompiledEpoch) {
+  net::Fib fib;
+  fib.insert(route_via(net::Prefix{net::Ipv4Addr{0x0A000000u}, 8}, 1));
+  net::CompiledFib compiled;
+  compiled.compile(fib);
+  EXPECT_TRUE(check_fib_equivalence(net::NodeId{3}, fib, compiled).empty());
+  fib.insert(route_via(net::Prefix{net::Ipv4Addr{0x0A010000u}, 16}, 2));
+  const auto violations = check_fib_equivalence(net::NodeId{3}, fib, compiled);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations.front().oracle, OracleKind::kFibEquivalence);
+  EXPECT_NE(violations.front().detail.find("compiled epoch lags"), std::string::npos);
+}
+
+TEST(LpmPartition, MatchesFibLookupOnRandomTables) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    sim::Rng rng{seed * 6007};
+    net::Fib fib;
+    std::uint32_t next_hop = 0;
+    const auto add = [&](net::Prefix prefix) { fib.insert(route_via(prefix, next_hop++)); };
+    // Both ends of the address space in most tables.
+    if (seed % 3 != 0) add(net::Prefix{net::Ipv4Addr{0}, 0});
+    if (seed % 4 != 0) add(net::Prefix::host(net::Ipv4Addr{0xFFFFFFFFu}));
+    const auto count = rng.uniform_int(0, 60);
+    for (std::int64_t i = 0; i < count; ++i) {
+      // Clustered, so prefixes nest and share first or last addresses.
+      const auto base = static_cast<std::uint32_t>(rng.uniform_int(0, 3)) << 30;
+      const auto bits = base | static_cast<std::uint32_t>(rng.next_u64() & 0x3FFFFFFF);
+      add(net::Prefix{net::Ipv4Addr{bits}, static_cast<std::uint8_t>(rng.uniform_int(0, 32))});
+    }
+
+    std::vector<LpmPiece> pieces;
+    for_each_lpm_piece(fib, [&](const LpmPiece& piece) {
+      pieces.push_back(piece);
+      return true;
+    });
+    ASSERT_FALSE(pieces.empty());
+    EXPECT_EQ(pieces.front().first, 0u);
+    EXPECT_EQ(pieces.back().last, 0xFFFFFFFFu);
+    for (std::size_t i = 0; i < pieces.size(); ++i) {
+      const LpmPiece& piece = pieces[i];
+      ASSERT_LE(piece.first, piece.last);
+      if (i > 0) {
+        EXPECT_EQ(piece.first, pieces[i - 1].last + 1) << "seed " << seed;
+        EXPECT_NE(piece.winner, pieces[i - 1].winner) << "seed " << seed;  // maximal
+      }
+      const std::uint64_t width = std::uint64_t{piece.last} - piece.first + 1;
+      const auto inside = static_cast<std::uint32_t>(piece.first + rng.next_u64() % width);
+      for (const std::uint32_t addr : {piece.first, inside, piece.last}) {
+        EXPECT_EQ(fib.lookup(net::Ipv4Addr{addr}), piece.winner)
+            << "seed " << seed << " addr " << addr;
+      }
+    }
+
+    net::CompiledFib compiled;
+    compiled.compile(fib);
+    EXPECT_EQ(compiled.range_count(), pieces.size()) << "seed " << seed;
+    EXPECT_TRUE(check_fib_equivalence(net::NodeId{0}, fib, compiled).empty());
+
+    std::size_t visited = 0;
+    for_each_lpm_piece(fib, [&](const LpmPiece&) { return ++visited < 2; });
+    EXPECT_EQ(visited, std::min<std::size_t>(2, pieces.size()));
+  }
 }
 
 TEST(Oracles, ViolationDescribesItself) {

@@ -267,6 +267,33 @@ TEST(DijkstraFrontier, ResetAfterAPartialSearchMatchesAFreshOne) {
   }
 }
 
+TEST(Dijkstra, MultiSourceDistanceIsTheClosestSourcesDistance) {
+  // On undirected graphs the distance a multi-source search gives a node
+  // is the shortest of the node's own distances to the sources: what the
+  // anycast intra-domain-closest oracle reads off one search per domain.
+  constexpr std::uint32_t kNodes = 30;
+  for (std::uint32_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937 rng(seed);
+    std::uniform_int_distribution<std::uint32_t> node(0, kNodes - 1);
+    std::uniform_int_distribution<Cost> cost(0, 2);  // many ties
+    Graph g(kNodes);
+    for (std::uint32_t i = 0; i < 3 * kNodes / 2; ++i) {
+      const NodeId a{node(rng)};
+      const NodeId b{node(rng)};
+      if (a != b) g.add_undirected_edge(a, b, cost(rng));
+    }
+    std::vector<NodeId> sources;
+    for (std::uint32_t i = 0; i <= seed % 4; ++i) sources.push_back(NodeId{node(rng)});
+    const auto multi = dijkstra(g, std::span<const NodeId>(sources));
+    for (std::uint32_t u = 0; u < kNodes; ++u) {
+      const auto from_u = dijkstra(g, NodeId{u});
+      Cost closest = kInfiniteCost;
+      for (const NodeId s : sources) closest = std::min(closest, from_u.distance_to(s));
+      EXPECT_EQ(multi.distance_to(NodeId{u}), closest) << "seed " << seed << " node " << u;
+    }
+  }
+}
+
 TEST(ConnectedComponents, SingleComponent) {
   Graph g = line(5);
   const auto comps = connected_components(g);
