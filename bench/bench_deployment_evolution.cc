@@ -38,8 +38,8 @@ sim::CellResult run_epoch(std::size_t epoch, std::size_t total_epochs) {
 
   sim::CellResult result;
   // verify_universal_access rides core::send_ipvn_batch (and
-  // compute_catchment below rides anycast::probe_batch), so each router's
-  // FIB is compiled at most once per adoption epoch across all probes.
+  // compute_catchment below rides anycast::probe_batch), so a leg repeated
+  // across probes of one adoption epoch is walked once (the leg cache).
   const auto report = core::verify_universal_access(*net, /*max_pairs=*/300);
   std::size_t native = 0;
   for (const auto& host : topo.hosts()) {

@@ -78,8 +78,7 @@ void scaled_sweep() {
     const anycast::ClosestMemberOracle oracle(net->topology(), group);
     sim::Summary dist;
     std::size_t delivered_count = 0;
-    // Batched probe fan-out: one trace_batch under the hood, so each
-    // router's FIB is compiled at most once per deployment stage.
+    // Batched probe fan-out: one trace_batch under the hood.
     std::vector<NodeId> sources;
     sources.reserve(net->topology().router_count());
     for (const auto& router : net->topology().routers()) sources.push_back(router.id);

@@ -348,8 +348,9 @@ void BM_DataPlaneTrace(benchmark::State& state) {
 BENCHMARK(BM_DataPlaneTrace);
 
 void BM_DataPlaneTraceBatch(benchmark::State& state) {
-  // All-pairs-from-corner probe fan-out through trace_batch: amortizes
-  // compiled-FIB freshness checks and result allocation across a sweep.
+  // All-pairs-from-corner probe fan-out through trace_batch. Nothing
+  // writes between iterations, so after the first every probe is a leg
+  // cache hit: this times the hit path (stamp, index probe, hop copy).
   core::EvolvableInternet net(net::single_domain_grid(8, 8));
   net.start();
   const auto& routers = net.topology().domain(net::DomainId{0}).routers;
@@ -612,6 +613,32 @@ void BM_EndToEndSend(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EndToEndSend);
+
+void BM_SendIpvnBatchWarm(benchmark::State& state) {
+  // forward's step on BM_EndToEndSend's Internet: a 16-pair
+  // send_ipvn_batch with the leg cache warm, so every ingress, tunnel and
+  // egress leg is a hit and the vN-Bone route is what remains.
+  auto topo = net::generate_transit_stub(
+      {.transit_domains = 2, .stubs_per_transit = 2, .seed = 17});
+  sim::Rng rng{17};
+  net::attach_hosts(topo, 2, rng);
+  core::EvolvableInternet net(std::move(topo));
+  net.start();
+  net.deploy_domain(net::DomainId{0});
+  net.converge();
+  const auto hosts = static_cast<std::uint32_t>(net.topology().host_count());
+  std::vector<core::HostPair> pairs;
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    pairs.push_back({net::HostId{i % hosts}, net::HostId{(7 * i + 5) % hosts}});
+  }
+  benchmark::DoNotOptimize(core::send_ipvn_batch(net, pairs));
+  for (auto _ : state) {
+    const auto traces = core::send_ipvn_batch(net, pairs);
+    benchmark::DoNotOptimize(traces.back().delivered);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(pairs.size()));
+}
+BENCHMARK(BM_SendIpvnBatchWarm);
 
 /// ConsoleReporter that additionally records ns_per_op (and items_per_sec
 /// when SetItemsProcessed was used) for the --json artifact.

@@ -55,8 +55,8 @@ void participation_sweep() {
   }
 
   // `batch_sender` maps the pair list to one EndToEndTrace per pair; the
-  // anycast arm rides core::send_ipvn_batch so FIB compilation is
-  // amortized across the sweep.
+  // anycast arm rides core::send_ipvn_batch, so legs repeated across the
+  // sweep are walked once.
   auto measure = [&](auto&& batch_sender, const char* label) {
     sim::Summary ingress_dist;
     sim::Summary optimal_dist;

@@ -57,9 +57,9 @@ Probe probe(const net::Network& network, const Group& group, net::NodeId source,
 Probe probe(const net::Network& network, const Group& group, net::NodeId source);
 
 /// Probe the group from every source in one batch (Network::trace_batch
-/// underneath, so compiled-FIB compilation is amortized across sources).
-/// results[i] corresponds to sources[i] and is identical to what the
-/// per-source probe() would return.
+/// underneath, so a source probed again while no forwarding input moves
+/// is served from the leg cache). results[i] corresponds to sources[i] and
+/// is identical to what the per-source probe() would return.
 std::vector<Probe> probe_batch(const net::Network& network, const Group& group,
                                std::span<const net::NodeId> sources,
                                const ClosestMemberOracle& oracle);

@@ -133,6 +133,9 @@ class BgpSystem {
   /// best routes is valid for as long as this value is unchanged.
   std::uint64_t loc_rib_epoch() const { return loc_rib_epoch_; }
 
+  /// The table every Route::as_path of this system points into.
+  const PathTable& paths() const { return paths_; }
+
   /// The speakers (border routers) of a domain, sorted by NodeId.
   const std::vector<net::NodeId>& speakers_of(net::DomainId domain) const {
     return speakers_of_[domain.value()];

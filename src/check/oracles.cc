@@ -114,6 +114,32 @@ void check_igp_and_intradomain(const EvolvableInternet& internet,
   }
 }
 
+/// ---- leg cache -----------------------------------------------------------
+
+/// The fresh `traces` of `probes` against one batch of the leg cache, each
+/// probe twice: its first trace hits a leg kept at an earlier check under
+/// an unmoved stamp or walks, and its second must hit. One result buffer
+/// serves every probe. At most one violation.
+void check_leg_cache(const net::Network& network,
+                     std::span<const net::Network::ProbeSpec> probes,
+                     std::span<const net::Network::TraceResult> traces,
+                     std::vector<Violation>& out) {
+  const net::Network::Batch batch = network.begin_batch();
+  net::Network::TraceResult got;
+  for (const char* pass : {"first", "repeat"}) {
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      batch.trace_into(probes[i].from, probes[i].dst, probes[i].max_hops, got);
+      if (got == traces[i]) continue;
+      out.push_back({OracleKind::kLegCacheEquivalence, 0,
+                     "probe " + node_str(probes[i].from) + "->" +
+                         probes[i].dst.to_string() + " (" + pass + "): batch gives " +
+                         network.describe(got) + ", trace gives " +
+                         network.describe(traces[i])});
+      return;
+    }
+  }
+}
+
 /// ---- inter-domain unicast ------------------------------------------------
 
 void check_interdomain_unicast(const EvolvableInternet& internet, bool healthy,
@@ -124,12 +150,15 @@ void check_interdomain_unicast(const EvolvableInternet& internet, bool healthy,
   if (topo.domain_count() < 2 || topo.router_count() < 2) return;
   sim::Rng rng{sim::derive_seed(options.probe_seed, 0xA11)};
   const auto n = static_cast<std::int64_t>(topo.router_count());
+  std::vector<net::Network::ProbeSpec> probes;
+  std::vector<net::Network::TraceResult> traces;
   for (std::uint32_t i = 0; i < kInterdomainPairs; ++i) {
     const NodeId u{static_cast<std::uint32_t>(rng.uniform_int(0, n - 1))};
     const NodeId v{static_cast<std::uint32_t>(rng.uniform_int(0, n - 1))};
     if (u == v || topo.router(u).domain == topo.router(v).domain) continue;
     if (!topo.router(u).up || !topo.router(v).up) continue;
-    const auto trace = network.trace(u, topo.router(v).loopback);
+    probes.push_back({.from = u, .dst = topo.router(v).loopback});
+    const auto& trace = traces.emplace_back(network.trace(u, probes.back().dst));
     note_trace(trace, u, "inter-domain unicast", out);
     if (trace.delivered() && trace.delivered_at != v) {
       out.push_back({OracleKind::kNoBlackhole, 0,
@@ -147,6 +176,7 @@ void check_interdomain_unicast(const EvolvableInternet& internet, bool healthy,
                          ") at full health"});
     }
   }
+  check_leg_cache(network, probes, traces, out);
 }
 
 /// ---- anycast delivery ----------------------------------------------------
@@ -678,6 +708,7 @@ const char* to_string(OracleKind oracle) {
     case OracleKind::kInstallEquivalence: return "install-equivalence";
     case OracleKind::kVnBoneRebuildEquivalence: return "vnbone-rebuild-equivalence";
     case OracleKind::kRibConsistency: return "rib-consistency";
+    case OracleKind::kLegCacheEquivalence: return "leg-cache-equivalence";
   }
   return "?";
 }

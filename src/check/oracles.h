@@ -45,7 +45,13 @@
 //                       offer of its Adj-RIB-In (ties to the lowest
 //                       session), and its Adj-RIB-Out flags are set exactly
 //                       where the best route is exported over a usable
-//                       session.
+//                       session;
+//   kLegCacheEquivalence
+//                       Network::trace_batch, served from the leg cache,
+//                       equals Network::trace on the inter-domain unicast
+//                       probes, which are the same at every check of a
+//                       plan: a forwarding input that changed without
+//                       moving the cache's stamp shows as a stale hit.
 #pragma once
 
 #include <cstdint>
@@ -78,6 +84,7 @@ enum class OracleKind : std::uint8_t {
   kInstallEquivalence,
   kVnBoneRebuildEquivalence,
   kRibConsistency,
+  kLegCacheEquivalence,
 };
 
 const char* to_string(OracleKind oracle);

@@ -64,13 +64,14 @@ EndToEndTrace send_ipvn(const EvolvableInternet& internet, HostId src, HostId ds
 std::vector<EndToEndTrace> send_ipvn_batch(const EvolvableInternet& internet,
                                            std::span<const HostPair> pairs,
                                            std::optional<vnbone::EgressMode> mode) {
-  // Each send walks several trace legs; the amortization lives in
-  // Network's epoch-cached compiled FIBs, which stay warm across the
-  // batch because nothing here mutates routes.
+  // Every leg of every send goes through one leg-cache batch: nothing
+  // here writes a forwarding input, so the stamp taken here holds to the
+  // last pair.
+  const net::Network::Batch legs = internet.network().begin_batch();
   std::vector<EndToEndTrace> results;
   results.reserve(pairs.size());
   for (const HostPair& pair : pairs) {
-    results.push_back(send_ipvn(internet, pair.src, pair.dst, mode));
+    results.push_back(send_ipvn_generation(internet, 0, pair.src, pair.dst, mode, &legs));
   }
   return results;
 }
@@ -101,7 +102,8 @@ EndToEndTrace::Failure LegPlan::exit_failure() const {
 
 EndToEndTrace send_ipvn_generation(const EvolvableInternet& internet,
                                    std::size_t generation, HostId src, HostId dst,
-                                   std::optional<vnbone::EgressMode> mode) {
+                                   std::optional<vnbone::EgressMode> mode,
+                                   const net::Network::Batch* legs) {
   const auto& vnbone = internet.generation(generation);
   if (!vnbone.anycast_group().valid()) {
     EndToEndTrace result;
@@ -111,13 +113,14 @@ EndToEndTrace send_ipvn_generation(const EvolvableInternet& internet,
   // The network delivers the anycast packet to the closest IPvN router.
   return send_via_ingress(
       internet, src, dst, vnbone.anycast_address(),
-      [&vnbone](NodeId at) { return vnbone.deployed(at); }, mode, generation);
+      [&vnbone](NodeId at) { return vnbone.deployed(at); }, mode, generation, legs);
 }
 
 void complete_from_ingress(const EvolvableInternet& internet,
                            const net::IpvNHeader& inner, HostId dst,
                            std::optional<vnbone::EgressMode> mode,
-                           EndToEndTrace& result, std::size_t generation) {
+                           EndToEndTrace& result, std::size_t generation,
+                           const net::Network::Batch* legs) {
   const auto& network = internet.network();
   const auto& topo = network.topology();
 
@@ -136,7 +139,7 @@ void complete_from_ingress(const EvolvableInternet& internet,
     const Leg leg = plan[i];
     Segment& segment = result.segments.emplace_back();
     segment.kind = leg.kind;
-    segment.trace = network.trace(leg.from, leg.outer_dst);
+    segment.trace = trace_leg(network, legs, leg.from, leg.outer_dst);
     if (!segment.trace.delivered() || segment.trace.delivered_at != leg.lands_on) {
       result.failure = leg.on_miss;
       return;

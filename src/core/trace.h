@@ -98,23 +98,34 @@ struct HostPair {
 };
 
 /// Send one IPvN datagram per pair through the full data path. The batch
-/// counterpart of send_ipvn: per-router compiled forwarding tables are
-/// compiled at most once per route epoch across the whole batch, so probe
-/// sweeps (benches, the universal-access verifier) pay compilation once
-/// instead of per packet. results[i] corresponds to pairs[i] and is
-/// identical to what send_ipvn(pairs[i]...) would return.
+/// counterpart of send_ipvn: its ingress, tunnel and egress legs go through
+/// one Network::Batch, so a leg that repeats while no forwarding input
+/// moves (the same access router toward the anycast address, the same
+/// virtual link, the same egress toward the same host) is walked once.
+/// results[i] corresponds to pairs[i] and is identical to what
+/// send_ipvn(pairs[i]...) would return.
 std::vector<EndToEndTrace> send_ipvn_batch(const EvolvableInternet& internet,
                                            std::span<const HostPair> pairs,
                                            std::optional<vnbone::EgressMode> mode =
                                                std::nullopt);
 
 /// Like send_ipvn but through a non-primary IP generation (its own
-/// vN-Bone, anycast group, and host addressing).
+/// vN-Bone, anycast group, and host addressing). `legs`, when given, is
+/// the batch whose leg cache the underlay legs go through.
 EndToEndTrace send_ipvn_generation(const EvolvableInternet& internet,
                                    std::size_t generation, net::HostId src,
                                    net::HostId dst,
                                    std::optional<vnbone::EgressMode> mode =
-                                       std::nullopt);
+                                       std::nullopt,
+                                   const net::Network::Batch* legs = nullptr);
+
+/// One IPv(N-1) leg of a send: Network::trace, or through `legs`' cache
+/// when a batched send passes one.
+inline net::Network::TraceResult trace_leg(const net::Network& network,
+                                           const net::Network::Batch* legs,
+                                           net::NodeId from, net::Ipv4Addr dst) {
+  return legs != nullptr ? legs->trace(from, dst) : network.trace(from, dst);
+}
 
 /// Complete a delivery whose ingress was already determined: route over
 /// the generation's vN-Bone from `result.ingress` (a deployed router) and
@@ -123,7 +134,8 @@ EndToEndTrace send_ipvn_generation(const EvolvableInternet& internet,
 void complete_from_ingress(const EvolvableInternet& internet,
                            const net::IpvNHeader& inner, net::HostId dst,
                            std::optional<vnbone::EgressMode> mode,
-                           EndToEndTrace& result, std::size_t generation = 0);
+                           EndToEndTrace& result, std::size_t generation = 0,
+                           const net::Network::Batch* legs = nullptr);
 
 /// The ingress leg every redirection mechanism shares: `src` encapsulates
 /// a datagram for `dst` toward `ingress_address` (an anycast address, or a
@@ -134,21 +146,22 @@ EndToEndTrace send_via_ingress(const EvolvableInternet& internet, net::HostId sr
                                net::HostId dst, net::Ipv4Addr ingress_address,
                                Accept accept,
                                std::optional<vnbone::EgressMode> mode,
-                               std::size_t generation = 0) {
+                               std::size_t generation = 0,
+                               const net::Network::Batch* legs = nullptr) {
   EndToEndTrace result;
   const auto& network = internet.network();
   const net::Packet packet =
       internet.generation_hosts(generation).make_datagram(src, dst);
   Segment& leg = result.segments.emplace_back();
-  leg.trace =
-      network.trace(network.topology().host(src).access_router, ingress_address);
+  leg.trace = trace_leg(network, legs, network.topology().host(src).access_router,
+                        ingress_address);
   if (!leg.trace.delivered() || !accept(leg.trace.delivered_at)) {
     result.failure = EndToEndTrace::Failure::kIngressFailed;
     return result;
   }
   result.ingress = leg.trace.delivered_at;
   complete_from_ingress(internet, packet.layers().front().vn, dst, mode, result,
-                        generation);
+                        generation, legs);
   return result;
 }
 

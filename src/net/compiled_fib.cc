@@ -1,5 +1,6 @@
 #include "net/compiled_fib.h"
 
+#include <algorithm>
 #include <bit>
 
 namespace evo::net {
@@ -47,23 +48,30 @@ void CompiledFib::compile(const Fib& fib) {
     }
   }
 
-  // Size the block index so the average block brackets only a handful of
-  // ranges: lookups then cost one index load plus a search over one or two
-  // cache lines. Clamped so a small table keeps a 1 KiB index and a huge
-  // one never exceeds the 16-bit (256 Ki-slot) granularity.
+  // The block index covers [0, 2^top_bits), the smallest power of two past
+  // the last range's start: every address above it is in the last range,
+  // and lookup clamps it to the index's final slot. Sized at 4-8 slots per
+  // range, clamped to 2^8..2^16 slots, an average block brackets under one
+  // range, so a lookup is one index load plus a search over a cache line.
+  // Sizing to the populated span, not the whole address space, keeps the
+  // index a few KiB: an allocation plan packs every route into a few
+  // hundred /16s.
   const unsigned range_bits =
       std::bit_width(ranges_.size() | 1);  // ~ceil(log2(ranges))
-  const unsigned index_bits = std::min(16u, std::max(8u, range_bits + 5));
-  shift_ = 32 - index_bits;
-  const std::size_t blocks = std::size_t{1} << index_bits;
-  index_.assign(blocks + 1, 0);
+  const unsigned top_bits = std::bit_width(ranges_.back().start);
+  const unsigned index_bits =
+      std::min(top_bits, std::min(16u, std::max(8u, range_bits + 2)));
+  shift_ = top_bits - index_bits;
+  last_block_ = std::uint32_t{1} << index_bits;
+  index_.assign(std::size_t{last_block_} + 2, 0);
   std::size_t r = 0;
-  for (std::size_t b = 0; b < blocks; ++b) {
+  for (std::uint32_t b = 0; b < last_block_; ++b) {
     const std::uint64_t block_start = static_cast<std::uint64_t>(b) << shift_;
     while (r + 1 < ranges_.size() && ranges_[r + 1].start <= block_start) ++r;
     index_[b] = static_cast<std::uint32_t>(r);
   }
-  index_[blocks] = static_cast<std::uint32_t>(ranges_.size() - 1);
+  index_[last_block_] = static_cast<std::uint32_t>(ranges_.size() - 1);
+  index_[last_block_ + 1] = index_[last_block_];
 
   epoch_ = fib.epoch();
 }

@@ -15,6 +15,7 @@
 // its epoch no longer matches (see Network::compiled_fib).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -34,7 +35,7 @@ class CompiledFib {
   const FibEntry* lookup(Ipv4Addr addr) const {
     if (ranges_.empty()) return nullptr;
     const std::uint32_t bits = addr.bits();
-    const std::uint32_t block = bits >> shift_;
+    const std::uint32_t block = std::min(bits >> shift_, last_block_);
     // The winner is the last range starting at or before `addr`, bracketed
     // by the block index: index_[b] already points at the last range that
     // starts at or before the block's first address.
@@ -66,10 +67,13 @@ class CompiledFib {
 
   std::vector<FibEntry> entries_;  // table snapshot, Prefix order
   std::vector<Range> ranges_;      // disjoint, sorted by start; [0] starts at 0
-  // index_[b] = index of the last range starting at or before (b << shift_);
-  // one extra slot so lookup can read index_[block + 1] unconditionally.
+  // index_[b] = index of the last range starting at or before (b << shift_)
+  // for b < last_block_; index_[last_block_] is the last range, which holds
+  // every address from (last_block_ << shift_) on, and one extra slot lets
+  // lookup read index_[block + 1] unconditionally.
   std::vector<std::uint32_t> index_;
-  unsigned shift_ = 32;
+  unsigned shift_ = 0;
+  std::uint32_t last_block_ = 0;
   std::uint64_t epoch_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "net/network.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace evo::net {
@@ -86,6 +87,11 @@ const CompiledFib& Network::compiled_fib(NodeId node) const {
 namespace {
 /// Initial hop capacity of a trace: one allocation covers the usual path.
 constexpr std::size_t kTypicalHops = 16;
+/// The leg cache's cap: 16k legs of 40 bytes, their hops at up to 8 per
+/// leg on average, and an index at most half full.
+constexpr std::size_t kMaxLegs = std::size_t{1} << 14;
+constexpr std::size_t kMaxLegHops = kMaxLegs * 8;
+constexpr std::size_t kMinLegSlots = 64;
 }  // namespace
 
 Network::TraceResult Network::trace(NodeId from, Ipv4Addr dst,
@@ -151,11 +157,104 @@ void Network::trace_into(NodeId from, Ipv4Addr dst, unsigned max_hops,
   }
 }
 
+Network::Stamp Network::stamp() const {
+  Stamp stamp;
+  for (const Fib& fib : fibs_) stamp.fibs += fib.epoch();
+  for (const std::uint64_t epoch : local_address_epochs_) stamp.addresses += epoch;
+  stamp.topology = topology_.epoch();
+  return stamp;
+}
+
+void Network::reset_legs(const Stamp& stamp) const {
+  leg_stamp_ = stamp;
+  legs_.clear();
+  leg_hops_.clear();
+  leg_index_.assign(std::max(leg_index_.size(), kMinLegSlots), 0);
+}
+
+const Network::Leg* Network::find_leg(NodeId from, Ipv4Addr dst, unsigned max_hops,
+                                      std::size_t& slot) const {
+  const std::uint64_t key = (std::uint64_t{from.value()} << 32) | dst.bits();
+  const std::size_t mask = leg_index_.size() - 1;
+  slot = static_cast<std::size_t>(((key ^ max_hops) * 0x9E3779B97F4A7C15ull) >> 40) & mask;
+  for (;; slot = (slot + 1) & mask) {
+    const std::uint32_t at = leg_index_[slot];
+    if (at == 0) return nullptr;
+    const Leg& leg = legs_[at - 1];
+    if (leg.from == from.value() && leg.dst == dst.bits() && leg.max_hops == max_hops) {
+      return &leg;
+    }
+  }
+}
+
+void Network::keep_leg(std::size_t slot, unsigned max_hops, Ipv4Addr dst,
+                       const TraceResult& result) const {
+  if (legs_.size() == kMaxLegs || result.hops.size() > 0xFFFF ||
+      leg_hops_.size() + result.hops.size() > kMaxLegHops) {
+    return;
+  }
+  Leg leg;
+  leg.from = result.hops.front().value();
+  leg.dst = dst.bits();
+  leg.max_hops = max_hops;
+  leg.delivered_at = result.delivered_at.value();
+  leg.hops_begin = static_cast<std::uint32_t>(leg_hops_.size());
+  leg.hop_count = static_cast<std::uint16_t>(result.hops.size());
+  leg.outcome = result.outcome;
+  leg.cost = result.cost;
+  leg.latency = result.latency;
+  leg_hops_.insert(leg_hops_.end(), result.hops.begin(), result.hops.end());
+  legs_.push_back(leg);
+  if (2 * legs_.size() <= leg_index_.size()) {
+    leg_index_[slot] = static_cast<std::uint32_t>(legs_.size());
+    return;
+  }
+  // Past half full: double the index and re-place every leg.
+  leg_index_.assign(2 * leg_index_.size(), 0);
+  std::size_t at = 0;
+  for (std::uint32_t i = 0; i < legs_.size(); ++i) {
+    const Leg& kept = legs_[i];
+    find_leg(NodeId{kept.from}, Ipv4Addr{kept.dst}, kept.max_hops, at);
+    leg_index_[at] = i + 1;
+  }
+}
+
+Network::Batch Network::begin_batch() const {
+  const Stamp now = stamp();
+  if (now != leg_stamp_ || leg_index_.empty()) reset_legs(now);
+  return Batch(*this);
+}
+
+void Network::Batch::trace_into(NodeId from, Ipv4Addr dst, unsigned max_hops,
+                                TraceResult& result) const {
+  std::size_t slot = 0;
+  if (const Leg* leg = network_.find_leg(from, dst, max_hops, slot)) {
+    ++network_.forwarding_stats_.leg_hits;
+    const auto hops = network_.leg_hops_.begin() + leg->hops_begin;
+    result.outcome = leg->outcome;
+    result.hops.assign(hops, hops + leg->hop_count);
+    result.delivered_at = NodeId{leg->delivered_at};
+    result.cost = leg->cost;
+    result.latency = leg->latency;
+    return;
+  }
+  network_.trace_into(from, dst, max_hops, result);
+  network_.keep_leg(slot, max_hops, dst, result);
+}
+
+Network::TraceResult Network::Batch::trace(NodeId from, Ipv4Addr dst,
+                                           unsigned max_hops) const {
+  TraceResult result;
+  trace_into(from, dst, max_hops, result);
+  return result;
+}
+
 std::vector<Network::TraceResult> Network::trace_batch(
     std::span<const ProbeSpec> probes) const {
+  const Batch batch = begin_batch();
   std::vector<TraceResult> results(probes.size());
   for (std::size_t i = 0; i < probes.size(); ++i) {
-    trace_into(probes[i].from, probes[i].dst, probes[i].max_hops, results[i]);
+    batch.trace_into(probes[i].from, probes[i].dst, probes[i].max_hops, results[i]);
   }
   return results;
 }

@@ -9,6 +9,11 @@
 // (per router, on first use after the Fib's route epoch moves) and consulted
 // on every trace hop. IGP SPF runs, DV updates, BGP installs and anycast
 // membership changes all invalidate transparently by bumping the epoch.
+//
+// The batch path (Batch, trace_batch) adds a leg cache on top: whole trace
+// results keyed on (from, dst, max_hops), kept while the forwarding stamp
+// (every Fib epoch, local-address epoch and the topology epoch) holds.
+// trace() never reads it; it is the reference the cache is checked against.
 #pragma once
 
 #include <cstdint>
@@ -73,6 +78,7 @@ class Network {
 
     bool delivered() const { return outcome == Outcome::kDelivered; }
     std::size_t hop_count() const { return hops.empty() ? 0 : hops.size() - 1; }
+    friend bool operator==(const TraceResult&, const TraceResult&) = default;
   };
 
   /// What `node` does with a packet for `dst` that may still cross `ttl`
@@ -103,9 +109,29 @@ class Network {
     unsigned max_hops = 255;
   };
 
-  /// Trace every probe, amortizing compiled-FIB compilation across the
-  /// batch. results[i] corresponds to probes[i]; each result is identical
-  /// to what trace(probes[i]...) would return.
+  /// One batch's view of the leg cache. Opening it (begin_batch) computes
+  /// the forwarding stamp once and empties the cache if the stamp moved
+  /// since its entries were traced. A trace through it then copies a
+  /// memoized result, or walks like trace_into and memoizes the result.
+  /// Hold it only while no forwarding input changes: no Fib, link, router
+  /// or local-address write between begin_batch and its last trace.
+  class Batch {
+   public:
+    void trace_into(NodeId from, Ipv4Addr dst, unsigned max_hops,
+                    TraceResult& result) const;
+    TraceResult trace(NodeId from, Ipv4Addr dst, unsigned max_hops = 255) const;
+
+   private:
+    friend class Network;
+    explicit Batch(const Network& network) : network_(network) {}
+    const Network& network_;
+  };
+  Batch begin_batch() const;
+
+  /// Trace every probe through one Batch, so a probe repeated while no
+  /// forwarding input moves is walked once. results[i] corresponds to
+  /// probes[i]; each result is identical to what trace(probes[i]...)
+  /// would return.
   std::vector<TraceResult> trace_batch(std::span<const ProbeSpec> probes) const;
 
   /// The compiled forwarding table for `node`, recompiled first if its
@@ -114,10 +140,11 @@ class Network {
 
   /// Data-plane counters: how the compiled forwarding tier behaves.
   struct ForwardingStats {
-    std::uint64_t traces = 0;        // trace/trace_into invocations
+    std::uint64_t traces = 0;        // FIB walks (trace_into, cache misses)
     std::uint64_t lookups = 0;       // per-hop LPM lookups
     std::uint64_t fib_compiles = 0;  // CompiledFib rebuilds (epoch misses)
     std::uint64_t cache_hits = 0;    // hops served by an already-fresh table
+    std::uint64_t leg_hits = 0;      // batch traces served by the leg cache
   };
   const ForwardingStats& forwarding_stats() const { return forwarding_stats_; }
 
@@ -142,6 +169,41 @@ class Network {
   mutable std::uint64_t visit_gen_ = 0;
   mutable ForwardingStats forwarding_stats_;
   obs::Recorder* recorder_ = nullptr;
+
+  /// What every forwarding decision reads, as sums of counters that never
+  /// decrease: any input change moves at least one sum.
+  struct Stamp {
+    std::uint64_t fibs = 0;       // Σ Fib::epoch()
+    std::uint64_t addresses = 0;  // Σ local_address_epoch()
+    std::uint64_t topology = 0;   // Topology::epoch()
+    friend bool operator==(const Stamp&, const Stamp&) = default;
+  };
+  Stamp stamp() const;
+
+  /// The leg cache: an open-addressing index over compact entries whose
+  /// hops sit in one shared arena. It grows with the distinct legs traced
+  /// under one stamp up to a fixed cap, past which misses are walked and
+  /// not kept; a stamp change empties it and keeps its storage.
+  struct Leg {
+    std::uint32_t from = 0;
+    std::uint32_t dst = 0;
+    std::uint32_t max_hops = 0;
+    std::uint32_t delivered_at = 0;
+    std::uint32_t hops_begin = 0;  // offset into leg_hops_
+    std::uint16_t hop_count = 0;   // entries in leg_hops_, the injection node first
+    TraceResult::Outcome outcome = TraceResult::Outcome::kNoRoute;
+    Cost cost = 0;
+    sim::Duration latency;
+  };
+  void reset_legs(const Stamp& stamp) const;
+  const Leg* find_leg(NodeId from, Ipv4Addr dst, unsigned max_hops,
+                      std::size_t& slot) const;
+  void keep_leg(std::size_t slot, unsigned max_hops, Ipv4Addr dst,
+                const TraceResult& result) const;
+  mutable Stamp leg_stamp_;
+  mutable std::vector<Leg> legs_;
+  mutable std::vector<NodeId> leg_hops_;
+  mutable std::vector<std::uint32_t> leg_index_;  // slot -> legs_ index + 1, 0 = empty
 };
 
 const char* to_string(Network::TraceResult::Outcome outcome);

@@ -41,6 +41,7 @@ NodeId Topology::add_router(DomainId domain) {
   r.loopback = router_loopback(domain, r.index_in_domain);
   routers_.push_back(std::move(r));
   domains_[domain.value()].routers.push_back(id);
+  ++epoch_;
   return id;
 }
 
@@ -52,6 +53,7 @@ LinkId Topology::add_link(NodeId a, NodeId b, Cost cost, sim::Duration latency) 
   links_.push_back(Link{id, a, b, cost, latency, /*up=*/true, /*interdomain=*/false});
   routers_[a.value()].links.push_back(id);
   routers_[b.value()].links.push_back(id);
+  ++epoch_;
   return id;
 }
 
@@ -69,6 +71,7 @@ LinkId Topology::add_interdomain_link(NodeId a, NodeId b, Relationship rel,
   rb.border = true;
   domains_[ra.domain.value()].peerings.push_back(Peering{rb.domain, rel, id});
   domains_[rb.domain.value()].peerings.push_back(Peering{ra.domain, reverse(rel), id});
+  ++epoch_;
   return id;
 }
 
@@ -85,6 +88,7 @@ HostId Topology::add_host(NodeId access_router) {
   const Ipv4Addr addr{router_subnet(r.domain, r.index_in_domain).address().bits() |
                       (attached + 2)};
   hosts_.push_back(Host{id, access_router, addr});
+  ++epoch_;
   return id;
 }
 
@@ -96,6 +100,7 @@ bool Topology::set_link_up(LinkId link, bool up) {
   Link& l = links_[link.value()];
   if (l.up == up) return false;
   l.up = up;
+  ++epoch_;
   return true;
 }
 
@@ -107,6 +112,7 @@ bool Topology::set_node_up(NodeId node, bool up) {
   Router& r = routers_[node.value()];
   if (r.up == up) return false;
   r.up = up;
+  ++epoch_;
   return true;
 }
 

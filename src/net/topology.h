@@ -133,6 +133,12 @@ class Topology {
     return l.up && routers_[l.a.value()].up && routers_[l.b.value()].up;
   }
 
+  /// Moves on every change forwarding reads from the topology: a router,
+  /// link or host added, and a link or router whose up state changed.
+  /// Never decreases, so state derived from the topology (Network's leg
+  /// cache) can tell when to recompute.
+  std::uint64_t epoch() const { return epoch_; }
+
   // --- accessors ----------------------------------------------------------
   std::size_t domain_count() const { return domains_.size(); }
   std::size_t router_count() const { return routers_.size(); }
@@ -193,6 +199,7 @@ class Topology {
   std::vector<Router> routers_;
   std::vector<Link> links_;
   std::vector<Host> hosts_;
+  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace evo::net

@@ -674,25 +674,35 @@ Graph VnBone::virtual_graph() const {
   return g;
 }
 
-const VnBone::LegacyRoute& VnBone::legacy_route(DomainId domain,
-                                                DomainId target) const {
+std::span<VnBone::LegacyRoute> VnBone::legacy_column(DomainId target) const {
   const std::size_t domains = network_.topology().domain_count();
-  assert(domain.value() < domains && target.value() < domains);
+  assert(target.value() < domains);
   const std::uint64_t epoch = bgp_ == nullptr ? 0 : bgp_->loc_rib_epoch();
   if (legacy_epoch_ != epoch || legacy_routes_.size() != domains) {
     legacy_routes_.assign(domains, {});
     legacy_epoch_ = epoch;
   }
-  auto& row = legacy_routes_[domain.value()];
-  if (row.empty()) row.resize(domains);
-  LegacyRoute& entry = row[target.value()];
-  if (entry.filled) return entry;
-  entry.filled = true;
+  auto& column = legacy_routes_[target.value()];
+  if (column.empty()) column.resize(domains);
+  return column;
+}
+
+const VnBone::LegacyRoute& VnBone::legacy_entry(std::span<LegacyRoute> column,
+                                                DomainId domain,
+                                                DomainId target) const {
+  LegacyRoute& entry = column[domain.value()];
+  if (entry.length == LegacyRoute::kUnfilled) fill_legacy_route(entry, domain, target);
+  return entry;
+}
+
+void VnBone::fill_legacy_route(LegacyRoute& entry, DomainId domain,
+                               DomainId target) const {
+  entry.length = LegacyRoute::kUnreachable;
   if (domain == target) {
     entry.length = 0;
-    return entry;
+    return;
   }
-  if (bgp_ == nullptr) return entry;
+  if (bgp_ == nullptr) return;
   // The shortest AS path among the domain's borders; the first border
   // holding it wins ties.
   const Prefix prefix = net::Topology::domain_prefix(target);
@@ -705,18 +715,25 @@ const VnBone::LegacyRoute& VnBone::legacy_route(DomainId domain,
     }
   }
   if (best != nullptr) {
-    entry.length = best->as_path.size();
-    entry.path = best->as_path;
+    assert(best->as_path.size() < LegacyRoute::kUnreachable);
+    entry.length = static_cast<std::uint32_t>(best->as_path.size());
+    entry.path = best->as_path.id();
   }
-  return entry;
+}
+
+const VnBone::LegacyRoute& VnBone::legacy_route(DomainId domain,
+                                                DomainId target) const {
+  assert(domain.value() < network_.topology().domain_count());
+  return legacy_entry(legacy_column(target), domain, target);
 }
 
 Cost VnBone::legacy_path_length(DomainId domain, DomainId target) const {
-  return legacy_route(domain, target).length;
+  return legacy_route(domain, target).cost();
 }
 
 bgp::AsPath VnBone::legacy_path(DomainId domain, DomainId target) const {
-  return legacy_route(domain, target).path;
+  const bgp::AsPath::Id path = legacy_route(domain, target).path;
+  return bgp_ == nullptr ? bgp::AsPath{} : bgp_->paths().get(path);
 }
 
 VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
@@ -785,7 +802,7 @@ VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
       const DomainId my_domain = topo.router(ingress).domain;
       NodeId egress = ingress;
       if (*target_domain != my_domain) {
-        const auto& path = legacy_route(my_domain, *target_domain).path;
+        const bgp::AsPath path = legacy_path(my_domain, *target_domain);
         const auto chosen = std::find_if(path.rbegin(), path.rend(),
                                          [&](DomainId d) { return domain_active(d); });
         if (chosen != path.rend()) {
@@ -813,9 +830,11 @@ VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
       // tree settles only as far as the walk goes.
       NodeId egress = NodeId::invalid();
       Cost best_score = net::kInfiniteCost;
+      const std::span<LegacyRoute> legacy = legacy_column(*target_domain);
       auto consider = [&](NodeId r, Cost vn_cost) {
         if (!active(r)) return;
-        const Cost legacy_len = legacy_route(topo.router(r).domain, *target_domain).length;
+        const Cost legacy_len =
+            legacy_entry(legacy, topo.router(r).domain, *target_domain).cost();
         if (legacy_len == net::kInfiniteCost) return;
         const Cost score = vn_cost + kAsHopWeight * legacy_len;
         if (score < best_score || (score == best_score && r < egress)) {

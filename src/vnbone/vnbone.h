@@ -27,6 +27,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "anycast/anycast.h"
@@ -252,11 +253,14 @@ class VnBone {
   /// member's distance and predecessor are what a full search gives.
   using Tree = net::DijkstraFrontier<std::uint32_t>;
   /// The BGPv(N-1) route from one domain to another, as the domain's
-  /// borders see it: legacy_path_length() and legacy_path().
+  /// borders see it (legacy_path_length() and legacy_path()), in 8 bytes:
+  /// its length and its path's id in BGP's path table.
   struct LegacyRoute {
-    bool filled = false;  // computed in the current Loc-RIB epoch
-    net::Cost length = net::kInfiniteCost;
-    bgp::AsPath path;
+    static constexpr std::uint32_t kUnfilled = ~std::uint32_t{0};  // not read this epoch
+    static constexpr std::uint32_t kUnreachable = kUnfilled - 1;
+    std::uint32_t length = kUnfilled;
+    bgp::AsPath::Id path = 0;  // 0, the empty path, when unreachable
+    net::Cost cost() const { return length == kUnreachable ? net::kInfiniteCost : length; }
   };
   static constexpr std::uint32_t kNoMember = ~std::uint32_t{0};
 
@@ -319,6 +323,14 @@ class VnBone {
   /// that member's distance.
   [[gnu::noinline]] void settle_to_domain(Tree& tree, net::DomainId domain) const;
   const LegacyRoute& legacy_route(net::DomainId domain, net::DomainId target) const;
+  /// Every domain's legacy route to `target` in the current Loc-RIB epoch,
+  /// by DomainId; read an entry through legacy_entry(), which fills it on
+  /// its first read. Valid until the next legacy_column() call.
+  std::span<LegacyRoute> legacy_column(net::DomainId target) const;
+  const LegacyRoute& legacy_entry(std::span<LegacyRoute> column, net::DomainId domain,
+                                  net::DomainId target) const;
+  [[gnu::noinline]] void fill_legacy_route(LegacyRoute& entry, net::DomainId domain,
+                                           net::DomainId target) const;
 
   net::Network& network_;
   bgp::BgpSystem* bgp_;
@@ -357,8 +369,8 @@ class VnBone {
   mutable std::vector<Tree> trees_;
   mutable std::uint32_t trees_in_use_ = 0;
 
-  // Legacy routes by [domain][target], keyed on bgp_->loc_rib_epoch(); a
-  // domain's row is allocated on its first query in an epoch.
+  // Legacy routes by [target][domain], keyed on bgp_->loc_rib_epoch(); a
+  // target's column is allocated on its first query in an epoch.
   mutable std::vector<std::vector<LegacyRoute>> legacy_routes_;
   mutable std::uint64_t legacy_epoch_ = 0;
 
