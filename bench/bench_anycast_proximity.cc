@@ -49,12 +49,10 @@ IgpRun run_igp(core::IgpKind kind, std::uint32_t routers, std::uint64_t seed) {
     case core::IgpKind::kDistanceVector:
       igp = std::make_unique<igp::DistanceVectorIgp>(simulator, network, d);
       break;
-    case core::IgpKind::kDistanceVectorTagged: {
-      igp::DistanceVectorConfig config;
-      config.tagged_advertisements = true;
-      igp = std::make_unique<igp::DistanceVectorIgp>(simulator, network, d, config);
+    case core::IgpKind::kDistanceVectorTagged:
+      igp = std::make_unique<igp::DistanceVectorIgp>(simulator, network, d,
+                                                     /*tagged_advertisements=*/true);
       break;
-    }
   }
 
   const auto& routers_vec = network.topology().domain(d).routers;

@@ -37,9 +37,9 @@ std::vector<DomainId> Group::member_domains(const net::Topology& topo) const {
   return out;
 }
 
-AnycastService::AnycastService(net::Network& network, bgp::BgpSystem* bgp,
-                               std::function<igp::Igp*(net::DomainId)> igp_of)
-    : network_(network), bgp_(bgp), igp_of_(std::move(igp_of)) {}
+AnycastService::AnycastService(net::Network& network, bgp::BgpSystem& bgp,
+                               igp::IgpTable igps)
+    : network_(network), bgp_(bgp), igps_(igps) {}
 
 GroupId AnycastService::create_group(GroupConfig config) {
   const GroupId id{static_cast<std::uint32_t>(groups_.size())};
@@ -74,9 +74,7 @@ void AnycastService::add_member(GroupId group_id, NodeId router) {
 
   network_.add_local_address(router, group.address);
   const DomainId domain = network_.topology().router(router).domain;
-  if (igp::Igp* igp = igp_of_(domain)) {
-    igp->add_anycast_member(router, group.address);
-  }
+  igps_[domain.value()]->add_anycast_member(router, group.address);
   sync_bgp_origination(group, domain);
 }
 
@@ -86,9 +84,7 @@ void AnycastService::remove_member(GroupId group_id, NodeId router) {
 
   network_.remove_local_address(router, group.address);
   const DomainId domain = network_.topology().router(router).domain;
-  if (igp::Igp* igp = igp_of_(domain)) {
-    igp->remove_anycast_member(router, group.address);
-  }
+  igps_[domain.value()]->remove_anycast_member(router, group.address);
   sync_bgp_origination(group, domain);
 }
 
@@ -117,12 +113,11 @@ void AnycastService::stop_peering_advertisement(GroupId group_id,
 bool AnycastService::reaches_member(const Group& group, NodeId speaker) const {
   const auto& topo = network_.topology();
   const DomainId domain = topo.router(speaker).domain;
-  const igp::Igp* igp = igp_of_(domain);
+  const igp::Igp& igp = *igps_[domain.value()];
   for (const NodeId m : group.members) {
     const auto& router = topo.router(m);
     if (router.domain != domain || !router.up) continue;
-    if (speaker == m || igp == nullptr ||
-        igp->distance(speaker, m) != net::kInfiniteCost) {
+    if (speaker == m || igp.distance(speaker, m) != net::kInfiniteCost) {
       return true;
     }
   }
@@ -131,7 +126,6 @@ bool AnycastService::reaches_member(const Group& group, NodeId speaker) const {
 
 bool AnycastService::sync_bgp_origination(const Group& group, DomainId domain,
                                           bool force) {
-  if (bgp_ == nullptr) return false;
   const Prefix host_route = Prefix::host(group.address);
   bgp::OriginationPolicy policy;
   policy.anycast = true;
@@ -160,7 +154,7 @@ bool AnycastService::sync_bgp_origination(const Group& group, DomainId domain,
   }
 
   bool flipped_any = false;
-  for (const NodeId speaker : bgp_->speakers_of(domain)) {
+  for (const NodeId speaker : bgp_.speakers_of(domain)) {
     const bool should = allowed && reaches_member(group, speaker);
     bool& current = originating_[{group.id.value(), speaker.value()}];
     const bool flipped = current != should;
@@ -173,16 +167,15 @@ bool AnycastService::sync_bgp_origination(const Group& group, DomainId domain,
                          group.id.value(), speaker.value());
     }
     if (should) {
-      bgp_->originate(speaker, host_route, policy);
+      bgp_.originate(speaker, host_route, policy);
     } else {
-      bgp_->withdraw(speaker, host_route);
+      bgp_.withdraw(speaker, host_route);
     }
   }
   return flipped_any;
 }
 
 bool AnycastService::sync_reachability() {
-  if (bgp_ == nullptr) return false;
   bool changed = false;
   for (const Group& group : groups_) {
     for (const auto& domain : network_.topology().domains()) {

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <set>
 #include <vector>
@@ -69,10 +68,9 @@ struct Group {
 
 class AnycastService {
  public:
-  /// `network`, `bgp`, and the IGP accessor must outlive this object.
-  /// `bgp` may be null for single-domain experiments.
-  AnycastService(net::Network& network, bgp::BgpSystem* bgp,
-                 std::function<igp::Igp*(net::DomainId)> igp_of);
+  /// `network`, `bgp` and the IGPs must outlive this object. A member joins
+  /// its domain's IGP; BGP carries the group's inter-domain origination.
+  AnycastService(net::Network& network, bgp::BgpSystem& bgp, igp::IgpTable igps);
 
   /// Create a group and allocate its address. For kDefaultRoute the
   /// address comes from the default domain's block; for kGlobalRoutes from
@@ -131,8 +129,8 @@ class AnycastService {
   bool reaches_member(const Group& group, net::NodeId speaker) const;
 
   net::Network& network_;
-  bgp::BgpSystem* bgp_;
-  std::function<igp::Igp*(net::DomainId)> igp_of_;
+  bgp::BgpSystem& bgp_;
+  igp::IgpTable igps_;
   obs::Recorder* recorder_ = nullptr;
   std::vector<Group> groups_;
   /// Current origination state per (group, speaker), so the reachability

@@ -64,8 +64,8 @@ AsPath PathTable::prepend(DomainId head, const AsPath& tail) {
 }
 
 BgpSystem::BgpSystem(sim::Simulator& simulator, net::Network& network,
-                     std::function<const igp::Igp*(net::DomainId)> igp_of)
-    : simulator_(simulator), network_(network), igp_of_(std::move(igp_of)) {
+                     igp::IgpTable igps)
+    : simulator_(simulator), network_(network), igps_(igps) {
   const auto& topo = network_.topology();
   // Every border router is a speaker.
   speakers_.resize(topo.router_count());
@@ -317,10 +317,9 @@ bool BgpSystem::sync_sessions() {
   for (std::size_t si = 0; si < sessions_.size(); ++si) {
     Session& session = sessions_[si];
     if (!session.ibgp || session.local > session.remote) continue;  // once a pair
-    const igp::Igp* igp = igp_of_(speaker(session.local).domain);
+    const igp::Igp& igp = *igps_[speaker(session.local).domain.value()];
     const bool reachable =
-        igp == nullptr ||
-        igp->distance(session.local, session.remote) != net::kInfiniteCost;
+        igp.distance(session.local, session.remote) != net::kInfiniteCost;
     if (reachable == session.igp_reachable) continue;
     changed = true;
     session.igp_reachable = sessions_[session.reverse].igp_reachable = reachable;
@@ -620,15 +619,14 @@ std::optional<std::string> BgpSystem::rib_inconsistency() const {
 void BgpSystem::border_row(NodeId r, std::span<BorderHop> row) const {
   const auto& topo = network_.topology();
   const DomainId domain = topo.router(r).domain;
-  const igp::Igp* igp = igp_of_(domain);
+  const igp::Igp& igp = *igps_[domain.value()];
   const auto& fib = network_.fib(r);
   const auto& borders = speakers_of(domain);
   assert(row.size() == borders.size());
   for (std::size_t i = 0; i < borders.size(); ++i) {
     const NodeId border = borders[i];
     BorderHop& hop = row[i];
-    hop.distance =
-        r == border ? 0 : (igp ? igp->distance(r, border) : net::kInfiniteCost);
+    hop.distance = r == border ? 0 : igp.distance(r, border);
     const FibEntry* toward = fib.find(Prefix::host(topo.router(border).loopback));
     hop.via_igp = toward != nullptr && toward->origin == RouteOrigin::kIgp;
     hop.next_hop = hop.via_igp ? toward->next_hop : NodeId::invalid();

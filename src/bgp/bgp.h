@@ -43,11 +43,10 @@ struct InstallWant {
 
 class BgpSystem {
  public:
-  /// `network`, `simulator` and the IGP map must outlive this object.
-  /// `igp_of` maps each domain to its running IGP (used for hot-potato
-  /// distances at FIB-install time).
-  BgpSystem(sim::Simulator& simulator, net::Network& network,
-            std::function<const igp::Igp*(net::DomainId)> igp_of);
+  /// `network`, `simulator` and the IGPs must outlive this object. `igps`
+  /// gives hot-potato distances at FIB-install time and iBGP session
+  /// reachability.
+  BgpSystem(sim::Simulator& simulator, net::Network& network, igp::IgpTable igps);
 
   /// Create sessions and originate every domain's own prefix. Run the
   /// simulator afterwards to converge.
@@ -343,7 +342,7 @@ class BgpSystem {
 
   sim::Simulator& simulator_;
   net::Network& network_;
-  std::function<const igp::Igp*(net::DomainId)> igp_of_;
+  igp::IgpTable igps_;
   std::vector<Session> sessions_;
   /// Indexed by NodeId value; only border routers' entries are used.
   std::vector<SpeakerState> speakers_;

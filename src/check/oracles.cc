@@ -69,8 +69,7 @@ void check_igp_and_intradomain(const EvolvableInternet& internet,
   const auto& topo = internet.topology();
   const auto& network = internet.network();
   for (const auto& domain : topo.domains()) {
-    const auto* igp = internet.igp(domain.id);
-    if (igp == nullptr) continue;
+    const igp::Igp& igp = *internet.igp(domain.id);
     const Graph g = topo.domain_graph(domain.id);
     for (const NodeId u : domain.routers) {
       if (!topo.router(u).up) continue;
@@ -78,7 +77,7 @@ void check_igp_and_intradomain(const EvolvableInternet& internet,
       for (const NodeId v : domain.routers) {
         if (u == v || !topo.router(v).up) continue;
         const Cost expect = truth.distance_to(v);
-        const Cost got = igp->distance(u, v);
+        const Cost got = igp.distance(u, v);
         if (got != expect) {
           out.push_back({OracleKind::kIgpGroundTruth, 0,
                          "domain " + std::to_string(domain.id.value()) + " " +
@@ -425,8 +424,7 @@ void check_vnbone(const EvolvableInternet& internet, bool healthy,
   // member discovery works — two live members of one domain that the
   // usable intra-domain graph connects must share a bone component.
   for (const auto& domain : topo.domains()) {
-    const auto* igp = internet.igp(domain.id);
-    if (igp == nullptr || !igp->supports_member_discovery()) continue;
+    if (!internet.igp(domain.id)->supports_member_discovery()) continue;
     std::vector<NodeId> members;
     for (const NodeId r : domain.routers) {
       if (active_set.contains(r)) members.push_back(r);
@@ -620,10 +618,9 @@ vnbone::VnBone::VnRoute reference_vn_route(const VnBoneSnapshot& snapshot,
       finish_at(home, /*legacy=*/false);
       return result;
     }
-    const igp::Igp* igp = internet.igp(home_domain);
-    const auto [egress, egress_d] = closest(home_domain, [&](NodeId r) {
-      return igp ? igp->distance(r, home) : kInfiniteCost;
-    });
+    const igp::Igp& igp = *internet.igp(home_domain);
+    const auto [egress, egress_d] =
+        closest(home_domain, [&](NodeId r) { return igp.distance(r, home); });
     if (egress.valid() && egress_d != kInfiniteCost) finish_at(egress, true);
     return result;
   }

@@ -58,23 +58,21 @@ VnBoneBuild reference_vnbone_build(const core::EvolvableInternet& internet,
   }
 
   // ---- congruence evolution: adopt physical links between members ------
-  if (config.congruent_evolution) {
-    for (const auto& link : topo.links()) {
-      if (link.interdomain || !topo.link_usable(link.id)) continue;
-      if (active(link.a) && active(link.b)) {
-        add_link(link.a, link.b, link.cost, false, VirtualLink::Source::kCongruent);
-      }
+  for (const auto& link : topo.links()) {
+    if (link.interdomain || !topo.link_usable(link.id)) continue;
+    if (active(link.a) && active(link.b)) {
+      add_link(link.a, link.b, link.cost, false, VirtualLink::Source::kCongruent);
     }
   }
 
   // ---- intra-domain: k closest neighbors, then partition repair --------
   for (const DomainId domain : domains) {
     const auto members = active_routers_in(domain);
-    const igp::Igp* igp = internet.igp(domain);
-    if (members.size() < 2 || igp == nullptr) continue;
-    auto dist = [&](NodeId a, NodeId b) { return igp->distance(a, b); };
+    if (members.size() < 2) continue;
+    const igp::Igp& igp = *internet.igp(domain);
+    auto dist = [&](NodeId a, NodeId b) { return igp.distance(a, b); };
 
-    if (config.respect_discovery_limits && !igp->supports_member_discovery()) {
+    if (!igp.supports_member_discovery()) {
       // Footnote-3 fallback: each member, in NodeId order, tunnels to its
       // nearest earlier member.
       for (std::size_t i = 1; i < members.size(); ++i) {
@@ -160,12 +158,11 @@ VnBoneBuild reference_vnbone_build(const core::EvolvableInternet& internet,
       // Each side's active member closest (by IGP) to its end of the
       // peering link, ties to the lowest NodeId.
       auto closest_member = [&](DomainId domain, NodeId to) {
-        const igp::Igp* igp = internet.igp(domain);
+        const igp::Igp& igp = *internet.igp(domain);
         NodeId best = NodeId::invalid();
         Cost best_d = net::kInfiniteCost;
         for (const NodeId m : active_routers_in(domain)) {
-          const Cost d =
-              m == to ? 0 : (igp != nullptr ? igp->distance(m, to) : net::kInfiniteCost);
+          const Cost d = m == to ? 0 : igp.distance(m, to);
           if (d < best_d || (d == best_d && m < best)) {
             best = m;
             best_d = d;

@@ -17,48 +17,30 @@ const char* to_string(IgpKind kind) {
   return "?";
 }
 
-EvolvableInternet::EvolvableInternet(net::Topology topology, Options options)
-    : options_(options) {
+EvolvableInternet::EvolvableInternet(net::Topology topology, Options options) {
   network_ = std::make_unique<net::Network>(std::move(topology));
 
   const auto& topo = network_->topology();
   igps_.resize(topo.domain_count());
   for (const auto& domain : topo.domains()) {
-    switch (options_.igp) {
-      case IgpKind::kLinkState:
-        igps_[domain.id.value()] = std::make_unique<igp::LinkStateIgp>(
-            simulator_, *network_, domain.id);
-        break;
-      case IgpKind::kDistanceVector:
-      case IgpKind::kDistanceVectorTagged: {
-        auto config = options_.distance_vector;
-        config.tagged_advertisements =
-            options_.igp == IgpKind::kDistanceVectorTagged;
-        igps_[domain.id.value()] = std::make_unique<igp::DistanceVectorIgp>(
-            simulator_, *network_, domain.id, config);
-        break;
-      }
+    if (options.igp == IgpKind::kLinkState) {
+      igps_[domain.id.value()] =
+          std::make_unique<igp::LinkStateIgp>(simulator_, *network_, domain.id);
+    } else {
+      igps_[domain.id.value()] = std::make_unique<igp::DistanceVectorIgp>(
+          simulator_, *network_, domain.id,
+          options.igp == IgpKind::kDistanceVectorTagged, options.distance_vector);
     }
   }
 
-  bgp_ = std::make_unique<bgp::BgpSystem>(simulator_, *network_, igp_accessor());
-  anycast_ = std::make_unique<anycast::AnycastService>(*network_, bgp_.get(),
-                                                       igp_accessor());
-  vnbones_.push_back(std::make_unique<vnbone::VnBone>(
-      *network_, bgp_.get(), igp_accessor(), *anycast_, options_.vnbone));
-  host_stacks_.push_back(
-      std::make_unique<host::HostStack>(*network_, *vnbones_.front()));
-}
-
-std::function<igp::Igp*(DomainId)> EvolvableInternet::igp_accessor() {
-  return [this](DomainId d) -> igp::Igp* {
-    return d.value() < igps_.size() ? igps_[d.value()].get() : nullptr;
-  };
+  bgp_ = std::make_unique<bgp::BgpSystem>(simulator_, *network_, igps_);
+  anycast_ = std::make_unique<anycast::AnycastService>(*network_, *bgp_, igps_);
+  add_generation(options.vnbone);
 }
 
 std::size_t EvolvableInternet::add_generation(vnbone::VnBoneConfig config) {
-  vnbones_.push_back(std::make_unique<vnbone::VnBone>(
-      *network_, bgp_.get(), igp_accessor(), *anycast_, config));
+  vnbones_.push_back(
+      std::make_unique<vnbone::VnBone>(*network_, *bgp_, igps_, *anycast_, config));
   host_stacks_.push_back(
       std::make_unique<host::HostStack>(*network_, *vnbones_.back()));
   vnbones_.back()->set_recorder(recorder_);
@@ -71,9 +53,7 @@ void EvolvableInternet::set_recorder(obs::Recorder* recorder) {
   network_->set_recorder(recorder);
   bgp_->set_recorder(recorder);
   anycast_->set_recorder(recorder);
-  for (auto& igp : igps_) {
-    if (igp) igp->set_recorder(recorder);
-  }
+  for (auto& igp : igps_) igp->set_recorder(recorder);
   for (auto& vnbone : vnbones_) vnbone->set_recorder(recorder);
 }
 
@@ -81,8 +61,7 @@ void EvolvableInternet::open_igp_episode(DomainId domain) {
   if (recorder_ == nullptr) return;
   auto& episode = igp_episodes_[domain.value()];
   if (episode.span.valid()) return;  // already reconverging: coalesce
-  const auto* igp = igps_[domain.value()].get();
-  episode.messages_at_open = igp != nullptr ? igp->messages_sent() : 0;
+  episode.messages_at_open = igps_[domain.value()]->messages_sent();
   episode.span =
       recorder_->open_span(obs::Domain::kIgp, "igp.reconvergence", domain.value());
 }
@@ -98,9 +77,8 @@ void EvolvableInternet::close_episodes() {
   if (recorder_ == nullptr) return;
   for (auto& [domain, episode] : igp_episodes_) {
     if (!episode.span.valid()) continue;
-    const auto* igp = igps_[domain].get();
-    const std::uint64_t sent = igp != nullptr ? igp->messages_sent() : 0;
-    recorder_->close_span(episode.span, sent - episode.messages_at_open);
+    recorder_->close_span(episode.span,
+                          igps_[domain]->messages_sent() - episode.messages_at_open);
     episode.span = obs::SpanId{};
   }
   if (bgp_episode_.span.valid()) {
@@ -113,9 +91,7 @@ void EvolvableInternet::close_episodes() {
 void EvolvableInternet::start() {
   assert(!started_);
   started_ = true;
-  for (auto& igp : igps_) {
-    if (igp) igp->start();
-  }
+  for (auto& igp : igps_) igp->start();
   bgp_->start();
   converge();
 }
@@ -148,7 +124,7 @@ void EvolvableInternet::notify_link_change(LinkId link) {
   } else {
     const DomainId domain = network_->topology().router(l.a).domain;
     open_igp_episode(domain);
-    if (auto* igp = igps_[domain.value()].get()) igp->on_link_change(link);
+    igps_[domain.value()]->on_link_change(link);
   }
 }
 

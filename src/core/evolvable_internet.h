@@ -4,7 +4,6 @@
 // partial, incentive-driven rollout of IPvN (assumptions A1-A4).
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -30,7 +29,9 @@ enum class IgpKind : std::uint8_t {
 const char* to_string(IgpKind kind);
 
 struct Options {
+  /// Every domain runs one IGP of this kind.
   IgpKind igp = IgpKind::kLinkState;
+  /// Read only by the distance-vector kinds.
   igp::DistanceVectorConfig distance_vector{};
   vnbone::VnBoneConfig vnbone{};
 };
@@ -112,7 +113,6 @@ class EvolvableInternet {
   const vnbone::VnBone& vnbone() const { return *vnbones_.front(); }
   host::HostStack& hosts() { return *host_stacks_.front(); }
   const host::HostStack& hosts() const { return *host_stacks_.front(); }
-  const Options& options() const { return options_; }
 
   /// Attach (or detach, with nullptr) a telemetry recorder to every
   /// component: simulator queue, FIB compiler, IGPs, BGP, anycast, and all
@@ -123,10 +123,6 @@ class EvolvableInternet {
   obs::Recorder* recorder() { return recorder_; }
 
  private:
-  /// The IGP lookup handed to BGP, anycast and every vN-Bone: nullptr for
-  /// a domain outside the topology.
-  std::function<igp::Igp*(net::DomainId)> igp_accessor();
-
   /// Route a link-state change to the protocol that owns the link.
   void notify_link_change(net::LinkId link);
 
@@ -146,10 +142,9 @@ class EvolvableInternet {
   /// routes are installed, every vN-Bone rebuilt and the episodes closed.
   void schedule_control_sync();
 
-  Options options_;
   sim::Simulator simulator_;
   std::unique_ptr<net::Network> network_;
-  std::vector<std::unique_ptr<igp::Igp>> igps_;  // indexed by DomainId
+  std::vector<std::unique_ptr<igp::Igp>> igps_;  // one per domain: an igp::IgpTable
   std::unique_ptr<bgp::BgpSystem> bgp_;
   std::unique_ptr<anycast::AnycastService> anycast_;
   std::vector<std::unique_ptr<vnbone::VnBone>> vnbones_;

@@ -15,8 +15,13 @@ using net::Prefix;
 using net::RouteOrigin;
 
 DistanceVectorIgp::DistanceVectorIgp(sim::Simulator& simulator, net::Network& network,
-                                     DomainId domain, DistanceVectorConfig config)
-    : simulator_(simulator), network_(network), domain_(domain), config_(config) {
+                                     DomainId domain, bool tagged_advertisements,
+                                     DistanceVectorConfig config)
+    : simulator_(simulator),
+      network_(network),
+      domain_(domain),
+      tagged_advertisements_(tagged_advertisements),
+      config_(config) {
   for (const NodeId node : network_.topology().domain(domain_).routers) {
     states_.emplace(node.value(), RouterState{});
   }
@@ -39,7 +44,6 @@ void DistanceVectorIgp::start() {
   for (const NodeId node : network_.topology().domain(domain_).routers) {
     originate_local(node);
     schedule_triggered(node);
-    if (config_.periodic_interval > sim::Duration::zero()) schedule_periodic(node);
   }
 }
 
@@ -53,7 +57,7 @@ void DistanceVectorIgp::originate_local(NodeId router) {
     route.out_link = LinkId::invalid();
     route.anycast = anycast;
     route.changed = true;
-    if (config_.tagged_advertisements && p == Prefix::host(r.loopback)) {
+    if (tagged_advertisements_ && p == Prefix::host(r.loopback)) {
       route.tags = st.memberships;
     }
     st.table[p] = route;
@@ -95,7 +99,7 @@ void DistanceVectorIgp::remove_anycast_member(NodeId router, Ipv4Addr anycast) {
 
 std::vector<NodeId> DistanceVectorIgp::discovered_members(NodeId viewpoint,
                                                           Ipv4Addr anycast) const {
-  if (!config_.tagged_advertisements) return {};
+  if (!tagged_advertisements_) return {};
   const auto& st = state(viewpoint);
   std::vector<NodeId> members;
   for (const auto& [prefix, route] : st.table) {
@@ -167,19 +171,18 @@ std::vector<DistanceVectorIgp::AdvertisedRoute> DistanceVectorIgp::routes_for(
   return out;
 }
 
-void DistanceVectorIgp::send_update(NodeId router, bool full) {
+void DistanceVectorIgp::send_update(NodeId router) {
   auto& st = state(router);
   const auto& topo = network_.topology();
   if (recorder_ != nullptr) {
-    recorder_->instant(obs::Domain::kIgp,
-                       full ? "igp.dv.full_update" : "igp.dv.update",
-                       domain_.value(), router.value());
+    recorder_->instant(obs::Domain::kIgp, "igp.dv.update", domain_.value(),
+                       router.value());
   }
   for (const LinkId link_id : topo.router(router).links) {
     const auto& link = topo.link(link_id);
     if (link.interdomain || !topo.link_usable(link_id)) continue;
     const NodeId neighbor = link.other_end(router);
-    auto routes = routes_for(st, neighbor, full);
+    auto routes = routes_for(st, neighbor, /*full=*/false);
     if (routes.empty()) continue;
     ++messages_sent_;
     simulator_.schedule_after(
@@ -299,14 +302,7 @@ void DistanceVectorIgp::schedule_triggered(NodeId router) {
   st.update_pending = true;
   simulator_.schedule_after(kTriggeredDelay, [this, router] {
     state(router).update_pending = false;
-    send_update(router, /*full=*/false);
-  });
-}
-
-void DistanceVectorIgp::schedule_periodic(NodeId router) {
-  simulator_.schedule_after(config_.periodic_interval, [this, router] {
-    send_update(router, /*full=*/true);
-    schedule_periodic(router);
+    send_update(router);
   });
 }
 

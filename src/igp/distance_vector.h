@@ -4,13 +4,13 @@
 // standard Bellman-Ford dynamics then give every router a next hop to its
 // closest member. Plain distance-vector cannot enumerate members ("unlike
 // link-state routing, an IPvN router cannot easily identify other IPvN
-// routers"); the optional tagged mode implements the paper's alternative
-// of listing anycast addresses on the router's own unicast advertisement,
-// restoring discovery.
+// routers"); the tagged mode implements the paper's alternative of listing
+// anycast addresses on the router's own unicast advertisement, restoring
+// discovery.
 //
-// Updates are triggered (debounced); on route loss a router issues a
+// Updates are triggered (debounced) only; on route loss a router issues a
 // RIP-style full-table request to its neighbors so triggered-only
-// operation still converges. Periodic refreshes are optional.
+// operation still converges.
 #pragma once
 
 #include <cstdint>
@@ -28,11 +28,11 @@ namespace evo::igp {
 /// Debounce between a table change and the triggered update it sends.
 inline constexpr sim::Duration kTriggeredDelay = sim::Duration::millis(10);
 
+/// Protocol constants. Whether advertisements carry member tags is a
+/// constructor argument, because it is the IGP's kind (core::IgpKind).
 struct DistanceVectorConfig {
   /// Metric treated as unreachable (count-to-infinity bound).
   net::Cost infinity = 256;
-  /// Period for full-table refreshes; zero disables them (triggered-only).
-  sim::Duration periodic_interval = sim::Duration::zero();
   /// Split horizon with poisoned reverse. Fault-injection backdoor: when
   /// false, routes are advertised back to the neighbor they were learned
   /// from at their real metric (no split horizon at all), which re-enables
@@ -40,24 +40,23 @@ struct DistanceVectorConfig {
   /// fuzz harness can prove its convergence-budget oracle catches exactly
   /// that.
   bool split_horizon = true;
-  /// The paper's "explicitly listing its anycast address" variant: the
-  /// router's own loopback advertisement carries its anycast memberships,
-  /// making member discovery possible over distance-vector.
-  bool tagged_advertisements = false;
 };
 
 class DistanceVectorIgp final : public Igp {
  public:
+  /// `tagged_advertisements` selects the paper's "explicitly listing its
+  /// anycast address" variant: the router's own loopback advertisement
+  /// carries its anycast memberships, making member discovery possible
+  /// over distance-vector.
   DistanceVectorIgp(sim::Simulator& simulator, net::Network& network,
-                    net::DomainId domain, DistanceVectorConfig config = {});
+                    net::DomainId domain, bool tagged_advertisements = false,
+                    DistanceVectorConfig config = {});
 
   net::DomainId domain() const override { return domain_; }
   void start() override;
   void add_anycast_member(net::NodeId router, net::Ipv4Addr anycast) override;
   void remove_anycast_member(net::NodeId router, net::Ipv4Addr anycast) override;
-  bool supports_member_discovery() const override {
-    return config_.tagged_advertisements;
-  }
+  bool supports_member_discovery() const override { return tagged_advertisements_; }
   std::vector<net::NodeId> discovered_members(net::NodeId viewpoint,
                                               net::Ipv4Addr anycast) const override;
   net::Cost distance(net::NodeId from, net::NodeId to) const override;
@@ -94,9 +93,9 @@ class DistanceVectorIgp final : public Igp {
   /// Install self-originated routes (loopback, subnet, memberships).
   void originate_local(net::NodeId router);
 
-  /// Send (changed-only or full) routes to every up neighbor, honoring
-  /// split horizon / poisoned reverse; clears changed flags.
-  void send_update(net::NodeId router, bool full);
+  /// Send changed routes to every up neighbor, honoring split horizon /
+  /// poisoned reverse; clears changed flags.
+  void send_update(net::NodeId router);
 
   /// Send a full-table update to one neighbor (response to a request or a
   /// link-up event).
@@ -110,7 +109,6 @@ class DistanceVectorIgp final : public Igp {
   void request_full_tables(net::NodeId router);
 
   void schedule_triggered(net::NodeId router);
-  void schedule_periodic(net::NodeId router);
 
   /// Re-sync `router`'s FIB from its DV table.
   void install_fib(net::NodeId router);
@@ -122,6 +120,7 @@ class DistanceVectorIgp final : public Igp {
   sim::Simulator& simulator_;
   net::Network& network_;
   net::DomainId domain_;
+  bool tagged_advertisements_;
   DistanceVectorConfig config_;
   std::unordered_map<std::uint32_t, RouterState> states_;
   std::uint64_t messages_sent_ = 0;

@@ -12,6 +12,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "net/address.h"
@@ -73,5 +75,9 @@ class Igp {
  protected:
   obs::Recorder* recorder_ = nullptr;
 };
+
+/// Every domain's one IGP, indexed by DomainId value. BGP, the anycast
+/// service and each vN-Bone read their domains' IGPs through it.
+using IgpTable = std::span<const std::unique_ptr<Igp>>;
 
 }  // namespace evo::igp

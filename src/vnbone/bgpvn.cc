@@ -10,8 +10,8 @@ using net::DomainId;
 using net::NodeId;
 
 BgpVn::BgpVn(sim::Simulator& simulator, const net::Network& network,
-             const VnBone& bone, BgpVnConfig config)
-    : simulator_(simulator), network_(network), bone_(bone), config_(config) {}
+             const VnBone& bone)
+    : simulator_(simulator), network_(network), bone_(bone) {}
 
 void BgpVn::restart() {
   speakers_.clear();
@@ -56,20 +56,18 @@ void BgpVn::restart() {
     st.rib_in[{{d, true}, d}] = native;
     decide(d, {d, true});
 
-    if (config_.proxy_advertising) {
-      for (const auto& legacy : topo.domains()) {
-        if (bone_.domain_deployed(legacy.id)) continue;
-        const Cost dist = bone_.legacy_path_length(d, legacy.id);
-        if (dist == net::kInfiniteCost) continue;
-        VnRoute proxy;
-        proxy.target = legacy.id;
-        proxy.vn_path = {d};
-        proxy.legacy_distance = dist;
-        proxy.native = false;
-        st.originated[{legacy.id, false}] = proxy;
-        st.rib_in[{{legacy.id, false}, d}] = proxy;
-        decide(d, {legacy.id, false});
-      }
+    for (const auto& legacy : topo.domains()) {
+      if (bone_.domain_deployed(legacy.id)) continue;
+      const Cost dist = bone_.legacy_path_length(d, legacy.id);
+      if (dist == net::kInfiniteCost) continue;
+      VnRoute proxy;
+      proxy.target = legacy.id;
+      proxy.vn_path = {d};
+      proxy.legacy_distance = dist;
+      proxy.native = false;
+      st.originated[{legacy.id, false}] = proxy;
+      st.rib_in[{{legacy.id, false}, d}] = proxy;
+      decide(d, {legacy.id, false});
     }
   }
 }

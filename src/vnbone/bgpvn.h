@@ -30,11 +30,6 @@
 
 namespace evo::vnbone {
 
-struct BgpVnConfig {
-  /// Originate proxy routes for reachable legacy domains (Figure 4).
-  bool proxy_advertising = true;
-};
-
 /// Debounce between a vN-RIB change and the UPDATEs it triggers.
 inline constexpr sim::Duration kVnUpdateDelay = sim::Duration::millis(5);
 
@@ -54,11 +49,10 @@ class BgpVn {
   /// References must outlive this object. `bone` provides the session
   /// graph (its inter-domain virtual links) and the legacy-distance
   /// inputs; `network` provides tunnel latencies.
-  BgpVn(sim::Simulator& simulator, const net::Network& network, const VnBone& bone,
-        BgpVnConfig config = {});
+  BgpVn(sim::Simulator& simulator, const net::Network& network, const VnBone& bone);
 
   /// Rebuild sessions from the bone's current inter-domain tunnels,
-  /// originate native (and proxy) routes, and start exchanging UPDATEs.
+  /// originate native and proxy routes, and start exchanging UPDATEs.
   /// Run the simulator to converge; safe to call again after deployment
   /// changes (state is rebuilt from scratch).
   void restart();
@@ -111,7 +105,6 @@ class BgpVn {
   sim::Simulator& simulator_;
   const net::Network& network_;
   const VnBone& bone_;
-  BgpVnConfig config_;
   std::map<net::DomainId, SpeakerState> speakers_;
   std::uint64_t messages_sent_ = 0;
   sim::TimePoint restarted_at_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 #include <limits>
 #include <numeric>
 #include <ranges>
@@ -41,12 +40,12 @@ const char* to_string(VirtualLink::Source source) {
   return "?";
 }
 
-VnBone::VnBone(net::Network& network, bgp::BgpSystem* bgp,
-               std::function<igp::Igp*(net::DomainId)> igp_of,
-               anycast::AnycastService& anycast_service, VnBoneConfig config)
+VnBone::VnBone(const net::Network& network, const bgp::BgpSystem& bgp,
+               igp::IgpTable igps, anycast::AnycastService& anycast_service,
+               VnBoneConfig config)
     : network_(network),
       bgp_(bgp),
-      igp_of_(std::move(igp_of)),
+      igps_(igps),
       anycast_(anycast_service),
       config_(config) {}
 
@@ -284,8 +283,7 @@ void VnBone::build_links() {
   endpoints_.resize(topo.router_count());
   for (const DomainId domain : domains) {
     DomainLinks& cached = domain_links_[domain.value()];
-    const igp::Igp* igp = igp_of_(domain);
-    const std::uint64_t epoch = igp != nullptr ? igp->epoch() : 0;
+    const std::uint64_t epoch = igps_[domain.value()]->epoch();
     auto members = deployed_routers_in(domain) |
                    std::views::filter([&](NodeId r) { return topo.router(r).up; });
     if (cached.view == 0 || cached.igp_epoch != epoch ||
@@ -338,12 +336,10 @@ void VnBone::build_links() {
   }
 
   // ---- congruence evolution: adopt physical links between members ------
-  if (config_.congruent_evolution) {
-    for (const auto& link : topo.links()) {
-      if (link.interdomain || !topo.link_usable(link.id)) continue;
-      if (active(link.a) && active(link.b)) {
-        add_seed(link.a, link.b, link.cost, VirtualLink::Source::kCongruent);
-      }
+  for (const auto& link : topo.links()) {
+    if (link.interdomain || !topo.link_usable(link.id)) continue;
+    if (active(link.a) && active(link.b)) {
+      add_seed(link.a, link.b, link.cost, VirtualLink::Source::kCongruent);
     }
   }
 
@@ -371,12 +367,11 @@ void VnBone::build_links() {
     };
 
     const auto& members = cached.members;
-    igp::Igp* igp = igp_of_(domain);
-    if (members.size() < 2 || igp == nullptr) continue;
+    if (members.size() < 2) continue;
+    const igp::Igp& igp = *igps_[domain.value()];
+    auto dist = [&](NodeId a, NodeId b) { return igp.distance(a, b); };
 
-    auto dist = [&](NodeId a, NodeId b) { return igp->distance(a, b); };
-
-    if (config_.respect_discovery_limits && !igp->supports_member_discovery()) {
+    if (!igp.supports_member_discovery()) {
       // Footnote-3 fallback: no member enumeration, so no k-closest rule.
       // Each member (in join order) anycasts to find its nearest existing
       // member and tunnels to it — a connected tree by construction.
@@ -457,10 +452,9 @@ void VnBone::build_links() {
     Endpoint& end = endpoints_[to.value()];
     const std::uint64_t view = domain_links_[domain.value()].view;
     if (end.view == view) return end;
-    igp::Igp* igp = igp_of_(domain);
-    const auto [member, cost] = closest_active(domain, [&](NodeId m) {
-      return (m == to) ? 0 : (igp ? igp->distance(m, to) : net::kInfiniteCost);
-    });
+    const igp::Igp& igp = *igps_[domain.value()];
+    const auto [member, cost] = closest_active(
+        domain, [&](NodeId m) { return m == to ? 0 : igp.distance(m, to); });
     end = Endpoint{view, member, cost};
     return end;
   };
@@ -677,7 +671,7 @@ Graph VnBone::virtual_graph() const {
 std::span<VnBone::LegacyRoute> VnBone::legacy_column(DomainId target) const {
   const std::size_t domains = network_.topology().domain_count();
   assert(target.value() < domains);
-  const std::uint64_t epoch = bgp_ == nullptr ? 0 : bgp_->loc_rib_epoch();
+  const std::uint64_t epoch = bgp_.loc_rib_epoch();
   if (legacy_epoch_ != epoch || legacy_routes_.size() != domains) {
     legacy_routes_.assign(domains, {});
     legacy_epoch_ = epoch;
@@ -702,13 +696,12 @@ void VnBone::fill_legacy_route(LegacyRoute& entry, DomainId domain,
     entry.length = 0;
     return;
   }
-  if (bgp_ == nullptr) return;
   // The shortest AS path among the domain's borders; the first border
   // holding it wins ties.
   const Prefix prefix = net::Topology::domain_prefix(target);
   const bgp::Route* best = nullptr;
-  for (const NodeId b : bgp_->speakers_of(domain)) {
-    const bgp::Route* route = bgp_->best_route(b, prefix);
+  for (const NodeId b : bgp_.speakers_of(domain)) {
+    const bgp::Route* route = bgp_.best_route(b, prefix);
     if (route != nullptr &&
         (best == nullptr || route->as_path.size() < best->as_path.size())) {
       best = route;
@@ -732,8 +725,7 @@ Cost VnBone::legacy_path_length(DomainId domain, DomainId target) const {
 }
 
 bgp::AsPath VnBone::legacy_path(DomainId domain, DomainId target) const {
-  const bgp::AsPath::Id path = legacy_route(domain, target).path;
-  return bgp_ == nullptr ? bgp::AsPath{} : bgp_->paths().get(path);
+  return bgp_.paths().get(legacy_route(domain, target).path);
 }
 
 VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
@@ -777,10 +769,9 @@ VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
       finish_at(home, /*legacy=*/false);
       return result;
     }
-    igp::Igp* igp = igp_of_(home_domain);
-    const auto [egress, egress_d] = closest_active(home_domain, [&](NodeId r) {
-      return igp ? igp->distance(r, home) : net::kInfiniteCost;
-    });
+    const igp::Igp& igp = *igps_[home_domain.value()];
+    const auto [egress, egress_d] =
+        closest_active(home_domain, [&](NodeId r) { return igp.distance(r, home); });
     if (egress_d != net::kInfiniteCost) finish_at(egress, /*legacy=*/true);
     return result;
   }
@@ -861,22 +852,6 @@ VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
     }
   }
   return result;
-}
-
-std::size_t VnBone::vn_rib_size(NodeId router) const {
-  if (!deployed(router)) return 0;
-  const auto domains = deployed_domains();
-  std::size_t size = domains.size();  // native vN prefixes
-  if (config_.egress_mode == EgressMode::kProxyAdvertising && bgp_ != nullptr) {
-    // One proxy entry per (deployed domain, reachable legacy domain).
-    for (const DomainId d : domains) {
-      for (const auto& target : network_.topology().domains()) {
-        if (domain_deployed(target.id)) continue;
-        if (legacy_path_length(d, target.id) != net::kInfiniteCost) ++size;
-      }
-    }
-  }
-  return size;
 }
 
 }  // namespace evo::vnbone

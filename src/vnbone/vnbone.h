@@ -6,9 +6,19 @@
 // group, so encapsulated IPvN packets reach the vN-Bone from anywhere
 // (universal access). The virtual topology is built per the paper:
 //
+//   congruence:    every physical intra-domain link whose both ends are
+//                  deployed becomes a virtual link ("as deployment
+//                  spreads, the vN-Bone topology should evolve to be
+//                  congruent with the underlying physical topology"), so
+//                  at full deployment the bone *is* the physical topology;
 //   intra-domain:  every IPvN router picks its k closest IPvN routers
 //                  (IGP distance) as vN-Bone neighbors; partitions are
-//                  detected and repaired using the members' complete view;
+//                  detected and repaired using the members' complete view.
+//                  In a domain whose IGP cannot enumerate anycast members
+//                  (plain distance-vector, footnotes 2-3) that rule is
+//                  unavailable: each member, in join order, tunnels to the
+//                  nearest earlier member the anycast mechanism finds for
+//                  it, which yields a tree;
 //   inter-domain:  tunnels follow peering policy (one per peering between
 //                  deployed domains); a newly joined ISP with no deployed
 //                  neighbor bootstraps through the anycast mechanism; and
@@ -23,7 +33,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -67,26 +76,15 @@ const char* to_string(EgressMode mode);
 /// candidates against vN-Bone underlay costs (proxy advertising only).
 inline constexpr net::Cost kAsHopWeight = 5;
 
+/// One deployment's settings. The construction rules in the file comment
+/// (congruence, k closest or the discovery-limited tree, peerings, the
+/// anycast bootstrap) always apply.
 struct VnBoneConfig {
   /// The IP version being deployed (e.g. 8 for the paper's "IPv8").
   std::uint8_t version = 8;
   /// Intra-domain virtual degree: each router's k closest IPvN routers.
   std::uint32_t k_neighbors = 2;
   EgressMode egress_mode = EgressMode::kProxyAdvertising;
-  /// §3.3.1: "as deployment spreads, the vN-Bone topology should evolve
-  /// to be congruent with the underlying physical topology." When set,
-  /// every physical intra-domain link whose both endpoints are deployed
-  /// becomes a virtual link, so at full deployment the bone *is* the
-  /// physical topology (no overlay stretch).
-  bool congruent_evolution = true;
-  /// Honor IGP capability limits (paper footnotes 2-3): in a domain whose
-  /// IGP cannot enumerate anycast members (plain distance-vector), the
-  /// k-closest rule is unavailable — construction falls back to "explicit
-  /// neighbor discovery leveraging anycast for the initial bootstrap":
-  /// each member tunnels to the member the anycast mechanism finds for
-  /// it, yielding a join-order tree (plus congruent links, which need only
-  /// local knowledge). Set false to grant every IGP full discovery.
-  bool respect_discovery_limits = true;
   /// Anycast deployment option for the group serving this vN-Bone.
   anycast::InterDomainMode anycast_mode = anycast::InterDomainMode::kDefaultRoute;
 };
@@ -114,10 +112,10 @@ const char* to_string(VirtualLink::Source source);
 
 class VnBone {
  public:
-  /// `bgp` may be null only for single-domain setups. All references must
-  /// outlive this object.
-  VnBone(net::Network& network, bgp::BgpSystem* bgp,
-         std::function<igp::Igp*(net::DomainId)> igp_of,
+  /// All references and the IGPs must outlive this object. The bone reads
+  /// the network, BGP and the IGPs; it writes only its anycast group's
+  /// membership, through `anycast_service`.
+  VnBone(const net::Network& network, const bgp::BgpSystem& bgp, igp::IgpTable igps,
          anycast::AnycastService& anycast_service, VnBoneConfig config = {});
 
   const VnBoneConfig& config() const { return config_; }
@@ -241,11 +239,6 @@ class VnBone {
   std::optional<net::NodeId> endhost_route(net::IpvNAddr self_addr) const;
   std::size_t endhost_route_count() const { return endhost_routes_.size(); }
 
-  /// Modeled BGPvN RIB size at a deployed router: one entry per deployed
-  /// domain (native prefixes) plus, under proxy advertising, one entry per
-  /// (advertising domain, legacy domain) pair.
-  std::size_t vn_rib_size(net::NodeId router) const;
-
  private:
   /// Shortest-path tree over the compiled bone from one member, indexed by
   /// member index (predecessor kNoMember at the root). A resumable search:
@@ -332,9 +325,9 @@ class VnBone {
   [[gnu::noinline]] void fill_legacy_route(LegacyRoute& entry, net::DomainId domain,
                                            net::DomainId target) const;
 
-  net::Network& network_;
-  bgp::BgpSystem* bgp_;
-  std::function<igp::Igp*(net::DomainId)> igp_of_;
+  const net::Network& network_;
+  const bgp::BgpSystem& bgp_;
+  igp::IgpTable igps_;
   anycast::AnycastService& anycast_;
   obs::Recorder* recorder_ = nullptr;
   VnBoneConfig config_;
@@ -369,7 +362,7 @@ class VnBone {
   mutable std::vector<Tree> trees_;
   mutable std::uint32_t trees_in_use_ = 0;
 
-  // Legacy routes by [target][domain], keyed on bgp_->loc_rib_epoch(); a
+  // Legacy routes by [target][domain], keyed on bgp_.loc_rib_epoch(); a
   // target's column is allocated on its first query in an epoch.
   mutable std::vector<std::vector<LegacyRoute>> legacy_routes_;
   mutable std::uint64_t legacy_epoch_ = 0;

@@ -23,12 +23,8 @@ struct Fixture {
       igps.push_back(
           std::make_unique<igp::LinkStateIgp>(simulator, network, domain.id));
     }
-    bgp = std::make_unique<bgp::BgpSystem>(
-        simulator, network,
-        [this](DomainId d) -> const igp::Igp* { return igps[d.value()].get(); });
-    service = std::make_unique<AnycastService>(
-        network, bgp.get(),
-        [this](DomainId d) -> igp::Igp* { return igps[d.value()].get(); });
+    bgp = std::make_unique<bgp::BgpSystem>(simulator, network, igps);
+    service = std::make_unique<AnycastService>(network, *bgp, igps);
   }
 
   void start() {
@@ -44,7 +40,7 @@ struct Fixture {
 
   sim::Simulator simulator;
   net::Network network;
-  std::vector<std::unique_ptr<igp::LinkStateIgp>> igps;
+  std::vector<std::unique_ptr<igp::Igp>> igps;
   std::unique_ptr<bgp::BgpSystem> bgp;
   std::unique_ptr<AnycastService> service;
 };

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "igp/link_state.h"
 #include "net/topology_gen.h"
@@ -13,12 +14,14 @@ namespace {
 using net::DomainId;
 using net::NodeId;
 
-/// Single-domain fixture: link-state IGP only, no BGP.
+/// Single-domain fixture: a link-state IGP, and a BGP with no border
+/// routers, so no group is ever originated.
 struct Fixture {
   explicit Fixture(net::Topology topo) : network(std::move(topo)) {
-    igp = std::make_unique<igp::LinkStateIgp>(simulator, network, DomainId{0});
-    service = std::make_unique<AnycastService>(
-        network, nullptr, [this](DomainId) -> igp::Igp* { return igp.get(); });
+    igps.push_back(
+        std::make_unique<igp::LinkStateIgp>(simulator, network, DomainId{0}));
+    bgp = std::make_unique<bgp::BgpSystem>(simulator, network, igps);
+    service = std::make_unique<AnycastService>(network, *bgp, igps);
   }
 
   net::GroupId make_group() {
@@ -30,7 +33,7 @@ struct Fixture {
 
   void converge() {
     if (!started_) {
-      igp->start();
+      igps.front()->start();
       started_ = true;
     }
     simulator.run();
@@ -38,7 +41,8 @@ struct Fixture {
 
   sim::Simulator simulator;
   net::Network network;
-  std::unique_ptr<igp::LinkStateIgp> igp;
+  std::vector<std::unique_ptr<igp::Igp>> igps;
+  std::unique_ptr<bgp::BgpSystem> bgp;
   std::unique_ptr<AnycastService> service;
   bool started_ = false;
 };

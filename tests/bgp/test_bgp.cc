@@ -24,9 +24,7 @@ struct Fixture {
       igps.push_back(std::make_unique<igp::LinkStateIgp>(simulator, network,
                                                          domain.id));
     }
-    bgp = std::make_unique<BgpSystem>(
-        simulator, network,
-        [this](DomainId d) -> const igp::Igp* { return igps[d.value()].get(); });
+    bgp = std::make_unique<BgpSystem>(simulator, network, igps);
   }
 
   void start_and_converge() {
@@ -43,7 +41,7 @@ struct Fixture {
 
   sim::Simulator simulator;
   net::Network network;
-  std::vector<std::unique_ptr<igp::LinkStateIgp>> igps;
+  std::vector<std::unique_ptr<igp::Igp>> igps;
   std::unique_ptr<BgpSystem> bgp;
 };
 

@@ -32,9 +32,7 @@ struct Chain {
       igps.push_back(
           std::make_unique<igp::LinkStateIgp>(simulator, *network, d.id));
     }
-    bgp = std::make_unique<BgpSystem>(
-        simulator, *network,
-        [this](DomainId d) -> const igp::Igp* { return igps[d.value()].get(); });
+    bgp = std::make_unique<BgpSystem>(simulator, *network, igps);
     for (auto& i : igps) i->start();
     bgp->start();
     simulator.run();
@@ -50,7 +48,7 @@ struct Chain {
   std::vector<NodeId> routers;
   sim::Simulator simulator;
   std::unique_ptr<net::Network> network;
-  std::vector<std::unique_ptr<igp::LinkStateIgp>> igps;
+  std::vector<std::unique_ptr<igp::Igp>> igps;
   std::unique_ptr<BgpSystem> bgp;
 };
 
@@ -138,13 +136,11 @@ TEST(ScopedPropagation, SurvivesIbgpDistribution) {
 
   sim::Simulator simulator;
   net::Network network(std::move(topo));
-  std::vector<std::unique_ptr<igp::LinkStateIgp>> igps;
+  std::vector<std::unique_ptr<igp::Igp>> igps;
   for (const auto& d : network.topology().domains()) {
     igps.push_back(std::make_unique<igp::LinkStateIgp>(simulator, network, d.id));
   }
-  BgpSystem bgp(simulator, network, [&](DomainId d) -> const igp::Igp* {
-    return igps[d.value()].get();
-  });
+  BgpSystem bgp(simulator, network, igps);
   for (auto& i : igps) i->start();
   bgp.start();
   simulator.run();

@@ -75,13 +75,10 @@ class AnycastExtensionTest : public testing::TestWithParam<Param> {
         igp_ = std::make_unique<DistanceVectorIgp>(simulator_, *network_,
                                                    DomainId{0});
         break;
-      case Proto::kDistanceVectorTagged: {
-        DistanceVectorConfig config;
-        config.tagged_advertisements = true;
+      case Proto::kDistanceVectorTagged:
         igp_ = std::make_unique<DistanceVectorIgp>(simulator_, *network_, DomainId{0},
-                                                   config);
+                                                   /*tagged_advertisements=*/true);
         break;
-      }
     }
   }
 

@@ -19,9 +19,10 @@ NodeId next_hop(const net::Network& network, NodeId from, NodeId to) {
 }
 
 struct Fixture {
-  explicit Fixture(net::Topology topo, DistanceVectorConfig config = {})
+  explicit Fixture(net::Topology topo, bool tagged_advertisements = false,
+                   DistanceVectorConfig config = {})
       : network(std::move(topo)),
-        igp(simulator, network, DomainId{0}, config) {}
+        igp(simulator, network, DomainId{0}, tagged_advertisements, config) {}
 
   void converge() {
     igp.start();
@@ -142,9 +143,7 @@ TEST(DistanceVectorIgp, PlainModeCannotDiscoverMembers) {
 }
 
 TEST(DistanceVectorIgp, TaggedModeDiscoversMembers) {
-  DistanceVectorConfig config;
-  config.tagged_advertisements = true;
-  Fixture f(net::single_domain_line(4), config);
+  Fixture f(net::single_domain_line(4), /*tagged_advertisements=*/true);
   const auto& routers = f.network.topology().domain(DomainId{0}).routers;
   const net::Ipv4Addr anycast{0, 1, 255, 1};
   f.igp.add_anycast_member(routers[1], anycast);
@@ -158,9 +157,7 @@ TEST(DistanceVectorIgp, TaggedModeDiscoversMembers) {
 }
 
 TEST(DistanceVectorIgp, TaggedMembershipRemovalPropagates) {
-  DistanceVectorConfig config;
-  config.tagged_advertisements = true;
-  Fixture f(net::single_domain_line(3), config);
+  Fixture f(net::single_domain_line(3), /*tagged_advertisements=*/true);
   const auto& routers = f.network.topology().domain(DomainId{0}).routers;
   const net::Ipv4Addr anycast{0, 1, 255, 1};
   f.igp.add_anycast_member(routers[2], anycast);
@@ -201,23 +198,10 @@ TEST(DistanceVectorIgp, MemberRemovalFailsOver) {
   EXPECT_EQ(result.delivered_at, routers[4]);
 }
 
-TEST(DistanceVectorIgp, PeriodicModeKeepsRefreshing) {
-  DistanceVectorConfig config;
-  config.periodic_interval = sim::Duration::seconds(30);
-  Fixture f(net::single_domain_line(3), config);
-  f.igp.start();
-  f.simulator.run_until(sim::TimePoint::origin() + sim::Duration::seconds(95));
-  // Three periodic rounds must have fired on top of the initial triggered
-  // exchange.
-  EXPECT_GT(f.igp.messages_sent(), 20u);
-  const auto& routers = f.network.topology().domain(DomainId{0}).routers;
-  EXPECT_EQ(f.igp.distance(routers[0], routers[2]), 2u);
-}
-
 TEST(DistanceVectorIgp, InfinityBoundsCountToInfinity) {
   DistanceVectorConfig config;
   config.infinity = 16;
-  Fixture f(net::single_domain_line(3), config);
+  Fixture f(net::single_domain_line(3), /*tagged_advertisements=*/false, config);
   f.converge();
   const auto& routers = f.network.topology().domain(DomainId{0}).routers;
   // Cut r2 off; r0/r1 must converge to "unreachable" within finite events.

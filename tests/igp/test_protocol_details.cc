@@ -68,7 +68,8 @@ TEST(DistanceVectorDetails, PoisonedReverseStopsTwoNodeLoop) {
   net::Network network(net::single_domain_line(3));
   DistanceVectorConfig config;
   config.infinity = 64;
-  DistanceVectorIgp igp(simulator, network, DomainId{0}, config);
+  DistanceVectorIgp igp(simulator, network, DomainId{0},
+                        /*tagged_advertisements=*/false, config);
   const auto& routers = network.topology().domain(DomainId{0}).routers;
   igp.start();
   simulator.run();
@@ -112,9 +113,8 @@ TEST(DistanceVectorDetails, TagsFollowBestPathChanges) {
   // tags travel with the new advertisement.
   sim::Simulator simulator;
   net::Network network(net::single_domain_ring(5));
-  DistanceVectorConfig config;
-  config.tagged_advertisements = true;
-  DistanceVectorIgp igp(simulator, network, DomainId{0}, config);
+  DistanceVectorIgp igp(simulator, network, DomainId{0},
+                        /*tagged_advertisements=*/true);
   const auto& routers = network.topology().domain(DomainId{0}).routers;
   const net::Ipv4Addr anycast{0, 1, 255, 9};
   igp.add_anycast_member(routers[2], anycast);

@@ -25,7 +25,6 @@ std::size_t count_source(const VnBone& bone, VirtualLink::Source source,
 TEST(DiscoveryLimits, PlainDvBuildsBootstrapTree) {
   core::Options options;
   options.igp = core::IgpKind::kDistanceVector;  // no member discovery
-  options.vnbone.congruent_evolution = false;    // isolate the tree rule
   core::EvolvableInternet net(net::single_domain_ring(6), options);
   net.start();
   const auto& routers = net.topology().domain(DomainId{0}).routers;
@@ -33,7 +32,9 @@ TEST(DiscoveryLimits, PlainDvBuildsBootstrapTree) {
     net.deploy_router(r);
   }
   net.converge();
-  // Tree: exactly members-1 intra links, all from the anycast bootstrap.
+  // Members 0, 2 and 4 share no physical link, so no congruent link joins
+  // them. Tree: exactly members-1 intra links, all from the anycast
+  // bootstrap.
   EXPECT_EQ(net.vnbone().virtual_links().size(), 2u);
   EXPECT_EQ(count_source(net.vnbone(), VirtualLink::Source::kAnycastBootstrap,
                          /*interdomain=*/false),
@@ -47,7 +48,6 @@ TEST(DiscoveryLimits, PlainDvBuildsBootstrapTree) {
 TEST(DiscoveryLimits, TaggedDvUsesKClosest) {
   core::Options options;
   options.igp = core::IgpKind::kDistanceVectorTagged;  // discovery restored
-  options.vnbone.congruent_evolution = false;
   core::EvolvableInternet net(net::single_domain_ring(6), options);
   net.start();
   const auto& routers = net.topology().domain(DomainId{0}).routers;
@@ -59,21 +59,6 @@ TEST(DiscoveryLimits, TaggedDvUsesKClosest) {
   EXPECT_EQ(count_source(net.vnbone(), VirtualLink::Source::kAnycastBootstrap,
                          false),
             0u);
-}
-
-TEST(DiscoveryLimits, OverrideGrantsDiscovery) {
-  core::Options options;
-  options.igp = core::IgpKind::kDistanceVector;
-  options.vnbone.respect_discovery_limits = false;  // simplification mode
-  options.vnbone.congruent_evolution = false;
-  core::EvolvableInternet net(net::single_domain_ring(6), options);
-  net.start();
-  const auto& routers = net.topology().domain(DomainId{0}).routers;
-  for (const NodeId r : {routers[0], routers[2], routers[4]}) {
-    net.deploy_router(r);
-  }
-  net.converge();
-  EXPECT_GT(count_source(net.vnbone(), VirtualLink::Source::kIntraK, false), 0u);
 }
 
 TEST(DiscoveryLimits, UniversalAccessUnaffected) {

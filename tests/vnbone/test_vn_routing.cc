@@ -197,23 +197,6 @@ TEST(VnRouting, BogusNativeDestinationRejected) {
   EXPECT_FALSE(route.ok);
 }
 
-TEST(VnRouting, VnRibSizeGrowsWithProxyEntries) {
-  auto fig = core::make_figure4();
-  core::Options options;
-  options.vnbone.egress_mode = EgressMode::kProxyAdvertising;
-  core::EvolvableInternet net(std::move(fig.topology), options);
-  net.start();
-  net.deploy_domain(fig.a);
-  net.converge();
-  const NodeId a0 = net.topology().domain(fig.a).routers[0];
-  const auto with_one_domain = net.vnbone().vn_rib_size(a0);
-  net.deploy_domain(fig.c);
-  net.converge();
-  const auto with_two_domains = net.vnbone().vn_rib_size(a0);
-  EXPECT_GT(with_two_domains, with_one_domain);
-  EXPECT_EQ(net.vnbone().vn_rib_size(NodeId{9999u}), 0u);
-}
-
 TEST(VnRoutingCache, MemberCrashWithoutRebuild) {
   // A crash the control plane has not yet seen: the bone still holds the
   // dead member's links, but it can be neither ingress nor egress.
