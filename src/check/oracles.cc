@@ -1,7 +1,6 @@
 #include "check/oracles.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <map>
 #include <optional>
@@ -490,17 +489,22 @@ void check_vn_routes(const EvolvableInternet& internet,
     const auto tree = net::dijkstra(snapshot.virtual_graph, ingress);
     if (i == 1) std::reverse(queries.begin(), queries.end());
     for (const auto& [dst, mode] : queries) {
-      const auto fast = bone.route(ingress, dst, mode);
       const auto slow = reference_vn_route(snapshot, tree, ingress, dst, mode);
-      if (fast == slow) continue;
-      out.push_back({OracleKind::kVnRouteEquivalence, 0,
-                     "ingress " + node_str(ingress) + " under " +
-                         vnbone::to_string(mode) + ": route() egress " +
-                         node_str(fast.egress) + " cost " +
-                         std::to_string(fast.vn_cost) + ", reference egress " +
-                         node_str(slow.egress) + " cost " +
-                         std::to_string(slow.vn_cost)});
-      return;  // one differential failure is enough signal
+      // A proxy query's first answer fills route()'s egress memo (unless an
+      // earlier query did) and its second reads it.
+      const int answers = mode == vnbone::EgressMode::kProxyAdvertising ? 2 : 1;
+      for (int answer = 0; answer < answers; ++answer) {
+        const auto fast = bone.route(ingress, dst, mode);
+        if (fast == slow) continue;
+        out.push_back({OracleKind::kVnRouteEquivalence, 0,
+                       "ingress " + node_str(ingress) + " under " +
+                           vnbone::to_string(mode) + (answer > 0 ? " (repeated)" : "") +
+                           ": route() egress " + node_str(fast.egress) + " cost " +
+                           std::to_string(fast.vn_cost) + ", reference egress " +
+                           node_str(slow.egress) + " cost " +
+                           std::to_string(slow.vn_cost)});
+        return;  // one differential failure is enough signal
+      }
     }
   }
 }
@@ -741,52 +745,6 @@ std::vector<Violation> check_install_equivalence(const net::Network& network,
     return true;
   });
   return out;
-}
-
-void for_each_lpm_piece(const net::Fib& fib,
-                        const std::function<bool(const LpmPiece&)>& fn) {
-  // Prefixes nest or are disjoint, and Prefix order puts a prefix before
-  // the ones nested in it, so a stack of the open prefixes holds the winner
-  // (its top) at every address the sweep passes. Each nested prefix is
-  // longer, so at most 33 are open. 64-bit cursors avoid overflow at the
-  // top of the address space.
-  struct Open {
-    std::uint64_t last;
-    const net::FibEntry* entry;
-  };
-  std::array<Open, 33> open;
-  std::size_t depth = 0;
-  LpmPiece piece;  // in progress: `last` is set when it ends
-  bool more = true;
-  // The winner is `winner` from address `at` on.
-  const auto change = [&](std::uint64_t at, const net::FibEntry* winner) {
-    if (!more) return;
-    if (at == piece.first) {
-      piece.winner = winner;  // the previous winner covers no address
-    } else if (winner != piece.winner) {
-      piece.last = static_cast<std::uint32_t>(at - 1);
-      more = fn(piece);
-      piece = {static_cast<std::uint32_t>(at), 0, winner};
-    }
-  };
-  const auto close = [&] {
-    --depth;
-    if (open[depth].last < 0xFFFFFFFFu) {
-      change(open[depth].last + 1, depth > 0 ? open[depth - 1].entry : nullptr);
-    }
-  };
-  for (const net::FibEntry& entry : fib.entries()) {
-    const std::uint64_t first = entry.prefix.address().bits();
-    while (depth > 0 && open[depth - 1].last < first) close();
-    change(first, &entry);
-    assert(depth < open.size());
-    open[depth++] = {first + ((std::uint64_t{1} << (32 - entry.prefix.length())) - 1),
-                     &entry};
-  }
-  while (depth > 0) close();
-  if (!more) return;
-  piece.last = 0xFFFFFFFFu;
-  fn(piece);
 }
 
 std::vector<Violation> check_fib_equivalence(NodeId router, const net::Fib& fib,

@@ -32,7 +32,9 @@
 //                       (emitted by the scenario runner, not here);
 //   kVnRouteEquivalence VnBone::route, a lookup into state compiled per
 //                       epoch, equals reference_vn_route recomputed from
-//                       scratch, under every egress mode;
+//                       scratch, under every egress mode; a proxy query is
+//                       answered twice, so its memoized egress is checked
+//                       too;
 //   kInstallEquivalence every router's BGP FIB entries, written by the
 //                       delta install, equal the install rule applied to
 //                       all of its domain's border Loc-RIB prefixes (the
@@ -54,8 +56,9 @@
 //                       moving the cache's stamp shows as a stale hit.
 #pragma once
 
+#include <array>
+#include <cassert>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <span>
 #include <string>
@@ -166,8 +169,51 @@ struct LpmPiece {
 /// space in address order, from one stack sweep of Fib::entries(): the
 /// pieces are maximal, so neighbouring pieces have different winners.
 /// `fn` returns false to stop the sweep.
-void for_each_lpm_piece(const net::Fib& fib,
-                        const std::function<bool(const LpmPiece&)>& fn);
+template <typename Fn>
+void for_each_lpm_piece(const net::Fib& fib, Fn&& fn) {
+  // Prefixes nest or are disjoint, and Prefix order puts a prefix before
+  // the ones nested in it, so a stack of the open prefixes holds the winner
+  // (its top) at every address the sweep passes. Each nested prefix is
+  // longer, so at most 33 are open. 64-bit cursors avoid overflow at the
+  // top of the address space.
+  struct Open {
+    std::uint64_t last;
+    const net::FibEntry* entry;
+  };
+  std::array<Open, 33> open;
+  std::size_t depth = 0;
+  LpmPiece piece;  // in progress: `last` is set when it ends
+  bool more = true;
+  // The winner is `winner` from address `at` on.
+  const auto change = [&](std::uint64_t at, const net::FibEntry* winner) {
+    if (!more) return;
+    if (at == piece.first) {
+      piece.winner = winner;  // the previous winner covers no address
+    } else if (winner != piece.winner) {
+      piece.last = static_cast<std::uint32_t>(at - 1);
+      more = fn(piece);
+      piece = {static_cast<std::uint32_t>(at), 0, winner};
+    }
+  };
+  const auto close = [&] {
+    --depth;
+    if (open[depth].last < 0xFFFFFFFFu) {
+      change(open[depth].last + 1, depth > 0 ? open[depth - 1].entry : nullptr);
+    }
+  };
+  for (const net::FibEntry& entry : fib.entries()) {
+    const std::uint64_t first = entry.prefix.address().bits();
+    while (depth > 0 && open[depth - 1].last < first) close();
+    change(first, &entry);
+    assert(depth < open.size());
+    open[depth++] = {first + ((std::uint64_t{1} << (32 - entry.prefix.length())) - 1),
+                     &entry};
+  }
+  while (depth > 0) close();
+  if (!more) return;
+  piece.last = 0xFFFFFFFFu;
+  fn(piece);
+}
 
 /// The fib-equivalence oracle for one router: `compiled` must carry
 /// `fib`'s epoch, have one range per piece of its longest-prefix

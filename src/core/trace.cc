@@ -119,8 +119,8 @@ EndToEndTrace send_ipvn_generation(const EvolvableInternet& internet,
 void complete_from_ingress(const EvolvableInternet& internet,
                            const net::IpvNHeader& inner, HostId dst,
                            std::optional<vnbone::EgressMode> mode,
-                           EndToEndTrace& result, std::size_t generation,
-                           const net::Network::Batch* legs) {
+                           Segment ingress_leg, EndToEndTrace& result,
+                           std::size_t generation, const net::Network::Batch* legs) {
   const auto& network = internet.network();
   const auto& topo = network.topology();
 
@@ -129,12 +129,14 @@ void complete_from_ingress(const EvolvableInternet& internet,
       internet.generation(generation).route(result.ingress, inner.dst, mode);
   if (!result.vn_route.ok) {
     result.failure = EndToEndTrace::Failure::kVnRoutingFailed;
+    result.segments.push_back(std::move(ingress_leg));
     return;
   }
   result.egress = result.vn_route.egress;
   const LegPlan plan{topo, result.vn_route, inner.legacy_dst,
                      topo.host(dst).access_router};
-  result.segments.reserve(result.segments.size() + plan.size());
+  result.segments.reserve(1 + plan.size());
+  result.segments.push_back(std::move(ingress_leg));
   for (std::size_t i = 0; i < plan.size(); ++i) {
     const Leg leg = plan[i];
     Segment& segment = result.segments.emplace_back();

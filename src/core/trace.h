@@ -8,6 +8,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/evolvable_internet.h"
@@ -127,14 +128,16 @@ inline net::Network::TraceResult trace_leg(const net::Network& network,
   return legs != nullptr ? legs->trace(from, dst) : network.trace(from, dst);
 }
 
-/// Complete a delivery whose ingress was already determined: route over
-/// the generation's vN-Bone from `result.ingress` (a deployed router) and
-/// walk the LegPlan, appending segments to `result` and setting
-/// delivered/failure.
+/// Complete a delivery whose ingress leg `ingress_leg` landed on
+/// `result.ingress` (a deployed router): route over the generation's
+/// vN-Bone from there and walk the LegPlan. `result.segments` (empty on
+/// entry) gets the ingress leg and then one segment per leg walked, sized
+/// once the route is known; delivered/failure are set.
 void complete_from_ingress(const EvolvableInternet& internet,
                            const net::IpvNHeader& inner, net::HostId dst,
                            std::optional<vnbone::EgressMode> mode,
-                           EndToEndTrace& result, std::size_t generation = 0,
+                           Segment ingress_leg, EndToEndTrace& result,
+                           std::size_t generation = 0,
                            const net::Network::Batch* legs = nullptr);
 
 /// The ingress leg every redirection mechanism shares: `src` encapsulates
@@ -150,18 +153,18 @@ EndToEndTrace send_via_ingress(const EvolvableInternet& internet, net::HostId sr
                                const net::Network::Batch* legs = nullptr) {
   EndToEndTrace result;
   const auto& network = internet.network();
-  const net::Packet packet =
-      internet.generation_hosts(generation).make_datagram(src, dst);
-  Segment& leg = result.segments.emplace_back();
-  leg.trace = trace_leg(network, legs, network.topology().host(src).access_router,
-                        ingress_address);
+  Segment leg{Segment::Kind::kAnycastIngress,
+              trace_leg(network, legs, network.topology().host(src).access_router,
+                        ingress_address)};
   if (!leg.trace.delivered() || !accept(leg.trace.delivered_at)) {
     result.failure = EndToEndTrace::Failure::kIngressFailed;
+    result.segments.push_back(std::move(leg));
     return result;
   }
   result.ingress = leg.trace.delivered_at;
-  complete_from_ingress(internet, packet.layers().front().vn, dst, mode, result,
-                        generation, legs);
+  complete_from_ingress(internet,
+                        internet.generation_hosts(generation).make_header(src, dst),
+                        dst, mode, std::move(leg), result, generation, legs);
   return result;
 }
 

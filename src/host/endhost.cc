@@ -55,7 +55,19 @@ Packet HostStack::make_datagram(HostId src, HostId dst,
 
 Packet HostStack::make_datagram_to(HostId src, IpvNAddr dst, Ipv4Addr legacy_dst,
                                    std::uint64_t payload_id) const {
-  const auto& src_host = network_.topology().host(src);
+  Packet packet = net::make_encapsulated(header_to(src, dst, legacy_dst),
+                                         network_.topology().host(src).address,
+                                         vnbone_.anycast_address());
+  packet.payload_id = payload_id;
+  return packet;
+}
+
+net::IpvNHeader HostStack::make_header(HostId src, HostId dst) const {
+  return header_to(src, ipvn_address(dst), network_.topology().host(dst).address);
+}
+
+net::IpvNHeader HostStack::header_to(HostId src, IpvNAddr dst,
+                                     Ipv4Addr legacy_dst) const {
   net::IpvNHeader inner;
   inner.src = ipvn_address(src);
   inner.dst = dst;
@@ -64,10 +76,7 @@ Packet HostStack::make_datagram_to(HostId src, IpvNAddr dst, Ipv4Addr legacy_dst
   // works for native destinations behind non-IPvN access routers too.
   inner.legacy_dst = legacy_dst;
   inner.has_legacy_dst = true;
-  Packet packet =
-      net::make_encapsulated(inner, src_host.address, vnbone_.anycast_address());
-  packet.payload_id = payload_id;
-  return packet;
+  return inner;
 }
 
 }  // namespace evo::host

@@ -51,7 +51,14 @@ class HostStack {
                                net::Ipv4Addr legacy_dst,
                                std::uint64_t payload_id = 0) const;
 
+  /// make_datagram's inner IPvN header alone: what the ingress reads once
+  /// it decapsulates.
+  net::IpvNHeader make_header(net::HostId src, net::HostId dst) const;
+
  private:
+  net::IpvNHeader header_to(net::HostId src, net::IpvNAddr dst,
+                            net::Ipv4Addr legacy_dst) const;
+
   const net::Network& network_;
   const vnbone::VnBone& vnbone_;
 };

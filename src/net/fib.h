@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <span>
 #include <string>
@@ -82,7 +81,8 @@ class Fib {
 
   /// Visit every entry in Prefix order: sorted by address, shorter
   /// prefixes before the longer ones they contain.
-  void for_each(const std::function<void(const FibEntry&)>& fn) const {
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
     for (const FibEntry& e : entries_) fn(e);
   }
 

@@ -74,6 +74,7 @@ void VnBone::deploy_router(NodeId router) {
   }
   auto& members = members_by_domain_[domain.value()];
   members.insert(std::lower_bound(members.begin(), members.end(), router), router);
+  ++memo_generation_;
   ensure_group(domain);
   anycast_.add_member(group_, router);
 }
@@ -85,6 +86,7 @@ void VnBone::undeploy_router(NodeId router) {
   auto& members =
       members_by_domain_[network_.topology().router(router).domain.value()];
   members.erase(std::lower_bound(members.begin(), members.end(), router));
+  ++memo_generation_;
   anycast_.remove_member(group_, router);
 }
 
@@ -575,7 +577,7 @@ void VnBone::compile_bone() {
   trees_in_use_ = 0;
 }
 
-VnBone::Tree* VnBone::tree_from(NodeId ingress) const {
+VnBone::PooledTree* VnBone::tree_from(NodeId ingress) const {
   if (ingress.value() >= tree_slot_.size()) return nullptr;
   std::uint32_t& slot = tree_slot_[ingress.value()];
   if (slot != kNoMember) return &trees_[slot];
@@ -583,9 +585,57 @@ VnBone::Tree* VnBone::tree_from(NodeId ingress) const {
   if (root == kNoMember) return nullptr;
   slot = trees_in_use_++;
   if (slot == trees_.size()) trees_.emplace_back();
-  trees_[slot].reset(member_node_.size());
-  trees_[slot].add_source(root);
-  return &trees_[slot];
+  PooledTree& pooled = trees_[slot];
+  pooled.tree.reset(member_node_.size());
+  pooled.tree.add_source(root);
+  pooled.memo_generation = 0;
+  return &pooled;
+}
+
+std::span<std::uint32_t> VnBone::proxy_memo(PooledTree& pooled) const {
+  const auto& topo = network_.topology();
+  if (memo_loc_rib_epoch_ != bgp_.loc_rib_epoch() ||
+      memo_topology_epoch_ != topo.epoch()) {
+    memo_loc_rib_epoch_ = bgp_.loc_rib_epoch();
+    memo_topology_epoch_ = topo.epoch();
+    ++memo_generation_;
+  }
+  if (pooled.memo_generation != memo_generation_ ||
+      pooled.proxy_egress.size() != topo.domain_count()) {
+    pooled.proxy_egress.assign(topo.domain_count(), kNoMember);
+    pooled.memo_generation = memo_generation_;
+  }
+  return pooled.proxy_egress;
+}
+
+NodeId VnBone::proxy_walk(Tree& tree, DomainId target) const {
+  // Every deployed domain advertises its BGPv(N-1) distance to the target
+  // into BGPvN (Figure 4). A score is never below its vN cost, so the walk
+  // over members by ascending vN cost stops once that cost alone exceeds
+  // the best; the tree settles only as far as the walk goes.
+  const auto& topo = network_.topology();
+  NodeId egress = NodeId::invalid();
+  Cost best_score = net::kInfiniteCost;
+  const std::span<LegacyRoute> legacy = legacy_column(target);
+  std::span<const std::uint32_t> settled = tree.order();
+  for (std::size_t i = 0;; ++i) {
+    if (i == settled.size()) {
+      if (!settle_within(tree, best_score)) break;
+      settled = tree.order();
+    }
+    const Cost vn_cost = tree.distance(settled[i]);
+    if (vn_cost > best_score) break;
+    const NodeId r = member_node_[settled[i]];
+    if (!active(r)) continue;
+    const Cost legacy_len = legacy_entry(legacy, topo.router(r).domain, target).cost();
+    if (legacy_len == net::kInfiniteCost) continue;
+    const Cost score = vn_cost + kAsHopWeight * legacy_len;
+    if (score < best_score || (score == best_score && r < egress)) {
+      egress = r;
+      best_score = score;
+    }
+  }
+  return egress;
 }
 
 bool VnBone::settle_within(Tree& tree, Cost bound) const {
@@ -734,7 +784,8 @@ VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
   if (!active(ingress)) return result;
   const auto& topo = network_.topology();
   const EgressMode mode = mode_override.value_or(config_.egress_mode);
-  Tree* tree = tree_from(ingress);
+  PooledTree* pooled = tree_from(ingress);
+  Tree* tree = pooled != nullptr ? &pooled->tree : nullptr;
 
   auto finish_at = [&](NodeId egress, bool legacy) {
     const Cost cost = vn_distance(tree, ingress, egress);
@@ -743,13 +794,16 @@ VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
     result.egress = egress;
     result.exits_to_legacy = legacy;
     result.vn_cost = cost;
-    result.vn_hops = {egress};
-    if (egress != ingress) {
-      for (std::uint32_t at = tree->predecessor(member_index_[egress.value()]);
-           at != kNoMember; at = tree->predecessor(at)) {
-        result.vn_hops.push_back(member_node_[at]);
-      }
-      std::reverse(result.vn_hops.begin(), result.vn_hops.end());
+    // The predecessor chain from the egress back to the root (just the
+    // ingress when it is the egress), counted first so vn_hops is
+    // allocated once, then filled back to front.
+    const std::uint32_t last = egress == ingress ? kNoMember : member_index_[egress.value()];
+    std::size_t size = last == kNoMember ? 1 : 0;
+    for (std::uint32_t at = last; at != kNoMember; at = tree->predecessor(at)) ++size;
+    result.vn_hops.resize(size);
+    result.vn_hops.front() = ingress;
+    for (std::uint32_t at = last; at != kNoMember; at = tree->predecessor(at)) {
+      result.vn_hops[--size] = member_node_[at];
     }
   };
 
@@ -813,41 +867,17 @@ VnBone::VnRoute VnBone::route(NodeId ingress, IpvNAddr dst,
       return result;
     }
     case EgressMode::kProxyAdvertising: {
-      // Every deployed domain advertises its BGPv(N-1) distance to the
-      // target into BGPvN (Figure 4); pick the globally cheapest
-      // (vN underlay + weighted AS hops) egress, ties to the lowest NodeId.
-      // A score is never below its vN cost, so the walk over members by
-      // ascending vN cost stops once that cost alone exceeds the best; the
-      // tree settles only as far as the walk goes.
-      NodeId egress = NodeId::invalid();
-      Cost best_score = net::kInfiniteCost;
-      const std::span<LegacyRoute> legacy = legacy_column(*target_domain);
-      auto consider = [&](NodeId r, Cost vn_cost) {
-        if (!active(r)) return;
-        const Cost legacy_len =
-            legacy_entry(legacy, topo.router(r).domain, *target_domain).cost();
-        if (legacy_len == net::kInfiniteCost) return;
-        const Cost score = vn_cost + kAsHopWeight * legacy_len;
-        if (score < best_score || (score == best_score && r < egress)) {
-          egress = r;
-          best_score = score;
-        }
-      };
-      if (tree == nullptr) {
-        consider(ingress, 0);  // a member without links reaches only itself
-      } else {
-        std::span<const std::uint32_t> settled = tree->order();
-        for (std::size_t i = 0;; ++i) {
-          if (i == settled.size()) {
-            if (!settle_within(*tree, best_score)) break;
-            settled = tree->order();
-          }
-          const Cost vn_cost = tree->distance(settled[i]);
-          if (vn_cost > best_score) break;
-          consider(member_node_[settled[i]], vn_cost);
-        }
+      // A member without links reaches only itself.
+      if (pooled == nullptr) {
+        finish_at(ingress, /*legacy=*/true);
+        return result;
       }
-      finish_at(egress.valid() ? egress : ingress, /*legacy=*/true);
+      std::uint32_t& egress = proxy_memo(*pooled)[target_domain->value()];
+      if (egress == kNoMember) {
+        const NodeId chosen = proxy_walk(*tree, *target_domain);
+        egress = (chosen.valid() ? chosen : ingress).value();
+      }
+      finish_at(NodeId{egress}, /*legacy=*/true);
       return result;
     }
   }

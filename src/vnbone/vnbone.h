@@ -211,9 +211,11 @@ class VnBone {
   /// the BGPv(N-1) legacy table (valid while the BGP Loc-RIB epoch holds).
   /// Router up/down state is read live. The tree settles only as far as
   /// the query reads: to the egress, through the best proxy score, or
-  /// through the nearest member of the own-path domain. route() is const
-  /// but fills these caches lazily, so a VnBone must not be shared across
-  /// threads.
+  /// through the nearest member of the own-path domain. Beside each tree,
+  /// a memo keeps the proxy egress chosen per target domain until the
+  /// tree, the Loc-RIB epoch, the topology epoch or membership moves.
+  /// route() is const but fills these caches lazily, so a VnBone must not
+  /// be shared across threads.
   VnRoute route(net::NodeId ingress, net::IpvNAddr dst,
                 std::optional<EgressMode> mode = std::nullopt) const;
 
@@ -245,6 +247,15 @@ class VnBone {
   /// route() settles it only as far as a query reads, and a settled
   /// member's distance and predecessor are what a full search gives.
   using Tree = net::DijkstraFrontier<std::uint32_t>;
+  /// A pooled tree and its proxy memo: the egress the kProxyAdvertising
+  /// walk from the tree's root chose, by target DomainId (kNoMember until
+  /// walked). The memo holds while `memo_generation` is the bone's current
+  /// one (see proxy_memo()).
+  struct PooledTree {
+    Tree tree;
+    std::vector<std::uint32_t> proxy_egress;
+    std::uint64_t memo_generation = 0;  // 0 is never current
+  };
   /// The BGPv(N-1) route from one domain to another, as the domain's
   /// borders see it (legacy_path_length() and legacy_path()), in 8 bytes:
   /// its length and its path's id in BGP's path table.
@@ -294,8 +305,19 @@ class VnBone {
   /// Start a bone epoch: compile links_ into the CSR adjacency and retire
   /// every shortest-path tree. rebuild() skips it when no link changed.
   void compile_bone();
-  /// The tree from `ingress`; null when `ingress` has no virtual link.
-  Tree* tree_from(net::NodeId ingress) const;
+  /// The pooled tree from `ingress`; null when `ingress` has no virtual
+  /// link.
+  PooledTree* tree_from(net::NodeId ingress) const;
+  /// `pooled`'s proxy memo, emptied first when an input of the proxy walk
+  /// other than the tree moved since it was filled: the Loc-RIB epoch
+  /// (legacy routes), the topology epoch (router up flags) or membership
+  /// (deploy_router and undeploy_router).
+  std::span<std::uint32_t> proxy_memo(PooledTree& pooled) const;
+  /// Figure 4's choice from the root of `tree`: the active member with the
+  /// lowest vN cost plus weighted legacy distance to `target`, ties to the
+  /// lowest NodeId; invalid when no active member the tree reaches has a
+  /// legacy route to `target`.
+  net::NodeId proxy_walk(Tree& tree, net::DomainId target) const;
   /// vN-Bone distance from the root of `tree` (which is `ingress`) to `to`,
   /// settling `tree` until `to` settles.
   net::Cost vn_distance(Tree* tree, net::NodeId ingress, net::NodeId to) const;
@@ -357,10 +379,16 @@ class VnBone {
   std::vector<std::pair<std::uint32_t, net::Cost>> edges_;  // (to, cost)
   // The bone epoch's trees: tree_slot_[root NodeId] indexes trees_, or is
   // kNoMember until the root's first route(). trees_ is a pool that
-  // compile_bone() empties without freeing, so trees reuse its storage.
+  // compile_bone() empties without freeing, so trees and memos reuse its
+  // storage.
   mutable std::vector<std::uint32_t> tree_slot_;
-  mutable std::vector<Tree> trees_;
+  mutable std::vector<PooledTree> trees_;
   mutable std::uint32_t trees_in_use_ = 0;
+  // The current memo generation, moved by deploy_router, undeploy_router
+  // and proxy_memo() when it sees either epoch move.
+  mutable std::uint64_t memo_generation_ = 1;
+  mutable std::uint64_t memo_loc_rib_epoch_ = 0;
+  mutable std::uint64_t memo_topology_epoch_ = 0;
 
   // Legacy routes by [target][domain], keyed on bgp_.loc_rib_epoch(); a
   // target's column is allocated on its first query in an epoch.

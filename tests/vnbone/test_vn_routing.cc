@@ -38,6 +38,16 @@ void expect_matches_reference(const core::EvolvableInternet& net, NodeId ingress
   }
 }
 
+/// The first link between domains `x` and `y`; invalid when none.
+net::LinkId link_between(const net::Topology& topo, DomainId x, DomainId y) {
+  for (const auto& link : topo.links()) {
+    const auto da = topo.router(link.a).domain;
+    const auto db = topo.router(link.b).domain;
+    if ((da == x && db == y) || (da == y && db == x)) return link.id;
+  }
+  return net::LinkId::invalid();
+}
+
 /// Figure 4 with A, B and C deployed: the proxy egress from A toward Z
 /// is in C.
 struct Figure4Deployed {
@@ -251,13 +261,7 @@ TEST(VnRoutingCache, BgpWithdrawalMidConvergenceMovesProxyEgress) {
   const NodeId before = f.proxy_egress();
   ASSERT_EQ(f.net.topology().router(before).domain, f.fig.c);
   // Cut C from Z; C's BGPv(N-1) route to Z is withdrawn border by border.
-  const auto& topo = f.net.topology();
-  net::LinkId c_z = net::LinkId::invalid();
-  for (const auto& link : topo.links()) {
-    const auto da = topo.router(link.a).domain;
-    const auto db = topo.router(link.b).domain;
-    if ((da == f.fig.c && db == f.fig.z) || (da == f.fig.z && db == f.fig.c)) c_z = link.id;
-  }
+  const net::LinkId c_z = link_between(f.net.topology(), f.fig.c, f.fig.z);
   ASSERT_TRUE(c_z.valid());
   f.net.set_link_up(c_z, false);
   bool moved_mid_convergence = false;
@@ -269,6 +273,90 @@ TEST(VnRoutingCache, BgpWithdrawalMidConvergenceMovesProxyEgress) {
     }
   }
   EXPECT_TRUE(moved_mid_convergence);
+}
+
+// The proxy-egress memo keeps route()'s kProxyAdvertising choice per
+// (ingress, target domain). Each test below warms it, then applies the
+// writes behind one of the inputs it is keyed on; route() must equal the
+// reference after each write, before and after the rebuild.
+
+TEST(VnRoutingCache, ProxyMemoDropsOnDeployAndUndeploy) {
+  Figure4Deployed f;
+  const NodeId egress = f.proxy_egress();
+  ASSERT_EQ(f.proxy_egress(), egress);  // the second answer is a memo hit
+  // Undeployed but still on the bone until the next rebuild: the walk
+  // passes through it and picks another member.
+  f.net.vnbone().undeploy_router(egress);
+  EXPECT_NE(f.proxy_egress(), egress);
+  expect_matches_reference(f.net, f.ingress, f.to_z);
+  f.net.vnbone().deploy_router(egress);
+  EXPECT_EQ(f.proxy_egress(), egress);
+  expect_matches_reference(f.net, f.ingress, f.to_z);
+  f.net.vnbone().rebuild();
+  expect_matches_reference(f.net, f.ingress, f.to_z);
+}
+
+TEST(VnRoutingCache, ProxyMemoDropsOnNodeDownAndUp) {
+  // The crash and the recovery move only the topology epoch: the control
+  // plane sees neither until the rebuild.
+  Figure4Deployed f;
+  const NodeId egress = f.proxy_egress();
+  ASSERT_EQ(f.proxy_egress(), egress);
+  auto& topo = f.net.network().topology();
+  topo.set_node_up(egress, false);
+  EXPECT_NE(f.proxy_egress(), egress);
+  expect_matches_reference(f.net, f.ingress, f.to_z);
+  topo.set_node_up(egress, true);
+  EXPECT_EQ(f.proxy_egress(), egress);
+  expect_matches_reference(f.net, f.ingress, f.to_z);
+  f.net.vnbone().rebuild();
+  expect_matches_reference(f.net, f.ingress, f.to_z);
+}
+
+TEST(VnRoutingCache, ProxyMemoDropsOnBgpWithdrawal) {
+  // The C-Z link carries no virtual link, so the rebuild in converge()
+  // keeps every tree and the cut reaches the memo only through the
+  // Loc-RIB epoch: the memo is warmed after the topology epoch moved.
+  Figure4Deployed f;
+  const NodeId egress = f.proxy_egress();
+  const net::LinkId c_z = link_between(f.net.topology(), f.fig.c, f.fig.z);
+  ASSERT_TRUE(c_z.valid());
+  f.net.set_link_up(c_z, false);
+  ASSERT_EQ(f.proxy_egress(), egress);  // BGP has not withdrawn yet
+  ASSERT_EQ(f.proxy_egress(), egress);
+  f.net.converge();
+  EXPECT_NE(f.proxy_egress(), egress);
+  expect_matches_reference(f.net, f.ingress, f.to_z);
+  f.net.vnbone().rebuild();
+  expect_matches_reference(f.net, f.ingress, f.to_z);
+
+  f.net.set_link_up(c_z, true);
+  EXPECT_NE(f.proxy_egress(), egress);  // warm at the new topology epoch
+  f.net.converge();
+  EXPECT_EQ(f.proxy_egress(), egress);
+  expect_matches_reference(f.net, f.ingress, f.to_z);
+}
+
+TEST(VnRoutingCache, ProxyMemoDropsWithItsTree) {
+  // The B-C peering goes down; route() reads the memo again at the new
+  // topology epoch, over the old tree. The rebuild then drops the B-C
+  // tunnel, so C is reached only the long way round, and it moves no
+  // epoch: only retiring the tree drops what the memo holds.
+  Figure4Deployed f;
+  const NodeId egress = f.proxy_egress();
+  const net::LinkId b_c = link_between(f.net.topology(), f.fig.b, f.fig.c);
+  ASSERT_TRUE(b_c.valid());
+  f.net.set_link_up(b_c, false);
+  EXPECT_EQ(f.proxy_egress(), egress);
+  EXPECT_EQ(f.proxy_egress(), egress);
+  expect_matches_reference(f.net, f.ingress, f.to_z);
+  const auto links = f.net.vnbone().virtual_links();
+  f.net.vnbone().rebuild();
+  EXPECT_NE(f.net.vnbone().virtual_links(), links);
+  EXPECT_NE(f.proxy_egress(), egress);
+  expect_matches_reference(f.net, f.ingress, f.to_z);
+  f.net.converge();
+  expect_matches_reference(f.net, f.ingress, f.to_z);
 }
 
 TEST(VnRoutingCache, LinkFlapAndRebuildChangeVnHops) {
