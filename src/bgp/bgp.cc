@@ -797,6 +797,7 @@ void BgpSystem::install_routes() {
       // finds each prefix's existing entry. A write lands at the cursor, so
       // the entries before it never shift.
       auto& fib = network_.fib(r);
+      const std::size_t size_before = fib.size();
       std::size_t at = 0;
       for (const Work& w : work) {
         if (!moved[i] && !w.dirty) continue;
@@ -813,6 +814,10 @@ void BgpSystem::install_routes() {
           fib.remove(prefix);
         }
       }
+      // Inserts grow a table by doubling. After a pass that filled it (the
+      // first install of a converging Internet) give back the spare; a
+      // pass that moved a few routes keeps it for the next ones.
+      if (fib.size() > size_before + size_before / 4) fib.shrink_to_fit();
     }
   }
 

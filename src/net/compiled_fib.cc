@@ -6,7 +6,8 @@
 namespace evo::net {
 
 void CompiledFib::compile(const Fib& fib) {
-  entries_.assign(fib.entries().begin(), fib.entries().end());
+  entries_ = fib.share();
+  const std::vector<FibEntry>& entries = *entries_;
   ranges_.clear();
 
   // Project the prefix set onto disjoint ranges. Prefixes form a laminar
@@ -28,8 +29,8 @@ void CompiledFib::compile(const Fib& fib) {
     ranges_.push_back(Range{static_cast<std::uint32_t>(start), winner});
   };
   emit(0, -1);
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const Prefix& p = entries_[i].prefix;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const Prefix& p = entries[i].prefix;
     const std::uint64_t start = p.address().bits();
     const std::uint64_t end = start + ((std::uint64_t{1} << (32 - p.length())) - 1);
     while (!open.empty() && open.back().end < start) {

@@ -12,11 +12,15 @@
 //
 // Staleness is detected through Fib's route epoch: compile() records the
 // source epoch, and Network recompiles a router's CompiledFib lazily when
-// its epoch no longer matches (see Network::compiled_fib).
+// its epoch no longer matches (see Network::compiled_fib). The snapshot's
+// entries are the Fib's own storage (Fib::share), which the Fib copies
+// before its next change, so a stale table still answers from the epoch
+// it was compiled at without ever having copied the entries.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "net/fib.h"
@@ -25,8 +29,9 @@ namespace evo::net {
 
 class CompiledFib {
  public:
-  /// Rebuild from `fib` and record its epoch. Reuses previously allocated
-  /// storage, so periodic recompilation does not churn the allocator.
+  /// Rebuild from `fib` and record its epoch. Shares the Fib's entries and
+  /// reuses previously allocated range and index storage, so periodic
+  /// recompilation does not churn the allocator.
   void compile(const Fib& fib);
 
   /// Longest-prefix match over the compiled snapshot; nullptr when no
@@ -49,13 +54,13 @@ class CompiledFib {
       n -= half;
     }
     const std::int32_t winner = base->winner;
-    return winner < 0 ? nullptr : &entries_[static_cast<std::size_t>(winner)];
+    return winner < 0 ? nullptr : &entries_->data()[static_cast<std::size_t>(winner)];
   }
 
   /// Epoch of the Fib this was compiled from; 0 = never compiled.
   std::uint64_t epoch() const { return epoch_; }
 
-  std::size_t entry_count() const { return entries_.size(); }
+  std::size_t entry_count() const { return entries_ ? entries_->size() : 0; }
   /// Number of disjoint address ranges the prefix set projected onto.
   std::size_t range_count() const { return ranges_.size(); }
 
@@ -65,7 +70,7 @@ class CompiledFib {
     std::int32_t winner;   // index into entries_; -1 = no route
   };
 
-  std::vector<FibEntry> entries_;  // table snapshot, Prefix order
+  std::shared_ptr<const std::vector<FibEntry>> entries_;  // Fib::share() snapshot
   std::vector<Range> ranges_;      // disjoint, sorted by start; [0] starts at 0
   // index_[b] = index of the last range starting at or before (b << shift_)
   // for b < last_block_; index_[last_block_] is the last range, which holds

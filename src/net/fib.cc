@@ -40,35 +40,40 @@ std::size_t first_not_below(const std::vector<FibEntry>& entries, const Prefix& 
 
 }  // namespace
 
+std::vector<FibEntry>& Fib::writable() {
+  if (entries_.use_count() > 1) entries_ = std::make_shared<std::vector<FibEntry>>(*entries_);
+  return *entries_;
+}
+
 void Fib::insert(const FibEntry& entry) {
-  const auto it = entries_.begin() +
-                  static_cast<std::ptrdiff_t>(first_not_below(entries_, entry.prefix));
-  if (it != entries_.end() && it->prefix == entry.prefix) {
-    if (*it == entry) return;  // no-op: keep the epoch
-    *it = entry;
+  const std::size_t at = first_not_below(*entries_, entry.prefix);
+  const bool present = at < entries_->size() && (*entries_)[at].prefix == entry.prefix;
+  if (present && (*entries_)[at] == entry) return;  // no-op: keep the epoch
+  auto& entries = writable();
+  if (present) {
+    entries[at] = entry;
   } else {
-    entries_.insert(it, entry);
+    entries.insert(entries.begin() + static_cast<std::ptrdiff_t>(at), entry);
     lengths_ |= std::uint64_t{1} << entry.prefix.length();
   }
   ++epoch_;
 }
 
 bool Fib::remove(const Prefix& prefix) {
-  const auto it =
-      entries_.begin() + static_cast<std::ptrdiff_t>(first_not_below(entries_, prefix));
-  if (it == entries_.end() || it->prefix != prefix) return false;
-  entries_.erase(it);
+  const std::size_t at = first_not_below(*entries_, prefix);
+  if (at == entries_->size() || (*entries_)[at].prefix != prefix) return false;
+  auto& entries = writable();
+  entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(at));
   ++epoch_;
   return true;
 }
 
 std::size_t Fib::remove_origin(RouteOrigin origin) {
-  const std::size_t removed =
-      std::erase_if(entries_, [&](const FibEntry& e) { return e.origin == origin; });
-  if (removed > 0) {
-    recount_lengths();
-    ++epoch_;
-  }
+  const auto has_origin = [&](const FibEntry& e) { return e.origin == origin; };
+  if (std::none_of(entries_->begin(), entries_->end(), has_origin)) return 0;
+  const std::size_t removed = std::erase_if(writable(), has_origin);
+  recount_lengths();
+  ++epoch_;
   return removed;
 }
 
@@ -92,7 +97,7 @@ void Fib::replace_origins(std::initializer_list<RouteOrigin> origins,
   // `desired`, leave the table and the epoch, so compiled state stays valid.
   auto want = desired.begin();
   bool identical = true;
-  for (const FibEntry& e : entries_) {
+  for (const FibEntry& e : *entries_) {
     if (!in_set(e)) continue;
     if (want == desired.end() || !(*want == e)) {
       identical = false;
@@ -103,18 +108,19 @@ void Fib::replace_origins(std::initializer_list<RouteOrigin> origins,
   if (identical && want == desired.end()) return;
 
   // Merge: keep the other origins' entries except where `desired` names the
-  // same prefix (insert() would have replaced them).
+  // same prefix (insert() would have replaced them). The merge is new
+  // storage, so a snapshot sharing the old one keeps it.
   std::vector<FibEntry> merged;
-  merged.reserve(entries_.size() + desired.size());
+  merged.reserve(entries_->size() + desired.size());
   want = desired.begin();
-  for (const FibEntry& e : entries_) {
+  for (const FibEntry& e : *entries_) {
     if (in_set(e)) continue;
     while (want != desired.end() && want->prefix < e.prefix) merged.push_back(*want++);
     if (want != desired.end() && want->prefix == e.prefix) continue;
     merged.push_back(e);
   }
   merged.insert(merged.end(), want, desired.end());
-  entries_ = std::move(merged);
+  entries_ = std::make_shared<std::vector<FibEntry>>(std::move(merged));
   recount_lengths();
   ++epoch_;
 }
@@ -131,30 +137,37 @@ const FibEntry* Fib::lookup(Ipv4Addr addr) const {
 }
 
 const FibEntry* Fib::find(const Prefix& prefix) const {
-  const std::size_t at = first_not_below(entries_, prefix);
-  return at < entries_.size() && entries_[at].prefix == prefix ? &entries_[at] : nullptr;
+  const std::vector<FibEntry>& entries = *entries_;
+  const std::size_t at = first_not_below(entries, prefix);
+  return at < entries.size() && entries[at].prefix == prefix ? &entries[at] : nullptr;
 }
 
 std::size_t Fib::size_with_origin(RouteOrigin origin) const {
   return static_cast<std::size_t>(std::count_if(
-      entries_.begin(), entries_.end(),
+      entries_->begin(), entries_->end(),
       [&](const FibEntry& e) { return e.origin == origin; }));
 }
 
 void Fib::clear() {
-  if (!entries_.empty()) ++epoch_;
-  entries_.clear();
+  if (!entries_->empty()) {
+    entries_ = std::make_shared<std::vector<FibEntry>>();
+    ++epoch_;
+  }
   recount_lengths();
+}
+
+void Fib::shrink_to_fit() {
+  if (entries_.use_count() == 1) entries_->shrink_to_fit();
 }
 
 void Fib::recount_lengths() {
   lengths_ = 0;
-  for (const FibEntry& e : entries_) lengths_ |= std::uint64_t{1} << e.prefix.length();
+  for (const FibEntry& e : *entries_) lengths_ |= std::uint64_t{1} << e.prefix.length();
 }
 
 std::string Fib::dump() const {
   std::string out;
-  for (const auto& e : entries_) {
+  for (const auto& e : *entries_) {
     out += e.prefix.to_string();
     out += " -> ";
     out += e.next_hop.valid() ? ("node " + std::to_string(e.next_hop.value()))

@@ -1,5 +1,6 @@
 // Forwarding Information Base: one contiguous vector of entries sorted by
-// prefix, with exact-match and longest-prefix-match lookups.
+// prefix, with exact-match and longest-prefix-match lookups. A compiled
+// snapshot shares that vector instead of copying it (copy-on-write).
 //
 // Each router holds one Fib for IPv(N-1) forwarding. Entries record where
 // a route came from (connected / IGP / BGP / anycast) so experiments can
@@ -10,6 +11,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -45,9 +47,14 @@ struct FibEntry {
 /// it. find(), insert() and remove() are binary searches; lookup() probes
 /// only the prefix lengths present, longest first. The object stays small
 /// (a Network holds one per router, and the data plane reads each epoch).
+///
+/// The entries live in shared storage: share() hands it out (CompiledFib
+/// keeps it as its snapshot) and the next change copies it before writing,
+/// so a snapshot never sees a later change and costs no copy while the
+/// table stands still. A moved-from Fib may only be assigned or destroyed.
 class Fib {
  public:
-  Fib() = default;
+  Fib() : entries_(std::make_shared<std::vector<FibEntry>>()) {}
   Fib(Fib&&) noexcept = default;
   Fib& operator=(Fib&&) noexcept = default;
   Fib(const Fib&) = delete;
@@ -76,18 +83,27 @@ class Fib {
   /// Exact-prefix fetch (no LPM); nullptr if absent.
   const FibEntry* find(const Prefix& prefix) const;
 
-  std::size_t size() const { return entries_.size(); }
+  std::size_t size() const { return entries_->size(); }
   std::size_t size_with_origin(RouteOrigin origin) const;
 
   /// Visit every entry in Prefix order: sorted by address, shorter
   /// prefixes before the longer ones they contain.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const FibEntry& e : entries_) fn(e);
+    for (const FibEntry& e : *entries_) fn(e);
   }
 
   /// All entries, in Prefix order.
-  const std::vector<FibEntry>& entries() const { return entries_; }
+  const std::vector<FibEntry>& entries() const { return *entries_; }
+
+  /// The entries as an immutable snapshot: this table's own storage, which
+  /// the next change copies before it writes, so the snapshot keeps the
+  /// contents of this epoch.
+  std::shared_ptr<const std::vector<FibEntry>> share() const { return entries_; }
+
+  /// Give back the capacity that growth left beyond size(). A control
+  /// plane calls it after a pass of writes; a no-op while shared.
+  void shrink_to_fit();
 
   void clear();
 
@@ -104,8 +120,11 @@ class Fib {
  private:
   /// Recompute lengths_ exactly after a bulk change.
   void recount_lengths();
+  /// The entries for writing: copied first when a snapshot shares them.
+  std::vector<FibEntry>& writable();
 
-  std::vector<FibEntry> entries_;  // sorted by prefix, one per prefix
+  /// Sorted by prefix, one per prefix; shared with snapshots (share()).
+  std::shared_ptr<std::vector<FibEntry>> entries_;
   /// Bit L is set when an entry of length L may exist: insert() sets it,
   /// remove() leaves it (lookup() then probes one length in vain), and
   /// the bulk changes recompute it.

@@ -6,6 +6,7 @@
 // agreement here closes the chain back to first principles.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "net/compiled_fib.h"
@@ -102,21 +103,45 @@ TEST(CompiledFib, NestedOverlappingAndDefaultRoutes) {
 }
 
 TEST(CompiledFib, StaleEpochDetectedAndRecompileCatchesUp) {
-  Fib fib;
-  fib.insert(entry("10.0.0.0/8", 1));
-  CompiledFib compiled;
-  compiled.compile(fib);
-  EXPECT_EQ(compiled.epoch(), fib.epoch());
+  // Every kind of write moves the epoch, and the stale table still answers
+  // from the old snapshot until recompiled (Network recompiles on epoch
+  // mismatch): the snapshot shares the Fib's entries, so each write must
+  // copy them before it changes them.
+  const std::vector<std::function<void(Fib&)>> writes = {
+      [](Fib& fib) { fib.insert(entry("10.1.0.0/16", 2)); },
+      [](Fib& fib) { fib.insert(entry("10.0.0.0/8", 3)); },
+      [](Fib& fib) { fib.remove(*Prefix::parse("10.0.0.0/8")); },
+      [](Fib& fib) { fib.remove_origin(RouteOrigin::kStatic); },
+      [](Fib& fib) {
+        const std::vector<FibEntry> table = {entry("10.0.0.0/8", 4)};
+        fib.replace_origins({RouteOrigin::kStatic}, table);
+      },
+      [](Fib& fib) { fib.clear(); },
+  };
+  const Ipv4Addr probe{10, 1, 0, 1};
+  for (std::size_t i = 0; i < writes.size(); ++i) {
+    Fib fib;
+    fib.insert(entry("10.0.0.0/8", 1));
+    CompiledFib compiled;
+    compiled.compile(fib);
+    EXPECT_EQ(compiled.epoch(), fib.epoch());
 
-  // Mutate: epochs diverge; the stale table still answers from the old
-  // snapshot until recompiled (Network recompiles on epoch mismatch).
-  fib.insert(entry("10.1.0.0/16", 2));
-  EXPECT_NE(compiled.epoch(), fib.epoch());
-  EXPECT_EQ(compiled.lookup(Ipv4Addr{10, 1, 0, 1})->next_hop, NodeId{1});
+    writes[i](fib);
+    fib.shrink_to_fit();  // leaves entries a snapshot shares alone
+    EXPECT_NE(compiled.epoch(), fib.epoch()) << "write " << i;
+    EXPECT_EQ(compiled.entry_count(), 1u) << "write " << i;
+    ASSERT_NE(compiled.lookup(probe), nullptr) << "write " << i;
+    EXPECT_EQ(compiled.lookup(probe)->next_hop, NodeId{1}) << "write " << i;
 
-  compiled.compile(fib);
-  EXPECT_EQ(compiled.epoch(), fib.epoch());
-  EXPECT_EQ(compiled.lookup(Ipv4Addr{10, 1, 0, 1})->next_hop, NodeId{2});
+    compiled.compile(fib);
+    EXPECT_EQ(compiled.epoch(), fib.epoch());
+    const FibEntry* from_fib = fib.lookup(probe);
+    const FibEntry* from_flat = compiled.lookup(probe);
+    ASSERT_EQ(from_fib != nullptr, from_flat != nullptr) << "write " << i;
+    if (from_fib != nullptr) {
+      EXPECT_EQ(*from_fib, *from_flat) << "write " << i;
+    }
+  }
 }
 
 class CompiledFibDifferential : public ::testing::TestWithParam<std::uint64_t> {};
