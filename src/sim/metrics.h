@@ -2,12 +2,17 @@
 //
 // Summary keeps every sample so exact percentiles can be reported; the
 // experiment scales here (<= millions of samples) make that affordable and
-// it avoids quantile-sketch approximation error in reported results.
+// it avoids quantile-sketch approximation error in reported results. The
+// samples live in fixed-size blocks (a deque), so growing never holds an
+// old and a new copy at once: a contiguous vector's regrowth doubles the
+// resident size of a million-sample summary for the length of the copy,
+// which makes a process's peak memory a step function of its sample count.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
 #include <vector>
@@ -35,7 +40,8 @@ class Summary {
   double percentile(double p) const;
   double median() const { return percentile(50.0); }
 
-  const std::vector<double>& samples() const { return samples_; }
+  /// The samples in their current order (sorted once a percentile was read).
+  std::vector<double> samples() const { return {samples_.begin(), samples_.end()}; }
 
   /// Append every sample of `other` (in its current order) to this summary.
   void append(const Summary& other) {
@@ -55,7 +61,7 @@ class Summary {
  private:
   void ensure_sorted() const;
 
-  mutable std::vector<double> samples_;
+  mutable std::deque<double> samples_;
   mutable bool sorted_ = false;
 };
 
